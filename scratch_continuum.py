@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special as ss
 from scipy.integrate import quad, solve_ivp
 
-from kpzlab.special import ContourSpec, airy_ai_kernel, circle_quadrature, _airy_u_terms
+from kpzlab.special import ContourSpec, airy_ai_kernel, circle_quadrature
 from kpzlab.fredholm import (
     BlockExtendedProblem,
     HalfLineDown,
@@ -25,20 +25,14 @@ from kpzlab.fredholm import (
 from kpzlab.exact import transfer_inverse, transfer_extended
 
 LN2 = math.log(2.0)
-LOG_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
 
 
 # ---------------------------------------------------------------- T evaluator
 
 
 def ai_log_tail(a: float) -> float:
-    """log Ai(a) for a >= 7."""
-    zeta = 2.0 / 3.0 * a ** 1.5
-    terms = _airy_u_terms(zeta)
-    s = 0.0
-    for k, tk in enumerate(terms):
-        s += (-1) ** k * tk
-    return -zeta - LOG_2SQRTPI - 0.25 * math.log(a) + math.log(s)
+    """log Ai(a) for a >= 7, from the exponentially scaled Ai."""
+    return math.log(ss.airye(a)[0]) - 2.0 / 3.0 * a ** 1.5
 
 
 def t_window(t, x, u_across):

@@ -2,9 +2,8 @@
 
 The package is organized bottom-up: `special` (contour quadrature, Airy),
 `dpp` (finite determinantal measures), `simulate` (continuous-time TASEP),
-`exact` (transition probabilities, biorthogonal kernels, multipoint formulas),
-`fredholm` (determinant engines), `continuum` (fixed-point kernels and limit
-laws), `validate` (Monte Carlo vs exact harness), and `cli`.
+`exact` (transition probabilities, biorthogonal kernels, multipoint formulas)
+and `fredholm` (determinant engines).
 """
 
 __version__ = "0.1.0"

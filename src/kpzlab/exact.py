@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,30 +164,6 @@ def hitting_profile(init: InitialData, n: int, y_lo: int, y_hi: int):
     return ys, bs, hit
 
 
-@dataclass(frozen=True)
-class WalkKernelBundle:
-    """Walk ingredients tied to one initial configuration and depth n."""
-
-    initial_data: InitialData
-    n: int
-    curve: tuple[float, ...]
-
-    def q_power(self, steps: int, x: int, y: int) -> Fraction:
-        return q_weight(steps, x, y)
-
-    def qbar(self, y1: int, y2: int) -> Fraction:
-        return qbar(self.n, y1, y2)
-
-    def hitting(self, y_lo: int, y_hi: int):
-        return hitting_profile(self.initial_data, self.n, y_lo, y_hi)
-
-
-def walk_bundle(init: InitialData, n: int) -> WalkKernelBundle:
-    if n < 1:
-        raise ValueError("depth must be at least 1")
-    return WalkKernelBundle(init, n, stopping_curve(init, n))
-
-
 # ---------------------------------------------------------------------------
 # Residue evaluations of the kernel building blocks.
 
@@ -253,37 +228,33 @@ def psi_residue(
 def transfer_inverse(t: float, n: int, z1: int, z2: int) -> float:
     """Adjoint of the backward half-heat flow composed with n inverse walk
     steps.  Vanishes for z1 - z2 > n and decays like 2^(z1-z2) leftwards."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    p = n + z2 - z1
-    if p < 0:
-        return 0.0
-    tot = _alternating_poisson([math.comb(n, j) for j in range(n + 1)], p, t)
-    return 2.0 ** (z1 - z2) * math.exp(-t / 2.0) * tot
+    return float(_transfer_inverse_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
 
 def transfer_extended(t: float, n: int, z1: int, z2: int) -> float:
     """Polynomial extension of n walk steps composed with the half-heat flow."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    a = z2 - z1 + n - 1
-    coeffs = [float(gen_binomial(a, j)) for j in range(n)]
-    tot = _alternating_poisson(coeffs, n - 1, t)
-    return 2.0 ** (z2 - z1) * math.exp(-t / 2.0) * tot
+    return float(_transfer_extended_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
 
 def _transfer_inverse_matrix(t: float, n: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized transfer_inverse on a (start, target) grid."""
+    """transfer_inverse on a (start, target) grid."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if len(ys) == 0 or len(xs) == 0:
         return np.zeros((len(ys), len(xs)))
     if t == 0.0:
-        return np.array(
-            [[transfer_inverse(t, n, int(y), int(x)) for x in xs] for y in ys]
-        )
+        # only the q = 0 term of each Poisson sum survives: the walk power
+        # (-1)^p C(n, p) 2^(z1-z2) at p = n + z2 - z1 in [0, n]
+        p = (n + xs[None, :] - ys[:, None]).astype(int)
+        ok = (p >= 0) & (p <= n)
+        signed = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
+        expo = np.where(ok, n - p, 0).astype(float)
+        return np.where(ok, signed[np.clip(p, 0, n)] * 2.0**expo, 0.0)
     p = n + xs[None, :].astype(float) - ys[:, None].astype(float)
     # fold the 2^(z1-z2) prefactor into each exponent; on the support
-    # p >= j >= 0 it is bounded by 2^n, so nothing overflows
-    base = (ys[:, None] - xs[None, :]) * _LN2 - t / 2.0
+    # p >= 0 it is bounded by 2^n, so nothing overflows, and off it the
+    # exponent is zeroed so that exp cannot overflow on entries masked out
+    base = np.where(p >= 0, (ys[:, None] - xs[None, :]) * _LN2 - t / 2.0, 0.0)
     log_t = math.log(t)
     tot = np.zeros_like(p)
     for j in range(n + 1):
@@ -296,7 +267,9 @@ def _transfer_inverse_matrix(t: float, n: int, ys: np.ndarray, xs: np.ndarray) -
 
 
 def _transfer_extended_matrix(t: float, n: int, bs: np.ndarray, z2s: np.ndarray) -> np.ndarray:
-    """Vectorized transfer_extended on a (start, target) grid."""
+    """transfer_extended on a (start, target) grid."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     a = z2s[None, :].astype(float) - bs[:, None].astype(float) + n - 1
     tot = np.zeros(a.shape)
     for j in range(n):
@@ -332,22 +305,6 @@ def epi_transfer_matrix(
 
 def transfer_epi(init: InitialData, t: float, n: int, z1: int, z2: int) -> float:
     return float(epi_transfer_matrix(init, t, n, z1, z1, [z2])[0, 0])
-
-
-TransferValues = namedtuple("TransferValues", ["inverse", "extended", "epi"])
-
-
-def transfer_kernels(
-    t: float, n: int, z1: int, z2: int, init: InitialData | None = None
-) -> TransferValues:
-    """All three transfer kernels at one entry; the first-passage variant
-    needs initial data and is None without it."""
-    inv = transfer_inverse(t, n, z1, z2)
-    ext = transfer_extended(t, n, z1, z2) if n >= 1 else 0.0
-    epi = None
-    if init is not None:
-        epi = transfer_epi(init, t, n, z1, z2)
-    return TransferValues(inv, ext, epi)
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +344,6 @@ def _poly_eval_frac(coeffs, z) -> Fraction:
     return acc
 
 
-def _poly_shift_diff(coeffs) -> tuple[Fraction, ...]:
-    """Coefficients of q(z-1) - q(z)."""
-    out = [Fraction(0)] * len(coeffs)
-    for j, c in enumerate(coeffs):
-        for r in range(j + 1):
-            out[r] += c * math.comb(j, r) * (-1) ** (j - r)
-        out[j] -= c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _discrete_antiderivative(p, z0: int) -> tuple[Fraction, ...]:
     """The unique polynomial A with A(z) - A(z-1) = p(z) and A(z0) = 0."""
     d = len(p) - 1
@@ -432,12 +377,6 @@ def backward_heat_polys(init: InitialData, n: int, k: int) -> tuple[tuple[Fracti
         negated = tuple(-c for c in levels[ell])
         levels[ell - 1] = _discrete_antiderivative(negated, _entry_int(init, n - ell + 1))
     return tuple(levels)
-
-
-def walk_adjoint_inverse(coeffs) -> tuple[Fraction, ...]:
-    """Action of the adjoint inverse walk step on 2^z q(z), returned as the
-    new q: 2 f(z-1) - f(z) applied to f = 2^z q gives 2^z (q(z-1) - q(z))."""
-    return _poly_shift_diff(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +878,29 @@ def _kernel_block_matrix(t, base, ns, grids):
     return big
 
 
+def _settled_det(build, tol: float):
+    """Determinant of build(depth) as the window depth below the events
+    doubles from WINDOW_BELOW, until two successive depths agree to tol.
+
+    Returns (value, last change, depth, matrix).  It stays private:
+    bench/tracer.py wraps only public functions, so the span of det_window
+    keeps the calling probability as its parent.
+    """
+    depth = WINDOW_BELOW
+    older = prev = None
+    while depth <= 16 * WINDOW_BELOW:
+        mat = build(depth)
+        value = det_window(mat)
+        if prev is not None and abs(value - prev) < tol:
+            return float(value), abs(value - prev), depth, mat
+        older, prev = prev, value
+        depth *= 2
+    raise TruncationError(
+        f"determinant did not settle below {tol} by window depth {depth // 2}: "
+        f"last two values {older:.12g}, {prev:.12g}"
+    )
+
+
 def multipoint_probability(
     t: float, init: InitialData, events, tol: float = 1e-9, report: bool = False
 ):
@@ -963,27 +925,23 @@ def multipoint_probability(
         raise ValueError("labels must point past the infinite prefix")
     a_vals = [av for _, av in kept]
     tops = [int(math.floor(av)) for av in a_vals]
-    depth = WINDOW_BELOW
-    prev = None
-    while depth <= 16 * WINDOW_BELOW:
+
+    def build(depth):
         lo = min(tops) - depth
-        grids = [np.arange(lo, top + 1) for top in tops]
-        big = _kernel_block_matrix(t, base, ns, grids)
-        value = det_window(big)
-        if prev is not None and abs(value - prev) < tol:
-            if report:
-                win = DiscreteKernelWindow(
-                    tuple(nv for nv, _ in kept),
-                    tuple((lo, top) for top in tops),
-                    tuple(a_vals),
-                    big,
-                    abs(value - prev),
-                )
-                return float(value), win
-            return float(value)
-        prev = value
-        depth *= 2
-    raise TruncationError(f"determinant did not settle below {tol}")
+        return _kernel_block_matrix(t, base, ns, [np.arange(lo, top + 1) for top in tops])
+
+    value, delta, depth, big = _settled_det(build, tol)
+    if report:
+        lo = min(tops) - depth
+        win = DiscreteKernelWindow(
+            tuple(nv for nv, _ in kept),
+            tuple((lo, top) for top in tops),
+            tuple(a_vals),
+            big,
+            delta,
+        )
+        return value, win
+    return value
 
 
 def path_integral_probability(t: float, init: InitialData, events, tol: float = 1e-9):
@@ -1011,15 +969,12 @@ def path_integral_probability(t: float, init: InitialData, events, tol: float = 
     m = len(ns)
     floor_site = min(tops + [_entry_int(base, ns[-1])])
     top_site = max(tops + [_entry_int(base, 1)])
-    depth = WINDOW_BELOW
-    prev = None
-    while depth <= 16 * WINDOW_BELOW:
-        lo = floor_site - depth
-        hi = top_site + WINDOW_ABOVE + (ns[-1] - ns[0]) + int(math.ceil(t))
-        grid = np.arange(lo, hi + 1)
-        width = len(grid)
+    hi = top_site + WINDOW_ABOVE + (ns[-1] - ns[0]) + int(math.ceil(t))
+
+    def build(depth):
+        grid = np.arange(floor_site - depth, hi + 1)
         kernels: dict[int, np.ndarray] = {}
-        total = np.zeros((width, width))
+        total = np.zeros((len(grid), len(grid)))
         for bits in range(1, 1 << m):
             chosen = [j for j in range(m) if bits >> j & 1]
             lead = ns[chosen[0]]
@@ -1032,12 +987,9 @@ def path_integral_probability(t: float, init: InitialData, events, tol: float = 
                 if nxt != ns[j]:
                     term = term @ _window_q_power(nxt - ns[j], grid, grid)
             total += (-1.0) ** (len(chosen) + 1) * term
-        value = det_window(total)
-        if prev is not None and abs(value - prev) < tol:
-            return float(value)
-        prev = value
-        depth *= 2
-    raise TruncationError(f"path-product determinant did not settle below {tol}")
+        return total
+
+    return _settled_det(build, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1055,11 +1007,21 @@ def bfps_l_verify(
     diagonal block against the first-passage kernel (after unconjugating).
     Ensemble minors are compared with the two-level determinant weights up
     to one global sign, and the interlacing indicator identity is exercised
-    on random arrays.  Returns a dict of deviation diagnostics.
+    on random arrays.  Returns a dict of deviation diagnostics.  Raises
+    WindowError, naming a window that works, unless the window covers the
+    sampled sites [entry(2) - 6, entry(1) + 10].
     """
     if init.n_finite != 2 or _leading_inf(init):
         raise ValueError("this check is specific to two finite particles")
     lo, hi = int(window[0]), int(window[1])
+    e1 = _entry_int(init, 1)
+    e2 = _entry_int(init, 2)
+    span_lo, span_hi = e2 - 6, e1 + 10
+    if lo > span_lo or hi < span_hi:
+        raise WindowError(
+            f"window [{lo}, {hi}] must cover the checked sites [{span_lo}, {span_hi}]; "
+            f"try [{min(lo, span_lo)}, {max(hi, span_hi)}]"
+        )
     sites = list(range(lo, hi + 1))
     width = len(sites)
     space = [("label", 1), ("label", 2)]
@@ -1077,8 +1039,6 @@ def bfps_l_verify(
     spec = LEnsembleSpec(space, L, conditioning_subset=space[2:])
     dpp = conditional_l_to_k(spec)
 
-    e1 = _entry_int(init, 1)
-    e2 = _entry_int(init, 2)
     x_lo = max(e2 - 12, lo + 8)
     x_hi = min(e1 + 12, hi - 8)
     max_dev = 0.0
@@ -1091,7 +1051,6 @@ def bfps_l_verify(
     rng = np.random.default_rng(7)
     sign = 0.0
     max_weight_dev = 0.0
-    span_lo, span_hi = e2 - 6, e1 + 10
     for _ in range(200):
         z11, z21, z22 = rng.integers(span_lo, span_hi + 1, size=3).tolist()
         if z21 == z22:

@@ -1,9 +1,10 @@
 """Scalar special functions and contour quadrature.
 
 Everything here is elementary but tolerance-critical: the circle quadrature
-drives every contour formula in the exact solvers, and the Airy evaluator is
-the backbone of the continuum kernels.  All routines are deterministic and
-carry explicit error reporting instead of silent best-effort values.
+drives every contour formula in the exact solvers, and the Airy function
+(scipy's, range-checked here) is the backbone of the continuum kernels.  All
+routines are deterministic and carry explicit error reporting instead of
+silent best-effort values.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from scipy.special import airy
 
 # Γ_0 is a circle around the origin only; Γ_{0,1} encloses 0 and 1.
 GAMMA0_RADIUS = 0.5
@@ -24,18 +26,6 @@ MIN_NODES = 64
 MAX_NODES = 4096
 
 AIRY_RANGE = 30.0
-# Power series is used on (_AIRY_NEG_SWITCH, _AIRY_POS_SWITCH]; outside, the
-# Poincare expansions.  The negative switch sits at -9, not -7: the oscillatory
-# asymptotic series bottoms out near 2e-11 at z = -7, which would miss the
-# 1e-12 absolute target, while the series keeps ~13 good digits there.
-_AIRY_POS_SWITCH = 7.0
-_AIRY_NEG_SWITCH = -9.0
-
-AI0 = 0.3550280538878172  # Ai(0) = 3**(-2/3)/Gamma(2/3)
-DAI0 = 0.2588194037928068  # -Ai'(0) = 3**(-1/3)/Gamma(1/3)
-# Same constants beyond float64, parsed by strtold for the longdouble series.
-_AI0_LD = np.longdouble("0.355028053887817239260063186004")
-_DAI0_LD = np.longdouble("0.258819403792806798405183560189")
 
 
 class QuadratureError(RuntimeError):
@@ -179,94 +169,19 @@ def schuetz_F(n: int, x: int, t: float, tol: float = 1e-10) -> float:
     return ((-1) ** n * res.value).real
 
 
-def _airy_series(z: float) -> float:
-    """Maclaurin series for Ai, accumulated in extended precision.
-
-    Near the switch points the alternating sums cancel ~11 digits, so the
-    running terms are kept in longdouble; float64 accumulation would cap the
-    absolute accuracy near 1e-10.
-    """
-    zl = np.longdouble(z)
-    z3 = zl * zl * zl
-    f_term = np.longdouble(1.0)
-    g_term = zl
-    f_sum = f_term
-    g_sum = g_term
-    for k in range(200):
-        f_term = f_term * z3 / np.longdouble((3 * k + 2) * (3 * k + 3))
-        g_term = g_term * z3 / np.longdouble((3 * k + 3) * (3 * k + 4))
-        f_sum += f_term
-        g_sum += g_term
-        if abs(f_term) < 1e-30 and abs(g_term) < 1e-30:
-            break
-    ai = _AI0_LD * f_sum - _DAI0_LD * g_sum
-    return float(ai)
-
-
-def _airy_u_terms(zeta: float, kmax: int = 60) -> list[float]:
-    """Coefficients u_k / zeta^k of the Poincare expansion, stopped at the
-    smallest term."""
-    terms = [1.0]
-    u = 1.0
-    for k in range(kmax):
-        u *= (3 * k + 2.5) * (3 * k + 1.5) * (3 * k + 0.5) / (54.0 * (k + 1) * (k + 0.5))
-        nxt = u / zeta ** (k + 1)
-        if abs(nxt) >= abs(terms[-1]):
-            break
-        terms.append(nxt)
-    return terms
-
-
-def _airy_asym_pos(z: float) -> float:
-    zeta = 2.0 / 3.0 * z ** 1.5
-    terms = _airy_u_terms(zeta)
-    s = 0.0
-    for k, tk in enumerate(terms):
-        s += (-1) ** k * tk
-    return math.exp(-zeta) / (2.0 * math.sqrt(math.pi) * z ** 0.25) * s
-
-
-def _airy_asym_neg(z: float) -> float:
-    x = -z
-    zeta = 2.0 / 3.0 * x ** 1.5
-    terms = _airy_u_terms(zeta)
-    p = 0.0
-    q = 0.0
-    for k, tk in enumerate(terms):
-        if k % 2 == 0:
-            p += (-1) ** (k // 2) * tk
-        else:
-            q += (-1) ** ((k - 1) // 2) * tk
-    ang = zeta + math.pi / 4.0
-    return (math.sin(ang) * p - math.cos(ang) * q) / (math.sqrt(math.pi) * x ** 0.25)
-
-
 def airy_ai(z: float) -> float:
     """Airy function Ai(z) for |z| <= 30, absolute error below 1e-12."""
     z = float(z)
     if not math.isfinite(z) or abs(z) > AIRY_RANGE:
         raise ValueError(f"airy_ai supports |z| <= {AIRY_RANGE}, got {z}")
-    return _airy_unchecked(z)
-
-
-def _airy_unchecked(z: float) -> float:
-    if z > _AIRY_POS_SWITCH:
-        return _airy_asym_pos(z)
-    if z <= _AIRY_NEG_SWITCH:
-        return _airy_asym_neg(z)
-    return _airy_series(z)
+    return float(airy(z)[0])
 
 
 def airy_ai_kernel(z) -> np.ndarray:
     """Vectorized Ai for kernel builders: arguments beyond +30 return 0.0
     (|Ai| < 3e-48 there), arguments below -30 still raise."""
     arr = np.asarray(z, dtype=float)
-    out = np.zeros(arr.shape, dtype=float)
-    flat = arr.ravel()
-    res = out.ravel()
-    if flat.size and float(flat.min()) < -AIRY_RANGE:
+    if arr.size and float(arr.min()) < -AIRY_RANGE:
         raise ValueError("airy_ai_kernel: argument below -30")
-    for i, v in enumerate(flat):
-        if v <= AIRY_RANGE:
-            res[i] = _airy_unchecked(float(v))
-    return out if arr.shape else float(res[0])
+    out = np.where(arr <= AIRY_RANGE, airy(np.minimum(arr, AIRY_RANGE))[0], 0.0)
+    return out if arr.shape else float(out)

@@ -7,6 +7,7 @@ joint laws.  Nothing below reuses the code path it checks.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -38,13 +39,9 @@ from kpzlab.exact import (
     q_weight,
     qbar,
     schuetz_transition,
-    stopping_curve,
     transfer_epi,
     transfer_extended,
     transfer_inverse,
-    transfer_kernels,
-    walk_adjoint_inverse,
-    walk_bundle,
 )
 from kpzlab.fredholm import det_window
 from kpzlab.simulate import make_initial
@@ -200,15 +197,6 @@ def test_extended_power_inverse_recursion():
             assert killed == 0
 
 
-def test_walk_bundle_collects_pieces():
-    bundle = walk_bundle(EXPL, 3)
-    assert bundle.curve == stopping_curve(EXPL, 3)
-    assert bundle.q_power(2, 0, -3) == q_weight(2, 0, -3)
-    assert bundle.qbar(1, -4) == qbar(3, 1, -4)
-    with pytest.raises(ValueError):
-        walk_bundle(EXPL, 0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     a=st.integers(min_value=1, max_value=3),
@@ -303,13 +291,21 @@ def test_transfer_time_zero_degenerates_to_walk():
             assert got == float(qbar(2, z1, z2))
 
 
-def test_transfer_kernels_bundle():
-    vals = transfer_kernels(0.9, 2, 1, -1)
-    assert vals.inverse == transfer_inverse(0.9, 2, 1, -1)
-    assert vals.extended == transfer_extended(0.9, 2, 1, -1)
-    assert vals.epi is None
-    with_init = transfer_kernels(0.9, 2, 1, -1, init=EXPL)
-    assert with_init.epi == transfer_epi(EXPL, 0.9, 2, 1, -1)
+def test_transfer_inverse_off_support_is_exact_zero():
+    # far left of the support (z1 - z2 > n) the 2^(z1-z2) prefactor would
+    # overflow exp; those entries must come out as exact zeros, silently
+    from kpzlab.exact import _transfer_inverse_matrix
+
+    n = 3
+    ys = np.concatenate([np.arange(-3, 4), np.arange(1100, 1106)])
+    xs = np.arange(-3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert transfer_inverse(1.0, 1, 2000, 0) == 0.0
+        grid = _transfer_inverse_matrix(1.0, n, ys, xs)
+    off = ys[:, None] - xs[None, :] > n
+    assert np.all(grid[off] == 0.0)
+    assert np.all(grid[~off] != 0.0)
 
 
 def test_first_passage_transfer_matches_walk_average():
@@ -392,15 +388,20 @@ def test_heat_levels_boundary_data():
 
 
 def test_heat_levels_step_recursion():
+    # the adjoint inverse walk step maps 2^z q(z) to 2^z (q(z-1) - q(z)), so
+    # it takes each level to the next; level ell has degree k - ell, and
+    # agreement at more than k + 1 integers is equality of polynomials
     n, k = 5, 3
     levels = backward_heat_polys(EXPL, n, k)
-    for ell in range(k):
-        stepped = walk_adjoint_inverse(levels[ell])
-        a = list(stepped) + [Fraction(0)] * (len(levels[ell + 1]) - len(stepped))
-        b = list(levels[ell + 1]) + [Fraction(0)] * (len(stepped) - len(levels[ell + 1]))
-        assert a == b
-    # stepping the constant top level gives the zero polynomial
-    assert all(c == 0 for c in walk_adjoint_inverse(levels[k]))
+
+    def at(coeffs, z):
+        return sum(c * Fraction(z) ** i for i, c in enumerate(coeffs))
+
+    for z in range(-8, 8):
+        for ell in range(k):
+            assert at(levels[ell], z - 1) - at(levels[ell], z) == at(levels[ell + 1], z)
+        # stepping the constant top level gives the zero polynomial
+        assert at(levels[k], z - 1) - at(levels[k], z) == 0
 
 
 def test_heat_solution_matches_hit_law():
@@ -892,6 +893,13 @@ def test_path_product_trivial_events():
         path_integral_probability(1.0, STEP, [(1, math.inf)])
 
 
+def test_window_doubling_exhaustion_raises():
+    data = make_initial(kind="explicit", entries=(0, -2))
+    for route in (multipoint_probability, path_integral_probability):
+        with pytest.raises(TruncationError, match="did not settle"):
+            route(0.5, data, [(1, 0)], tol=-1.0)
+
+
 # ---- two-route weight bridge ----------------------------------------------
 
 
@@ -903,3 +911,9 @@ def test_weight_bridge_two_particles():
     assert out["max_weight_dev"] < 1e-8
     assert out["indicator_mismatches"] == 0
     assert out["window"] == (-20, 12)
+
+
+def test_weight_bridge_window_must_cover_checked_sites():
+    data = make_initial(kind="explicit", entries=(1, -2))
+    with pytest.raises(WindowError, match=r"try \[-14, 11\]"):
+        bfps_l_verify(data, 0.8, window=(-14, 10), trials=60)

@@ -7,6 +7,7 @@ closed-form residue/series identities for the F family.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,6 +65,13 @@ def test_airy_kernel_wrapper():
     assert vals[1] == 0.0 and vals[2] == 0.0
     with pytest.raises(ValueError):
         airy_ai_kernel(np.array([-30.5]))
+
+
+def test_airy_matches_mpmath_on_dense_grid():
+    zs = np.linspace(-30.0, 30.0, 1201)
+    want = np.array([float(mpmath.airyai(z)) for z in zs])
+    assert np.abs(airy_ai_kernel(zs) - want).max() <= 1e-12
+    assert max(abs(airy_ai(z) - w) for z, w in zip(zs, want)) <= 1e-12
 
 
 def test_airy_against_contour_representation():

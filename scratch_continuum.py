@@ -111,7 +111,12 @@ def stage_A():
         keep = y <= zmax
         val = float(np.sum(w[keep] * t_fac(t, x, y[keep])))
         a = -y * t ** (-1 / 3) + x * x * t ** (-4 / 3)
-        full = float(np.sum(w * t ** (-1 / 3) * np.exp(2 * x ** 3 / (3 * t * t) - y * x / t) * ss.airy(a)[0]))
+        # in log space: Ai(a) = airye(a) exp(-(2/3) a^{3/2}) for a > 0 (airye is
+        # NaN for real a < 0), so no exp overflows against an Ai that underflows
+        ap = np.maximum(a, 0.0)
+        ai = np.where(a > 0, ss.airye(ap)[0], ss.airy(np.minimum(a, 0.0))[0])
+        expo = 2 * x ** 3 / (3 * t * t) - y * x / t - 2.0 / 3.0 * ap ** 1.5
+        full = float(np.sum(w * t ** (-1 / 3) * ai * np.exp(expo)))
         print(f"A3 mass t={t} x={x}: masked={val:.12f} scipy-full={full:.12f} err={abs(val-1):.2e}")
 
     # mass at x=0 with oracle tail: int T_{t,0} dz = int Ai(u) du

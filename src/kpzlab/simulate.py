@@ -1,58 +1,39 @@
-"""Continuous-time TASEP: event-driven simulation, heights, 1:2:3 rescaling.
+"""Continuous-time TASEP: last-passage simulation, heights, 1:2:3 rescaling.
 
 Particles jump right at rate 1 when the target site is free, labels increase
-to the left.  The event loop keeps one exponential alarm per unblocked
-particle; alarms are regenerated lazily (memorylessness makes that exact in
-law).  Randomness is counter-based and keyed by (seed, particle label), so a
-trajectory is reproducible no matter how runs are scheduled.
-
-The hot loop compiles under numba when available and runs as plain Python
-otherwise; both paths execute the same function body.
+to the left.  A run is last-passage percolation over exponential draws (Rost
+1981; Johansson, math/9903134): the k-th jump of a particle comes one draw
+after the later of its own (k-1)-th jump and the jump of the particle ahead
+that empties its target site.  Exponential clocks are memoryless, so starting
+each clock when the site frees gives TASEP's law.  Randomness is counter-based
+and keyed by (seed, particle label, jump number), so a trajectory is
+reproducible no matter how runs are scheduled.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(f):
-            return f
-
-        return deco
-
+# The last-passage recursion is the one simulator path and needs no compiler;
+# the flag stays because benchmark reports record it.
+HAVE_NUMBA = False
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_ONE = np.uint64(1)
+_GOLD = 0x9E3779B97F4A7C15
 _TWO_NEG53 = 2.0**-53
 
 LIGHT_CONE_FACTOR = 10  # tracked particles per unit time beyond the window
 
 
 def _mix_int(z: int) -> int:
-    """splitmix64 finalizer on plain ints (setup path, exact)."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    """splitmix64 finalizer: stream keys and draws."""
+    z = (z + _GOLD) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
@@ -61,138 +42,8 @@ def _mix_int(z: int) -> int:
 def stream_base(seed: int, label: int) -> int:
     """Per-particle stream key; mixing keeps streams decorrelated."""
     s = _mix_int(int(seed) & _MASK)
-    lab = _mix_int((int(label) * 0x9E3779B97F4A7C15 + 0x7F4A7C15) & _MASK)
+    lab = _mix_int((int(label) * _GOLD + 0x7F4A7C15) & _MASK)
     return _mix_int(s ^ lab)
-
-
-def _core_body(pos, base, t0, t_end, record, ev_cap):
-    """Event loop shared by the jitted and pure builds.
-
-    pos: int64 positions, strictly decreasing (index 0 = rightmost).
-    base: uint64 per-particle stream keys.  Returns (time_of_last_event or
-    t_end, events_time, events_index, events_pos, n_events).
-    """
-    n = pos.shape[0]
-    counter = np.zeros(n, dtype=np.uint64)
-    armed = np.zeros(n, dtype=np.bool_)
-    heap_t = np.empty(n, dtype=np.float64)
-    heap_i = np.empty(n, dtype=np.int64)
-    size = 0
-
-    ev_t = np.empty(ev_cap if record else 0, dtype=np.float64)
-    ev_i = np.empty(ev_cap if record else 0, dtype=np.int64)
-    ev_x = np.empty(ev_cap if record else 0, dtype=np.int64)
-    n_ev = 0
-
-    for i in range(n):
-        if i == 0 or pos[i - 1] - pos[i] >= 2:
-            z = base[i] + (counter[i] + _ONE) * _GOLD
-            z = (z ^ (z >> _S30)) * _MIX1
-            z = (z ^ (z >> _S27)) * _MIX2
-            z = z ^ (z >> _S31)
-            counter[i] += _ONE
-            u = float(z >> _S11) * _TWO_NEG53
-            t_next = t0 - math.log(1.0 - u)
-            # push
-            j = size
-            heap_t[j] = t_next
-            heap_i[j] = i
-            size += 1
-            while j > 0:
-                p = (j - 1) >> 1
-                if heap_t[p] <= heap_t[j]:
-                    break
-                heap_t[p], heap_t[j] = heap_t[j], heap_t[p]
-                heap_i[p], heap_i[j] = heap_i[j], heap_i[p]
-                j = p
-            armed[i] = True
-
-    t_now = t0
-    while size > 0:
-        t_min = heap_t[0]
-        if t_min > t_end:
-            break
-        i = heap_i[0]
-        # pop root
-        size -= 1
-        heap_t[0] = heap_t[size]
-        heap_i[0] = heap_i[size]
-        j = 0
-        while True:
-            lft = 2 * j + 1
-            if lft >= size:
-                break
-            small = lft
-            rgt = lft + 1
-            if rgt < size and heap_t[rgt] < heap_t[lft]:
-                small = rgt
-            if heap_t[j] <= heap_t[small]:
-                break
-            heap_t[j], heap_t[small] = heap_t[small], heap_t[j]
-            heap_i[j], heap_i[small] = heap_i[small], heap_i[j]
-            j = small
-        # armed particles always have a free target site: the gap ahead can
-        # only have grown since arming
-        pos[i] += 1
-        t_now = t_min
-        armed[i] = False
-        if record:
-            if n_ev >= ev_t.shape[0]:
-                new_cap = 2 * ev_t.shape[0] if ev_t.shape[0] > 0 else 1024
-                tmp_t = np.empty(new_cap, dtype=np.float64)
-                tmp_i = np.empty(new_cap, dtype=np.int64)
-                tmp_x = np.empty(new_cap, dtype=np.int64)
-                tmp_t[:n_ev] = ev_t[:n_ev]
-                tmp_i[:n_ev] = ev_i[:n_ev]
-                tmp_x[:n_ev] = ev_x[:n_ev]
-                ev_t, ev_i, ev_x = tmp_t, tmp_i, tmp_x
-            ev_t[n_ev] = t_min
-            ev_i[n_ev] = i
-            ev_x[n_ev] = pos[i]
-            n_ev += 1
-        # lazily re-arm: the jumper if still free ahead, and the follower if
-        # this jump just unblocked it
-        for k in range(2):
-            cand = i + k
-            if cand >= n or armed[cand]:
-                continue
-            if cand > 0 and pos[cand - 1] - pos[cand] < 2:
-                continue
-            z = base[cand] + (counter[cand] + _ONE) * _GOLD
-            z = (z ^ (z >> _S30)) * _MIX1
-            z = (z ^ (z >> _S27)) * _MIX2
-            z = z ^ (z >> _S31)
-            counter[cand] += _ONE
-            u = float(z >> _S11) * _TWO_NEG53
-            t_next = t_min - math.log(1.0 - u)
-            j = size
-            heap_t[j] = t_next
-            heap_i[j] = cand
-            size += 1
-            while j > 0:
-                p = (j - 1) >> 1
-                if heap_t[p] <= heap_t[j]:
-                    break
-                heap_t[p], heap_t[j] = heap_t[j], heap_t[p]
-                heap_i[p], heap_i[j] = heap_i[j], heap_i[p]
-                j = p
-            armed[cand] = True
-
-    return t_now, ev_t, ev_i, ev_x, n_ev
-
-
-_core_py = _core_body
-if HAVE_NUMBA:
-    _core_jit = njit(cache=True)(_core_body)
-else:  # pragma: no cover
-    _core_jit = _core_body
-
-
-def _run_core(pos, base, t0, t_end, record, ev_cap, pure=False):
-    if pure or not HAVE_NUMBA:
-        with np.errstate(over="ignore"):
-            return _core_py(pos, base, t0, t_end, record, ev_cap)
-    return _core_jit(pos, base, t0, t_end, record, ev_cap)
 
 
 @dataclass(frozen=True)
@@ -358,42 +209,69 @@ def initial_state(
     return ParticleState(pos, 1, 0.0, init.anchor(), complete=False)
 
 
-def evolve(state: ParticleState, duration: float, seed: int, pure: bool = False) -> ParticleState:
+def evolve(state: ParticleState, duration: float, seed: int) -> ParticleState:
     """Run the dynamics for `duration`; returns a new state."""
-    new_state, _ = _evolve_impl(state, duration, seed, record=False, pure=pure)
-    return new_state
+    return _last_passage(state, duration, seed)[0]
 
 
 def evolve_events(
-    state: ParticleState, duration: float, seed: int, pure: bool = False
+    state: ParticleState, duration: float, seed: int
 ) -> tuple[ParticleState, np.ndarray]:
     """Like evolve, but also returns the jump log as a structured array with
-    fields (time, label, position)."""
-    return _evolve_impl(state, duration, seed, record=True, pure=pure)
+    fields (time, label, position), ordered by time."""
+    new_state, jumps = _last_passage(state, duration, seed)
+    counts = new_state.positions - state.positions
+    index = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(index.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    times = np.fromiter(itertools.chain.from_iterable(jumps), np.float64, index.size)
+    order = np.argsort(times, kind="stable")
+    events = np.empty(
+        index.size, dtype=[("time", np.float64), ("label", np.int64), ("position", np.int64)]
+    )
+    events["time"] = times[order]
+    events["label"] = state.first_label + index[order]
+    events["position"] = (state.positions[index] + rank + 1)[order]
+    return new_state, events
 
 
-def _evolve_impl(state, duration, seed, record, pure):
+def _last_passage(state, duration, seed):
+    """The state after `duration` and each particle's jump times.
+
+    Particle i's k-th jump happens at
+    J[i,k] = max(J[i,k-1], J[i-1, k-g]) + w[i,k], with J[i,0] = t0, g the
+    number of free sites ahead of particle i at t0, and the leader's term t0
+    while its index is not positive.  The recursion stops at the first jump
+    past t0 + duration, or at a jump whose leader term never happens by then.
+    w[i,k] is the k-th draw of the particle's stream.
+    """
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    pos = state.positions.copy()
-    n = pos.size
-    base = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        base[i] = stream_base(seed, state.first_label + i)
     t0 = state.time
-    _, ev_t, ev_i, ev_x, n_ev = _run_core(
-        pos, base, t0, t0 + duration, record, 4096, pure=pure
-    )
-    new_state = ParticleState(
-        pos, state.first_label, t0 + duration, state.anchor0, state.complete
-    )
-    events = np.empty(
-        n_ev, dtype=[("time", np.float64), ("label", np.int64), ("position", np.int64)]
-    )
-    events["time"] = ev_t[:n_ev]
-    events["label"] = state.first_label + ev_i[:n_ev]
-    events["position"] = ev_x[:n_ev]
-    return new_state, events
+    t_end = t0 + duration
+    jumps = []
+    lead, ahead = None, None  # jump times and start of the particle ahead
+    for i, x in enumerate(state.positions.tolist()):
+        key = stream_base(seed, state.first_label + i)
+        free = 0 if lead is None else ahead - x - 1
+        own = []
+        t = t0
+        while True:
+            m = len(own) - free
+            if lead is not None and m >= 0:
+                if m >= len(lead):
+                    break
+                t = max(t, lead[m])
+            u = (_mix_int(key) >> 11) * _TWO_NEG53
+            key += _GOLD
+            t = t - math.log(1.0 - u)
+            if t > t_end:
+                break
+            own.append(t)
+        jumps.append(own)
+        lead, ahead = own, x
+    positions = state.positions + [len(own) for own in jumps]
+    new_state = ParticleState(positions, state.first_label, t_end, state.anchor0, state.complete)
+    return new_state, jumps
 
 
 def inverse_label(state: ParticleState, z: int) -> int:

@@ -1,6 +1,7 @@
 """pyproject.toml names only files, directories and modules that exist."""
 
 import importlib.util
+import re
 import tomllib
 from pathlib import Path
 
@@ -30,3 +31,9 @@ def test_named_modules_exist():
     for name, target in targets.items():
         module = target.split(":")[0]
         assert importlib.util.find_spec(module) is not None, f"{name} -> {module}"
+
+
+def test_declared_dependencies_import():
+    for requirement in PROJECT["project"]["dependencies"]:
+        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+        importlib.import_module(name.replace("-", "_"))

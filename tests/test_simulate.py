@@ -1,12 +1,12 @@
 """Simulator checks: law-exactness smoke tests, invariants, height algebra."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from kpzlab.simulate import (
-    HAVE_NUMBA,
     HeightField,
     InitialData,
     config_from_json,
@@ -110,15 +110,39 @@ def test_determinism_same_seed():
     assert not np.array_equal(a.positions, c.positions)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="single implementation without numba")
-def test_pure_python_path_matches_jit():
-    state = initial_state(make_initial("periodic", d=2), n_particles=25)
-    aj, ev_j = evolve_events(state, 3.0, seed=9)
-    ap, ev_p = evolve_events(state, 3.0, seed=9, pure=True)
-    assert np.array_equal(aj.positions, ap.positions)
-    assert ev_j.shape == ev_p.shape
-    assert np.array_equal(ev_j["label"], ev_p["label"])
-    assert np.allclose(ev_j["time"], ev_p["time"], rtol=0, atol=0)
+# sha256 over seeds 0..19 of each jump log's and end state's bytes.  Any
+# change to the draws or to how they are used fails here, even one that keeps
+# TASEP's law.
+TRAJECTORY_DIGESTS = {
+    "step": "dcd22676e2d6fba003e54076b925b517beb3c9be59b877c7f991be85f7e32d03",
+    "periodic": "355114340b1de3e40c09643ed55d58141c05edb38b13213328632214bdca956b",
+    "blocked": "88748c3d9b274b875709d03882cc1cc255eb5ceb628e68c380b1cd7a96661d26",
+    "continuation": "912b86fb66f67c121cbb0b0f3039ccfb7d4cd828d718cd75c8a471f343fd1f91",
+}
+
+
+def _golden_start(case, seed):
+    if case == "step":
+        return initial_state(make_initial("step"), n_particles=30), 4.0
+    if case == "periodic":
+        return initial_state(make_initial("periodic", d=3), n_particles=25), 4.0
+    if case == "blocked":
+        entries = (5, 4, 2, -1, -2, -3, -7)
+        return initial_state(make_initial("explicit", entries=entries)), 3.0
+    step = initial_state(make_initial("step"), n_particles=30)
+    return evolve(step, 2.0, seed + 500), 2.5
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_DIGESTS))
+def test_trajectories_are_pinned(case):
+    digest = hashlib.sha256()
+    for seed in range(20):
+        state, duration = _golden_start(case, seed)
+        out, events = evolve_events(state, duration, seed)
+        assert np.array_equal(evolve(state, duration, seed).positions, out.positions)
+        digest.update(events.tobytes())
+        digest.update(out.positions.tobytes())
+    assert digest.hexdigest() == TRAJECTORY_DIGESTS[case]
 
 
 def test_exclusion_and_order_preserved():

@@ -9,7 +9,6 @@ to be checkable against exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -230,36 +229,3 @@ def vicious_walk_kernel(
     K = psi.T @ psi
     return FiniteDpp(space, K, pivec)
 
-
-def dpp_to_json(dpp: FiniteDpp) -> str:
-    return json.dumps(
-        {
-            "points": [list(p) if isinstance(p, tuple) else p for p in dpp.points],
-            "kernel": dpp.kernel.tolist(),
-            "measure": dpp.measure.tolist(),
-        }
-    )
-
-
-def dpp_from_json(text: str) -> FiniteDpp:
-    obj = json.loads(text)
-    return FiniteDpp(tuple(obj["points"]), np.array(obj["kernel"]), np.array(obj["measure"]))
-
-
-def lensemble_to_json(spec: LEnsembleSpec) -> str:
-    return json.dumps(
-        {
-            "space": [list(p) if isinstance(p, tuple) else p for p in spec.space],
-            "L": spec.L.tolist(),
-            "conditioning_subset": [
-                list(p) if isinstance(p, tuple) else p for p in spec.conditioning_subset
-            ],
-        }
-    )
-
-
-def lensemble_from_json(text: str) -> LEnsembleSpec:
-    obj = json.loads(text)
-    return LEnsembleSpec(
-        tuple(obj["space"]), np.array(obj["L"]), tuple(obj["conditioning_subset"])
-    )

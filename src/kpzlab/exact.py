@@ -16,7 +16,13 @@ block two-level cross check).
 
 Exact rational arithmetic (dyadic Fractions) is used for the backwards-heat
 polynomials and the walk matrices; everything crossing into kernel numerics
-is converted to float at the boundary.
+is converted to float at the boundary.  Every alternating Poisson sum (the
+row functions, both transfer kernels and the F family behind the transition
+determinants) is a Poisson weight times a Charlier polynomial and is
+evaluated by special._poisson_charlier's forward recurrence, which stays
+accurate where the sums cancel, from t = 0 to the 1:2:3 scaling at
+eps = 0.015 (t ~ 1100) and beyond.  The first-passage walk is run lazily,
+step by step, and stops once no live mass can cross the data again.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dpp import LEnsembleSpec, conditional_l_to_k
 from .fredholm import det_window
 from .simulate import InitialData, make_initial
 from .special import (
     ContourSpec,
+    _charlier_term,
+    _poisson_charlier,
     circle_quadrature,
     gen_binomial,
     schuetz_F,
@@ -46,7 +53,6 @@ WINDOW_BELOW = 48  # kernel columns decay like 2^z to the left of the data
 WINDOW_ABOVE = 16
 CONV_TAIL = 60  # Poisson-type tails are dead after ~3t + CONV_TAIL terms
 CONTOUR_RADIUS = 0.35  # two of these fit inside |v + w| < 1
-_LN2 = math.log(2.0)
 
 
 class TruncationError(RuntimeError):
@@ -123,12 +129,17 @@ def stopping_curve(init: InitialData, n: int) -> tuple[float, ...]:
 
 
 def hitting_profile(init: InitialData, n: int, y_lo: int, y_hi: int):
-    """First-passage distributions of the geometric left walk over the data.
+    """First-passage law of the geometric left walk over the data, step by step.
 
     For every start y in [y_lo, y_hi] the walk B_0 = y, B_1, ... steps
-    strictly left; it is stopped the first time B_m > entry(m+1), m < n.
-    Returns (ys, bs, hit) where hit[m, iy, ib] is the probability that the
-    walk started at ys[iy] is stopped at step m in position bs[ib].
+    strictly left, by j with probability 2^(-j); it is stopped the first
+    time B_m > entry(m+1), m < n.  Yields (m, bs, mass) for each step m
+    that stops mass, in increasing m: mass[iy, ib] is the probability that
+    the walk started at y_lo + iy is stopped at step m in position bs[ib].
+    Steps that stop nothing are skipped, and the walk ends as soon as no
+    live mass can cross the curve again: after step m, with every live walk
+    at or below top, that holds when top - (m' - m) <= entry(m'+1) for
+    every later step m'.
 
     The position window is exact, not a truncation: a walk at or below
     entry(n) can never rise above the remaining thresholds, so that mass
@@ -137,55 +148,34 @@ def hitting_profile(init: InitialData, n: int, y_lo: int, y_hi: int):
     if n < 1:
         raise ValueError("depth must be at least 1")
     b_lo = _entry_int(init, n) + 1
-    b_hi = y_hi
+    if b_lo > y_hi:
+        return
+    curve = np.array(stopping_curve(init, n))
     ys = np.arange(y_lo, y_hi + 1)
-    if b_lo > b_hi:
-        return ys, np.arange(0), np.zeros((n, len(ys), 0))
-    bs = np.arange(b_lo, b_hi + 1)
-    nb = len(bs)
-    curve = stopping_curve(init, n)
-
-    step = np.zeros((nb, nb))
-    for i in range(nb):
-        for j in range(i):
-            step[i, j] = 2.0 ** (j - i)
-
-    alive = np.zeros((len(ys), nb))
-    for iy, y in enumerate(ys):
-        if y >= b_lo:
-            alive[iy, y - b_lo] = 1.0
-    hit = np.zeros((n, len(ys), nb))
+    # live[ib, iy]: mass of the walk from ys[iy] alive at position b_lo + ib
+    live = (np.arange(b_lo, y_hi + 1)[:, None] == ys[None, :]).astype(float)
+    top = y_hi  # no live mass above this position
     for m in range(n):
         if m > 0:
-            alive = alive @ step
-        above = bs > curve[m]
-        hit[m][:, above] = alive[:, above]
-        alive[:, above] = 0.0
-    return ys, bs, hit
+            # one left step: new(b) = (live(b + 1) + new(b + 1)) / 2
+            top -= 1
+            new = np.zeros_like(live)
+            for ib in range(top - b_lo, -1, -1):
+                new[ib] = 0.5 * (live[ib + 1] + new[ib + 1])
+            live = new
+        if curve[m] < top:  # positions cut..top are stopped; cut >= b_lo
+            cut = int(curve[m]) + 1
+            mass = live[cut - b_lo : top - b_lo + 1]
+            if mass.any():
+                yield m, np.arange(cut, top + 1), mass.T.copy()
+            live[cut - b_lo :] = 0.0
+            top = cut - 1
+        if np.all(top - np.arange(1, n - m) <= curve[m + 1 :]):
+            return
 
 
 # ---------------------------------------------------------------------------
 # Residue evaluations of the kernel building blocks.
-
-
-def _poisson_term(q: int, t: float) -> float:
-    """t^q / q!, overflow safe, zero for q < 0."""
-    if q < 0:
-        return 0.0
-    if t == 0.0:
-        return 1.0 if q == 0 else 0.0
-    if q < 150:
-        return t**q / math.factorial(q)
-    return math.exp(q * math.log(t) - math.lgamma(q + 1))
-
-
-def _alternating_poisson(coeffs, p: int, t: float) -> float:
-    """sum_j coeffs[j] (-1)^j t^(p-j)/(p-j)!, skipping negative powers."""
-    tot = 0.0
-    for j, c in enumerate(coeffs):
-        if c:
-            tot += c * (-1.0) ** j * _poisson_term(p - j, t)
-    return tot
 
 
 def psi_residue(
@@ -193,36 +183,19 @@ def psi_residue(
 ) -> float:
     """Row function of the biorthogonal kernel, as an exact residue sum.
 
-    With s = x - entry(n-k) the value is 2^(-s) e^(-t) sum_{j<=k} C(k,j)
-    (-1)^j t^(s+k-j)/(s+k-j)!; dropping the 2^(-s) factor gives the
-    unconjugated variant used by determinant weights.  Negative k (needed
-    by the off-diagonal kernel blocks) keeps the same contour, which then
-    excludes the pole at w = 1; the alternating sum becomes a positive
-    series against the binomial tail of (1-w)^k.
+    With s = x - entry(n-k) and p = s + k the value is 2^(-s) E_p(k), the
+    Poisson-Charlier term of special._poisson_charlier at r = t:
+    2^(-s) e^(-t) sum_j C(k,j) (-1)^j t^(p-j)/(p-j)!.  Dropping the 2^(-s)
+    factor gives the unconjugated variant used by determinant weights.
+    Negative k (needed by the off-diagonal kernel blocks) keeps the same
+    contour, which then excludes the pole at w = 1; the same E_p(k) is then
+    a positive series against the binomial tail of (1-w)^k.
     """
     if k >= n:
         raise ValueError("need k < n")
-    if k < 0:
-        m = -k
-        s = x - _entry_int(init, n - k)
-        r = s - m
-        if r < 0:
-            return 0.0
-        val = math.exp(-t) * sum(
-            math.comb(m - 1 + j, j) * _poisson_term(r - j, t) for j in range(r + 1)
-        )
-        if conjugated:
-            val *= 2.0 ** (-s)
-        return val
     s = x - _entry_int(init, n - k)
-    if s + k < 0:
-        return 0.0
-    val = math.exp(-t) * _alternating_poisson(
-        [math.comb(k, j) for j in range(k + 1)], s + k, t
-    )
-    if conjugated:
-        val *= 2.0 ** (-s)
-    return val
+    val = _charlier_term(s + k, k, t)
+    return math.ldexp(val, -s) if conjugated else val
 
 
 def transfer_inverse(t: float, n: int, z1: int, z2: int) -> float:
@@ -237,47 +210,35 @@ def transfer_extended(t: float, n: int, z1: int, z2: int) -> float:
 
 
 def _transfer_inverse_matrix(t: float, n: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """transfer_inverse on a (start, target) grid."""
+    """transfer_inverse on a (start, target) grid.
+
+    Entry (y, x) is 2^n E_p(n) at r = t/2, p = n + x - y, and 0 for p < 0:
+    a Toeplitz matrix that one run of the recurrence over p fills.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    if len(ys) == 0 or len(xs) == 0:
-        return np.zeros((len(ys), len(xs)))
-    if t == 0.0:
-        # only the q = 0 term of each Poisson sum survives: the walk power
-        # (-1)^p C(n, p) 2^(z1-z2) at p = n + z2 - z1 in [0, n]
-        p = (n + xs[None, :] - ys[:, None]).astype(int)
-        ok = (p >= 0) & (p <= n)
-        signed = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
-        expo = np.where(ok, n - p, 0).astype(float)
-        return np.where(ok, signed[np.clip(p, 0, n)] * 2.0**expo, 0.0)
-    p = n + xs[None, :].astype(float) - ys[:, None].astype(float)
-    # fold the 2^(z1-z2) prefactor into each exponent; on the support
-    # p >= 0 it is bounded by 2^n, so nothing overflows, and off it the
-    # exponent is zeroed so that exp cannot overflow on entries masked out
-    base = np.where(p >= 0, (ys[:, None] - xs[None, :]) * _LN2 - t / 2.0, 0.0)
-    log_t = math.log(t)
-    tot = np.zeros_like(p)
-    for j in range(n + 1):
-        q = p - j
-        ok = q >= 0
-        qs = np.where(ok, q, 0.0)
-        term = np.exp(qs * log_t - gammaln(qs + 1.0) + base)
-        tot += np.where(ok, math.comb(n, j) * (-1.0) ** j * term, 0.0)
-    return tot
+    p = n + xs[None, :] - ys[:, None]
+    p_max = int(p.max(initial=-1))
+    if p_max < 0:
+        return np.zeros(p.shape)
+    vals = np.ldexp(_poisson_charlier(p_max, n, t, 0.5), n)
+    return np.where(p >= 0, vals[np.maximum(p, 0)], 0.0)
 
 
 def _transfer_extended_matrix(t: float, n: int, bs: np.ndarray, z2s: np.ndarray) -> np.ndarray:
-    """transfer_extended on a (start, target) grid."""
+    """transfer_extended on a (start, target) grid.
+
+    Entry (b, z2) is 2^a E_(n-1)(a) at r = t/2, a = z2 - b + n - 1: one run
+    of the degree recurrence, vectorised over the range of a.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    a = z2s[None, :].astype(float) - bs[:, None].astype(float) + n - 1
-    tot = np.zeros(a.shape)
-    for j in range(n):
-        coeff = np.ones(a.shape)
-        for i in range(j):
-            coeff *= (a - i) / (i + 1.0)
-        tot += coeff * (-1.0) ** j * _poisson_term(n - 1 - j, t)
-    return 2.0 ** (z2s[None, :] - bs[:, None]) * math.exp(-t / 2.0) * tot
+    a = z2s[None, :] - bs[:, None] + (n - 1)
+    if a.size == 0:
+        return np.zeros(a.shape)
+    a_lo = int(a.min())
+    row = _poisson_charlier(n - 1, np.arange(a_lo, int(a.max()) + 1), t, 0.5)[-1]
+    return np.ldexp(row[a - a_lo], a)
 
 
 def epi_transfer_matrix(
@@ -290,16 +251,10 @@ def epi_transfer_matrix(
     steps, of transfer_extended(t, n - m, stop position, z2s[iz]).  Starts
     at or below entry(n) give exactly zero.
     """
-    z2s = np.asarray(z2s)
-    ys, bs, hit = hitting_profile(init, n, y_lo, y_hi)
-    out = np.zeros((len(ys), len(z2s)))
-    if len(bs) == 0 or len(z2s) == 0:
-        return out
-    for m in range(n):
-        block = hit[m]
-        if not block.any():
-            continue
-        out += block @ _transfer_extended_matrix(t, n - m, bs, z2s)
+    z2s = np.asarray(z2s, dtype=int)
+    out = np.zeros((y_hi - y_lo + 1, len(z2s)))
+    for m, bs, mass in hitting_profile(init, n, y_lo, y_hi):
+        out += mass @ _transfer_extended_matrix(t, n - m, bs, z2s)
     return out
 
 
@@ -322,13 +277,11 @@ def g0n(n: int, z1: int, z2: int, init: InitialData) -> float:
         raise ValueError("need n >= 1")
     if z1 > init.entry(1):
         return float(qbar(n, z1, z2))
-    ys, bs, hit = hitting_profile(init, n, z1, z1)
     tot = 0.0
-    for m in range(n):
-        for ib, b in enumerate(bs):
-            w = hit[m, 0, ib]
+    for m, bs, mass in hitting_profile(init, n, z1, z1):
+        for b, w in zip(bs.tolist(), mass[0].tolist()):
             if w:
-                tot += w * float(qbar(n - m, int(b), z2))
+                tot += w * float(qbar(n - m, b, z2))
     return tot
 
 

@@ -13,7 +13,6 @@ reproducible no matter how runs are scheduled.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -327,43 +326,3 @@ def rescale_height(h: HeightField, eps: float, t: float) -> RescaledHeight:
     vals = math.sqrt(eps) * (h.values + eps ** -1.5 * t)
     return RescaledHeight(eps, t, x, vals)
 
-
-def write_trajectory_csv(events: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("time,label,position\n")
-        for row in events:
-            fh.write(f"{row['time']:.17g},{row['label']},{row['position']}\n")
-
-
-def write_height_csv(h: HeightField, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("z,h\n")
-        for z, v in zip(h.z, h.values):
-            fh.write(f"{z},{v}\n")
-
-
-def config_to_json(init: InitialData, duration: float, seed: int, window: tuple[int, int]) -> str:
-    params: dict = {}
-    if init.kind == "periodic":
-        params["d"] = init.d
-    if init.kind == "explicit":
-        params["entries"] = list(init.entries)
-    return json.dumps(
-        {
-            "kind": init.kind,
-            "params": params,
-            "duration": duration,
-            "seed": seed,
-            "window": list(window),
-        }
-    )
-
-
-def config_from_json(text: str) -> tuple[InitialData, float, int, tuple[int, int]]:
-    obj = json.loads(text)
-    params = obj.get("params", {})
-    init = make_initial(
-        obj["kind"], d=params.get("d"), entries=params.get("entries")
-    )
-    lo, hi = obj["window"]
-    return init, float(obj["duration"]), int(obj["seed"]), (int(lo), int(hi))

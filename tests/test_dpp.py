@@ -15,15 +15,11 @@ from kpzlab.dpp import (
     conditional_weight,
     correlation_from_weights,
     dpp_correlation,
-    dpp_from_json,
-    dpp_to_json,
     enumerate_weights,
     gap_from_weights,
     gap_probability,
     karlin_mcgregor_det,
     l_to_k,
-    lensemble_from_json,
-    lensemble_to_json,
     vicious_walk_kernel,
 )
 
@@ -227,21 +223,6 @@ def test_vicious_walk_rejects_bad_pi():
     pi = {0: 1.0, 1: 5.0, 2: 0.3}  # not reversible for this chain
     with pytest.raises(ValueError):
         vicious_walk_kernel(space, lambda a, b: Pt[a, b], pi, (0, 2))
-
-
-def test_json_round_trip(tmp_path):
-    spec = random_lensemble(5, z=(0, 1, 3))
-    text = lensemble_to_json(spec)
-    path = tmp_path / "fixture.json"
-    path.write_text(text)
-    back = lensemble_from_json(path.read_text())
-    assert np.allclose(back.L, spec.L)
-    assert back.space == spec.space
-    assert back.conditioning_subset == spec.conditioning_subset
-    d = conditional_l_to_k(spec)
-    d2 = dpp_from_json(dpp_to_json(d))
-    assert np.allclose(d2.kernel, d.kernel)
-    assert d2.points == d.points
 
 
 @settings(max_examples=40, deadline=None)

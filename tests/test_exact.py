@@ -1,15 +1,18 @@
 """Walk kernels, biorthogonal systems, and joint laws vs independent oracles.
 
 Oracles used here: exact-Fraction dynamic programs for the geometric walks,
-scipy matrix exponentials for the half-heat flows, direct contour quadrature
-for residue formulas, and brute-force sums of transition determinants for the
-joint laws.  Nothing below reuses the code path it checks.
+scipy matrix exponentials for the half-heat flows, the alternating Poisson
+sums of the transfer kernels summed by mpmath at high precision, direct
+contour quadrature for residue formulas, the forward equation of two
+particles by uniformization, and brute-force sums of transition determinants
+for the joint laws.  Nothing below reuses the code path it checks.
 """
 
 import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,23 +219,43 @@ def test_walk_power_convolution_property(a, b, gap):
 
 def test_hitting_profile_matches_fraction_walk():
     n = 4
-    ys, bs, hit = hitting_profile(EXPL, n, -14, 8)
+    ys = np.arange(-14, 9)
+    got = {}
+    steps = []
+    for m, bs, mass in hitting_profile(EXPL, n, int(ys[0]), int(ys[-1])):
+        assert mass.shape == (len(ys), len(bs)) and mass.any()
+        steps.append(m)
+        for ib, b in enumerate(bs):
+            got[(m, int(b))] = mass[:, ib]
+    assert steps == sorted(set(steps))
     for iy, y in enumerate(ys):
         law = left_hit_law(EXPL, n, int(y))
-        for m in range(n):
-            for ib, b in enumerate(bs):
-                want = float(law.get((m, int(b)), Fraction(0)))
-                assert hit[m, iy, ib] == pytest.approx(want, abs=1e-15)
+        for key in set(law) | set(got):
+            want = float(law.get(key, Fraction(0)))
+            have = got[key][iy] if key in got else 0.0
+            assert have == pytest.approx(want, abs=1e-15)
 
 
 def test_hitting_profile_immediate_crossing():
     n = 3
     top = _entry(EXPL, 1)
-    ys, bs, hit = hitting_profile(EXPL, n, top + 1, top + 4)
+    ys = np.arange(top + 1, top + 5)
+    steps = list(hitting_profile(EXPL, n, top + 1, top + 4))
+    assert [m for m, _, _ in steps] == [0]
+    _, bs, mass = steps[0]
     for iy, y in enumerate(ys):
         for ib, b in enumerate(bs):
-            assert hit[0, iy, ib] == (1.0 if b == y else 0.0)
-        assert hit[1:, iy, :].sum() == 0.0
+            assert mass[iy, ib] == (1.0 if b == y else 0.0)
+
+
+def test_hitting_profile_stops_when_no_mass_can_cross():
+    # step data: every walk is stopped at step 0 or stays at or below -1,
+    # where it can never rise above entry(m + 1) = -m - 1 again
+    steps = list(hitting_profile(STEP, 400, -300, 50))
+    assert [m for m, _, _ in steps] == [0]
+    _, bs, mass = steps[0]
+    assert bs[0] == 0 and bs[-1] == 50
+    assert mass.sum() == 51.0
 
 
 # ---- transfer flows --------------------------------------------------------
@@ -306,6 +329,54 @@ def test_transfer_inverse_off_support_is_exact_zero():
     off = ys[:, None] - xs[None, :] > n
     assert np.all(grid[off] == 0.0)
     assert np.all(grid[~off] != 0.0)
+
+
+def _mp_inverse_entry(t, n, p):
+    """2^(n-p) e^(-t/2) sum_j C(n,j) (-1)^j t^(p-j)/(p-j)!, the inverse
+    transfer kernel at p = n + z2 - z1, summed term by term in mpmath."""
+    t = mpmath.mpf(t)
+    term, total = t**p / mpmath.factorial(p), mpmath.mpf(0)
+    for j in range(min(n, p) + 1):
+        total += term
+        term *= -mpmath.mpf(n - j) * (p - j) / ((j + 1) * t)
+    return float(mpmath.ldexp(mpmath.exp(-t / 2) * total, n - p))
+
+
+def _mp_extended_entry(t, n, d):
+    """2^d e^(-t/2) sum_{j<n} C(a,j) (-1)^j t^(n-1-j)/(n-1-j)!, the
+    extended transfer kernel at d = z2 - z1, a = d + n - 1, in mpmath."""
+    t = mpmath.mpf(t)
+    a = d + n - 1
+    term, total = t ** (n - 1) / mpmath.factorial(n - 1), mpmath.mpf(0)
+    for j in range(n):
+        total += term
+        term *= -mpmath.mpf(a - j) * (n - 1 - j) / ((j + 1) * t)
+    return float(mpmath.ldexp(mpmath.exp(-t / 2) * total, d))
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 179.0, 384.9])
+def test_transfer_matrices_match_mpmath(t):
+    # the alternating sums cancel by many orders at large t; the gate is
+    # norm-wise per row, since entries far below the row's scale sit on
+    # its round-off floor
+    from kpzlab.exact import _transfer_extended_matrix, _transfer_inverse_matrix
+
+    reach = int(2 * t) + 60
+    with mpmath.workdps(200):
+        for n in (1, 5, 40):
+            ys = np.array([0, 3])
+            xs = np.arange(-n - 3, reach - n + 1, 3)
+            got = _transfer_inverse_matrix(t, n, ys, xs)
+            for iy, y in enumerate(ys):
+                p = n + xs - y
+                want = np.array([_mp_inverse_entry(t, n, int(q)) if q >= 0 else 0.0 for q in p])
+                assert np.abs(got[iy] - want).max() <= 1e-12 * np.abs(want).max()
+            bs = np.array([0, 3])
+            z2s = np.arange(-reach, 21, 3)
+            got = _transfer_extended_matrix(t, n, bs, z2s)
+            for ib, b in enumerate(bs):
+                want = np.array([_mp_extended_entry(t, n, int(z - b)) for z in z2s])
+                assert np.abs(got[ib] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_first_passage_transfer_matches_walk_average():
@@ -724,6 +795,41 @@ def test_transition_semigroup():
             total += p1 * schuetz_transition(x, (w1, w2), ss)
     direct = schuetz_transition(x, y, ts + ss)
     assert total == pytest.approx(direct, rel=1e-10)
+
+
+def _two_particle_forward(y, x, t, jumps=80):
+    """P(y -> x in time t) for two particles by uniformization of the forward
+    equation: with total rate at most 2 per state, the law is a Poisson(2t)
+    mixture of powers of a nonnegative stochastic matrix, so no term cancels."""
+    reach = jumps + 1
+    lead = np.arange(y[0], y[0] + reach)
+    follow = np.arange(y[1], y[1] + reach)
+    mass = np.zeros((reach, reach))
+    mass[0, 0] = 1.0
+    total = 0.0
+    weight = math.exp(-2.0 * t)
+    for k in range(jumps + 1):
+        total += weight * mass[x[0] - y[0], x[1] - y[1]]
+        blocked = follow[None, :] + 1 >= lead[:, None]
+        nxt = 0.5 * mass * blocked
+        nxt[1:, :] += 0.5 * mass[:-1, :]
+        nxt[:, 1:] += 0.5 * (mass * ~blocked)[:, :-1]
+        mass = nxt
+        weight *= 2.0 * t / (k + 1)
+    return total
+
+
+def test_transition_far_tail_matches_forward_equation():
+    # 21 leader jumps in t = 1.6276: the true value is 2.77e-17 (scipy expm
+    # agrees); residue sums that cancel to it must not leave 1e-11 behind
+    x, y, t = (23, 1), (2, -1), 1.6276
+    want = _two_particle_forward(y, x, t)
+    assert want == pytest.approx(2.770970109e-17, rel=1e-6)
+    assert abs(schuetz_transition(x, y, t) - want) <= 1e-15
+    for xx in ((3, 0), (5, -1), (9, 4)):
+        assert schuetz_transition(xx, y, t) == pytest.approx(
+            _two_particle_forward(y, xx, t), rel=1e-12, abs=1e-16
+        )
 
 
 # ---- triangular array sums -------------------------------------------------

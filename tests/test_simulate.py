@@ -9,8 +9,6 @@ import pytest
 from kpzlab.simulate import (
     HeightField,
     InitialData,
-    config_from_json,
-    config_to_json,
     evolve,
     evolve_events,
     height,
@@ -309,32 +307,3 @@ def test_rescaled_interpolation_is_linear():
 def test_stream_bases_distinct():
     seen = {stream_base(s, l) for s in range(20) for l in range(1, 51)}
     assert len(seen) == 20 * 50
-
-
-def test_config_round_trip(tmp_path):
-    init = make_initial("periodic", d=3)
-    text = config_to_json(init, 2.5, 99, (-4, 4))
-    init2, duration, seed, window = config_from_json(text)
-    assert init2 == init
-    assert (duration, seed, window) == (2.5, 99, (-4, 4))
-    expl = make_initial("explicit", entries=(4, 1, -2))
-    text2 = config_to_json(expl, 0.0, 0, (0, 1))
-    assert config_from_json(text2)[0] == expl
-
-
-def test_trajectory_and_height_csv(tmp_path):
-    from kpzlab.simulate import write_height_csv, write_trajectory_csv
-
-    state = initial_state(make_initial("step"), n_particles=8)
-    out, events = evolve_events(state, 1.0, seed=3)
-    p1 = tmp_path / "traj.csv"
-    write_trajectory_csv(events, p1)
-    lines = p1.read_text().strip().split("\n")
-    assert lines[0] == "time,label,position"
-    assert len(lines) == events.shape[0] + 1
-    h = height(out, -6, 2)
-    p2 = tmp_path / "h.csv"
-    write_height_csv(h, p2)
-    lines = p2.read_text().strip().split("\n")
-    assert lines[0] == "z,h"
-    assert len(lines) == h.values.size + 1

@@ -1,7 +1,10 @@
-"""Tests for contour quadrature, the F family, Airy, and binomials.
+"""Tests for contour quadrature, the F family, Airy, binomials and the
+Poisson-Charlier recurrence.
 
 Expected values were frozen from independent oracles: mpmath for Airy,
-closed-form residue/series identities for the F family.
+closed-form residue/series identities for the F family.  The recurrence is
+checked against the alternating Poisson sums it replaces, summed by mpmath at
+high precision, and F_n for n >= 1 against its contour integral.
 """
 
 import math
@@ -14,6 +17,7 @@ import pytest
 from kpzlab.special import (
     ContourSpec,
     QuadratureError,
+    _poisson_charlier,
     airy_ai,
     airy_ai_kernel,
     circle_quadrature,
@@ -114,6 +118,67 @@ def test_circle_quadrature_divergence_reports_levels():
     assert "delta" in str(exc.value)
 
 
+def test_circle_quadrature_names_the_node_where_f_is_not_finite():
+    with pytest.raises(QuadratureError) as exc:
+        circle_quadrature(lambda w: 1.0 / (w - 0.5), ContourSpec.gamma0())
+    msg = str(exc.value)
+    assert "not finite" in msg and "move the contour" in msg
+    assert "node 0 of 64" in msg
+
+
+# ---- Poisson-Charlier recurrence -------------------------------------------
+
+
+def _mp_poisson_charlier(j, x, t, c):
+    """e^(-r) sum_i C(x, i) (-c)^i r^(j-i) / (j-i)!, r = c t, summed by mpmath."""
+    r = mpmath.mpf(c) * mpmath.mpf(t)
+    term = r**j / mpmath.factorial(j)
+    total = mpmath.mpf(0)
+    for i in range(j + 1):
+        total += term
+        if i < j:
+            term *= -mpmath.mpf(c) * (x - i) * (j - i) / ((i + 1) * r)
+    return mpmath.exp(-r) * total
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 179.0, 1000.0])
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_poisson_charlier_matches_mpmath(t, c):
+    # r = 1000 runs through the log offset: e^(-r) alone underflows
+    m = 60
+    xs = np.arange(-40, 2 * int(t) + 60, max(1, int(t) // 8))
+    got = _poisson_charlier(m, xs, t, c)
+    assert got.shape == (m + 1, len(xs))
+    with mpmath.workdps(150):
+        for j in (0, 1, 7, 30, 60):
+            want = np.array([float(_mp_poisson_charlier(j, int(x), t, c)) for x in xs])
+            assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_poisson_charlier_scalar_is_one_column():
+    # scalar x runs on plain floats; it must give the vector call's column
+    xs = np.arange(-5, 30)
+    rows = _poisson_charlier(25, xs, 3.7, 0.5)
+    for ix, x in enumerate(xs):
+        column = _poisson_charlier(25, int(x), 3.7, 0.5)
+        np.testing.assert_allclose(column, rows[:, ix], rtol=1e-14, atol=0)
+
+
+def test_poisson_charlier_symmetry_and_time_zero():
+    # C_j(x) = C_x(j): moving the Poisson weight from degree j to degree x
+    t = 4.2
+    for j in range(8):
+        for x in range(8):
+            a = _poisson_charlier(j, x, t)[j]
+            b = _poisson_charlier(x, j, t)[x] * t ** (j - x) * math.factorial(x)
+            assert a == pytest.approx(b / math.factorial(j), rel=1e-13)
+    # t = 0 is the limit (-c)^j C(x, j)
+    rows = _poisson_charlier(6, np.arange(-4, 9), 0.0, 0.5)
+    for j in range(7):
+        for ix, x in enumerate(range(-4, 9)):
+            assert rows[j, ix] == pytest.approx(float((-0.5) ** j * gen_binomial(x, j)), abs=1e-15)
+
+
 def test_schuetz_F_frozen():
     assert schuetz_F(0, 0, 0.0) == 1.0
     assert schuetz_F(0, 3, 0.0) == 0.0
@@ -130,8 +195,8 @@ def test_schuetz_F_frozen():
 def test_schuetz_F_summation_identity(n, t):
     # F_{n+1}(x,t) = sum_{y >= x} F_n(y,t).  The tail is cut once terms are
     # dead: Poisson decay guarantees |F_n(y,t)| < 1e-12 before y reaches
-    # max(x,0) + t + 30, and far beyond that the n >= 1 contour values are
-    # pure roundoff noise.
+    # max(x,0) + t + 30, and far beyond that the n >= 1 values are the
+    # round-off left by their two cancelling residues.
     for x in (-4, -1, 0, 2, 5):
         total = 0.0
         small = 0
@@ -161,6 +226,55 @@ def test_schuetz_F_backward_identity_exact():
         for x in (-1, 0, 2, 4):
             total = -sum(schuetz_F(n, y, t) for y in range(n, x))
             assert abs(schuetz_F(n + 1, x, t) - total) <= 1e-12
+
+
+def _mp_schuetz_F(n, x, t):
+    """F_n(x, t) by its two residues in mpmath, and the size of the residue
+    at w = 1 (the scale of the cancellation in the far tail)."""
+    t = mpmath.mpf(t)
+    at0 = mpmath.mpf(0)
+    p = x - n
+    if p >= 0:
+        # coefficient of w^p in (1 - w)^(-n) e^(tw), times e^(-t)
+        term, coeff = t**p / mpmath.factorial(p), mpmath.mpf(1)
+        for j in range(min(p, -n) if n <= 0 else p):
+            at0 += term * coeff
+            term *= (p - j) / t
+            coeff *= (n + j) / mpmath.mpf(j + 1)
+        at0 = (-1) ** n * mpmath.exp(-t) * (at0 + term * coeff)
+    at1 = mpmath.mpf(0)
+    if n >= 1:
+        at1 = sum(
+            mpmath.binomial(n - x - 1, j) * t ** (n - 1 - j) / mpmath.factorial(n - 1 - j)
+            for j in range(n)
+        )
+    return float(at0 + at1), float(abs(at1))
+
+
+@pytest.mark.parametrize("t", [0.3, 40.0, 800.0])
+def test_schuetz_F_matches_mpmath(t):
+    # t = 800 runs the degree-swapped n <= 0 branch through the log offset
+    with mpmath.workdps(80):
+        for n in range(-4, 5):
+            for x in list(range(-6, 20)) + list(range(int(t) - 30, int(t) + 60, 11)):
+                want, scale = _mp_schuetz_F(n, x, t)
+                assert abs(schuetz_F(n, x, t) - want) <= 1e-12 * max(1.0, scale), (n, x)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.6276, 2.0, 5.0])
+def test_schuetz_F_matches_gamma01_contour(t):
+    # the contour integral on Gamma_{0,1} is the independent route for n >= 1
+    for n in range(1, 5):
+        for x in range(-6, 13):
+
+            def f(w):
+                return (1.0 - w) ** (-n) * w ** (-(x - n + 1)) * np.exp(t * (w - 1.0))
+
+            try:
+                res = circle_quadrature(f, ContourSpec.gamma01())
+            except QuadratureError:
+                continue
+            assert abs(schuetz_F(n, x, t) - ((-1) ** n * res.value).real) <= 1e-11
 
 
 def test_gen_binomial():

@@ -997,7 +997,7 @@ def bfps_l_verify(
     max_dev = 0.0
     for x1 in range(x_lo, x_hi + 1):
         for x2 in range(x_lo, x_hi + 1):
-            got = dpp.kernel[dpp.index[(1, x1)], dpp.index[(1, x2)]]
+            got = float(dpp.kernel[dpp.index[(1, x1)], dpp.index[(1, x2)]])
             want = 2.0 ** (x1 - x2) * kt_kernel(t, init, 1, 1, x1, x2)
             max_dev = max(max_dev, abs(got - want))
 

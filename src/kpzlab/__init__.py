@@ -1,6 +1,7 @@
 """Exactly solvable TASEP, determinantal point processes, and the KPZ fixed point.
 
-The package is organized bottom-up: `special` (contour quadrature, Airy),
+The package is organized bottom-up: `special` (Poisson-Charlier
+recurrence, Airy, and the contour quadrature that tests check residues by),
 `dpp` (finite determinantal measures), `simulate` (continuous-time TASEP),
 `exact` (transition probabilities, biorthogonal kernels, multipoint formulas)
 and `fredholm` (determinant engines).

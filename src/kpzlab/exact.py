@@ -14,17 +14,20 @@ the unconjugated objects differ by a factor 2^(x2-x1) per entry and are used
 only where a determinant needs them (the interlacing-array weights and the
 block two-level cross check).
 
-Exact rational arithmetic (dyadic Fractions) is used for the backwards-heat
-polynomials and the walk matrices; everything crossing into kernel numerics
-is converted to float at the boundary.  Every alternating Poisson sum (the
-row functions, both transfer kernels, the array-sum table, the closed
-step-data kernel and the F family behind the transition determinants) is
-a Poisson weight times a Charlier polynomial, evaluated by
-special._poisson_charlier's forward recurrence, one run per matrix row or
-column; it stays accurate where the sums cancel, from t = 0 to the 1:2:3
-scaling at eps = 0.015 (t ~ 1100) and beyond.  The first-passage walk is
-run lazily, step by step, and stops once no live mass can cross the data
-again.
+Every object here is a finite sum; no value comes from a contour integral
+or a truncated series.  Exact rational arithmetic (dyadic Fractions) is used
+for the backwards-heat polynomials, the column functions built from them
+and the walk matrices; everything crossing into kernel numerics is
+converted to float at the boundary.  Every alternating Poisson sum (the row
+functions, both transfer kernels, the array-sum table, the closed-form
+step-data and two-periodic kernels and column functions, and the F family
+behind the transition determinants) is a Poisson weight times a Charlier
+polynomial, evaluated by special._poisson_charlier's forward recurrence,
+one run per matrix row or column.  Its round-off is relative to the largest entry of each run, not
+to each entry, so sums and determinants over a run stay accurate where the
+direct sums cancel, from t = 0 to the 1:2:3 scaling at eps = 0.015
+(t ~ 1100) and beyond.  The first-passage walk is run lazily, step by step,
+and stops once no live mass can cross the data again.
 """
 
 from __future__ import annotations
@@ -39,22 +42,13 @@ import numpy as np
 from .dpp import LEnsembleSpec, conditional_l_to_k
 from .fredholm import det_window
 from .simulate import InitialData, make_initial
-from .special import (
-    ContourSpec,
-    _charlier_term,
-    _poisson_charlier,
-    circle_quadrature,
-    gen_binomial,
-    schuetz_F,
-)
+from .special import _charlier_term, _poisson_charlier, gen_binomial, schuetz_F
 
 N_MAX_DET = 8  # largest determinant size for transition probabilities
 N_MAX_ARRAY_SUM = 4  # interlacing-array sum grows too fast beyond this
 N_MAX_JOINT = 4  # joint one-sided events per determinant
 WINDOW_BELOW = 48  # kernel columns decay like 2^z to the left of the data
 WINDOW_ABOVE = 16
-CONV_TAIL = 60  # Poisson-type tails are dead after ~3t + CONV_TAIL terms
-CONTOUR_RADIUS = 0.35  # kt_two_periodic_closed's circle about v = 1, clear of v = 0
 
 
 class TruncationError(RuntimeError):
@@ -270,29 +264,6 @@ def transfer_epi(init: InitialData, t: float, n: int, z1: int, z2: int) -> float
 
 
 # ---------------------------------------------------------------------------
-# First-passage average of the extended walk power (no heat flow).
-
-
-def g0n(n: int, z1: int, z2: int, init: InitialData) -> float:
-    """Extended walk power averaged over first passage across the data.
-
-    Above the first entry this is the plain extension; from z1 at or below
-    it, the walk runs until it first exceeds the curve and the extension
-    with the remaining number of steps is evaluated at the stop position.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if z1 > init.entry(1):
-        return float(qbar(n, z1, z2))
-    tot = 0.0
-    for m, bs, mass in hitting_profile(init, n, z1, z1):
-        for b, w in zip(bs.tolist(), mass[0].tolist()):
-            if w:
-                tot += w * float(qbar(n - m, b, z2))
-    return tot
-
-
-# ---------------------------------------------------------------------------
 # Backwards-heat polynomials (exact dyadic rationals).
 
 
@@ -393,20 +364,29 @@ class BiorthoSystem:
         return float(np.abs(gram - np.eye(n)).max())
 
 
-def _phi_row(t: float, heat_level0, window: tuple[int, int]) -> np.ndarray:
-    """Column function over the window: the level-0 solution pushed through
-    the forward half-heat flow, truncated where the Poisson tail is dead."""
-    lo, hi = window
-    tail = CONV_TAIL + int(math.ceil(3.0 * t))
-    ys = np.arange(lo, hi + tail + 1)
-    vals = np.zeros(len(ys))
-    for j, c in enumerate(heat_level0):
-        vals += float(c) * ys.astype(float) ** j
-    scaled = 2.0**ys * vals
-    pref = np.array(
-        [math.exp(t) * (-t / 2.0) ** j / math.factorial(j) for j in range(tail + 1)]
-    )
-    return np.correlate(scaled, pref, mode="valid")
+def _phi_row(t: float, heat_level0, xs: np.ndarray) -> np.ndarray:
+    """Column function on xs: the level-0 solution 2^z P(z) pushed through
+    the forward half-heat flow.  Newton's forward formula sums the flow's
+    Poisson series in closed form,
+
+        phi(x) = 2^x sum_(m=0..deg P) (-t)^m / m! (Delta^m P)(x),
+
+    with Delta the forward difference.  The polynomial is built and
+    evaluated exactly (t is a dyadic rational) and rounded once; a value
+    past the double range comes out as inf.
+    """
+    q, diff, coef = [Fraction(0)] * len(heat_level0), list(heat_level0), Fraction(1)
+    for m in range(len(q)):
+        for i, c in enumerate(diff):
+            q[i] += coef * c
+        # (Delta p)(z) = p(z + 1) - p(z) = sum_(i < j) C(j, i) p_j z^i
+        diff = [
+            sum(math.comb(j, i) * diff[j] for j in range(i + 1, len(diff)))
+            for i in range(len(diff) - 1)
+        ]
+        coef *= -Fraction(t) / (m + 1)
+    with np.errstate(over="ignore"):
+        return np.ldexp([float(_poly_eval_frac(q, x)) for x in xs.tolist()], xs)
 
 
 def build_biortho(
@@ -414,10 +394,12 @@ def build_biortho(
 ) -> BiorthoSystem:
     """Construct the conjugated biorthogonal system on a window.
 
-    Row functions come from exact residue sums; column functions are built
-    by convolving the level-0 backwards-heat solution with the forward
-    half-heat flow.  Raises WindowError with a suggestion if the window is
-    too small to certify biorthogonality at 1e-8.
+    Row k of level n is the residue sum psi_residue, one run of the
+    recurrence per row; column functions are the level-0 backwards-heat
+    solution pushed through the forward half-heat flow, a finite sum (see
+    _phi_row).  Raises WindowError with a suggestion if the column
+    functions leave the double range on the window, or if the window
+    cannot certify biorthogonality at 1e-8.
     """
     if not 1 <= n_max <= N_MAX_DET:
         raise ValueError(f"need 1 <= n_max <= {N_MAX_DET}")
@@ -434,22 +416,34 @@ def build_biortho(
         pn = np.zeros((n, len(xs)))
         fn = np.zeros((n, len(xs)))
         for k in range(n):
-            for ix, x in enumerate(xs):
-                pn[k, ix] = psi_residue(init, t, n, k, int(x))
+            s = xs - _entry_int(init, n - k)
+            pn[k] = np.ldexp(_charlier_run(s + k, k, t), -s)
             levels = backward_heat_polys(init, n, k)
             h[(n, k)] = levels
-            fn[k] = _phi_row(t, levels[0], (lo, hi))
+            fn[k] = _phi_row(t, levels[0], xs)
         psi[n] = pn
         phi[n] = fn
+    top = max(_entry_int(init, 1), 0) + int(math.ceil(3.0 * t)) + 48
+    bot = _entry_int(init, n_max) - n_max - 8
+    finite = np.all([np.isfinite(fn).all(axis=0) for fn in phi.values()], axis=0)
+    if not finite.all():
+        first_inf = int(xs[~finite][0])
+        hint = (
+            f"try [{min(lo, bot)}, {top}]"
+            if top < first_inf
+            else f"a window for t = {t} must reach {top}, so enlarging it cannot help"
+        )
+        raise WindowError(f"column functions leave the double range at x = {first_inf}; {hint}")
     system = BiorthoSystem(init, t, n_max, (lo, hi), psi, phi, h)
     worst = max(system.biortho_defect(n) for n in range(1, n_max + 1))
-    if worst > 1e-8:
-        top = max(_entry_int(init, 1), 0) + int(math.ceil(3.0 * t)) + 48
-        bot = _entry_int(init, n_max) - n_max - 8
-        raise WindowError(
-            f"biorthogonality defect {worst:.2e} on window [{lo}, {hi}]; "
-            f"try [{min(lo, bot)}, {max(hi, top)}]"
+    if not worst <= 1e-8:
+        wider = (min(lo, bot), max(hi, top))
+        hint = (
+            f"try [{wider[0]}, {wider[1]}]"
+            if wider != (lo, hi)
+            else f"it covers [{bot}, {top}] already, so enlarging it cannot help"
         )
+        raise WindowError(f"biorthogonality defect {worst:.2e} on window [{lo}, {hi}]; {hint}")
     return system
 
 
@@ -460,37 +454,30 @@ def build_biortho(
 def phi_closed_form(
     kind: str, n: int, k: int, x: int, t: float, d: int | None = None
 ) -> float:
-    """Column function for step or periodic data, by contour quadrature.
+    """Column function for step or periodic data, as a residue at v = 0.
 
     Step data puts particle i at -i; periodic data with gap d >= 2 puts
     particle i at -d*i.  Values come out in the conjugated normalization,
-    so for step data with k = 0 the result is 2^(x+n).  The step residue is
-    a bare polynomial and gets the full 2-power prefactor; the periodic
-    integrand already carries its 2-powers through (2(1-v))^(x+dn-1),
-    leaving a single factor of 2.
+    so for step data with k = 0 the result is 2^(x+n).  With E as in
+    special._poisson_charlier at r = t and log offset t, so that E_j(M) is
+    the coefficient of v^j in (1-v)^M e^(tv), the step value is
+    2^(x+n-k) E_k(x+n), the residue of 2^(x+n-k) (1-v)^(x+n) e^(tv) /
+    v^(k+1).  The periodic value is the residue of 2 (1-dv)
+    (2(1-v))^(x+dn-1) e^(tv) / (v (2^d (1-v)^(d-1) v)^k): with
+    M = x + dn - 1 - (d-1)k it is 2^(x+d(n-k)) (E_k(M) - d E_(k-1)(M)),
+    both terms from one run.
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     if kind == "step":
-
-        def f(v):
-            return (1.0 - v) ** (x + n) / v ** (k + 1) * np.exp(t * v)
-
-        scale = 2.0 ** (x + (n - k))
-    elif kind == "periodic":
-        if d is None or d < 2:
-            raise ValueError("periodic data needs a gap d >= 2")
-
-        def f(v):
-            num = (1.0 - d * v) * (2.0 * (1.0 - v)) ** (x + d * n - 1)
-            den = v * (2.0**d * (1.0 - v) ** (d - 1) * v) ** k
-            return num / den * np.exp(t * v)
-
-        scale = 2.0
-    else:
+        return math.ldexp(_poisson_charlier(k, x + n, t, log_scale=t)[-1], x + n - k)
+    if kind != "periodic":
         raise ValueError(f"unknown closed-form family: {kind!r}")
-    res = circle_quadrature(f, ContourSpec.gamma0())
-    return scale * res.value.real
+    if d is None or d < 2:
+        raise ValueError("periodic data needs a gap d >= 2")
+    run = _poisson_charlier(k, x + d * n - 1 - (d - 1) * k, t, log_scale=t)
+    lower = run[-2] if k else 0.0
+    return math.ldexp(run[-1] - d * lower, x + d * (n - k))
 
 
 # ---------------------------------------------------------------------------
@@ -721,21 +708,21 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
 
 
 def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
-    """Closed single-contour one-index kernel for data on every even site.
+    """Closed one-index kernel for data on every even site, as a residue.
 
-    The contour circles v = 1 and excludes the origin; labels follow the
-    convention that particle n sits at -2n at time zero.
+    Labels follow the convention that particle n sits at -2n at time zero.
+    The kernel is -2^(z2-z1) times the residue at v = 1 of
+    v^(z2+2n) e^(t(1-2v)) / (1-v)^N, N = z1 + 2n + 1.  It is 0 for N < 1;
+    otherwise, with E as in special._poisson_charlier at time 2t, c = -1
+    (r = -2t) and log offset -3t,
+
+        K = -2^(z2-z1) (-1)^N E_(N-1)(z2 + 2n).
     """
-
-    def f(v):
-        return (
-            v ** (z2 + 2 * n)
-            * np.exp(t * (1.0 - 2.0 * v))
-            / (1.0 - v) ** (z1 + 2 * n + 1)
-        )
-
-    res = circle_quadrature(f, ContourSpec(1.0 + 0.0j, CONTOUR_RADIUS))
-    return -(2.0 ** (z2 - z1)) * res.value.real
+    big_n = z1 + 2 * n + 1
+    if big_n < 1:
+        return 0.0
+    val = _poisson_charlier(big_n - 1, z2 + 2 * n, 2.0 * t, -1.0, log_scale=-3.0 * t)[-1]
+    return math.ldexp(val if big_n % 2 else -val, z2 - z1)
 
 
 def kt_kernel_two_periodic(

@@ -9,6 +9,7 @@ for the joint laws.  Nothing below reuses the code path it checks.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -28,7 +29,6 @@ from kpzlab.exact import (
     backward_heat_polys,
     bfps_l_verify,
     build_biortho,
-    g0n,
     gt_indicator,
     gt_pattern_sum,
     hitting_profile,
@@ -420,7 +420,8 @@ def test_crossing_kernel_matches_reversed_walk():
     for z1 in range(_entry(EXPL, 1) - 5, _entry(EXPL, 1) + 6):
         for z2 in range(_entry(EXPL, n) - 6, _entry(EXPL, n) + 1):
             want = float(reversed_crossing_mass(EXPL, n, z1, z2))
-            assert g0n(n, z1, z2, EXPL) == pytest.approx(want, abs=1e-15)
+            got = transfer_epi(EXPL, 0.0, n, z1, z2)
+            assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_crossing_kernel_matches_heat_sum():
@@ -433,14 +434,15 @@ def test_crossing_kernel_matches_heat_sum():
                 total += q_weight(n - k, z1, _entry(EXPL, n - k)) * system.h_exact(
                     n, k, 0, z2
                 )
-            assert g0n(n, z1, z2, EXPL) == pytest.approx(float(total), abs=1e-15)
+            got = transfer_epi(EXPL, 0.0, n, z1, z2)
+            assert got == pytest.approx(float(total), abs=1e-15)
 
 
 def test_crossing_kernel_above_first_entry():
     n = 4
     for z1 in range(_entry(EXPL, 1) + 1, _entry(EXPL, 1) + 6):
         for z2 in range(_entry(EXPL, n) - 4, _entry(EXPL, n) + 1):
-            assert g0n(n, z1, z2, EXPL) == float(qbar(n, z1, z2))
+            assert transfer_epi(EXPL, 0.0, n, z1, z2) == float(qbar(n, z1, z2))
 
 
 # ---- heat levels -----------------------------------------------------------
@@ -595,6 +597,28 @@ def test_biortho_window_too_small():
         build_biortho(EXPL, 0.9, n_max=5, window=(-12, 6))
 
 
+@pytest.mark.parametrize("t", [20.0, 40.0, 100.0])
+def test_biortho_defect_is_tiny_at_large_t(t):
+    system = build_biortho(EXPL, t, n_max=5, window=(-40, int(3 * t) + 68))
+    for n in range(1, 6):
+        assert system.biortho_defect(n) < 1e-10
+
+
+def test_biortho_window_past_double_range():
+    # 2^x overflows near x = 1000: the columns there are not finite, and the
+    # error names a smaller window, which then builds
+    window = (-40, 1100)
+    with pytest.raises(WindowError, match=r"double range") as exc:
+        build_biortho(EXPL, 5.0, n_max=5, window=window)
+    lo, hi = (int(v) for v in re.search(r"try \[(-?\d+), (-?\d+)\]", str(exc.value)).groups())
+    assert (lo, hi) != window
+    system = build_biortho(EXPL, 5.0, n_max=5, window=(lo, hi))
+    assert all(np.isfinite(system.phi[n]).all() for n in range(1, 6))
+    # at t = 400 the Poisson tail reaches past the double range of 2^x
+    with pytest.raises(WindowError, match=r"enlarging it cannot help"):
+        build_biortho(EXPL, 400.0, n_max=5, window=(-40, 1300))
+
+
 def test_biortho_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_biortho(EXPL, 0.9, n_max=0, window=(-30, 10))
@@ -632,6 +656,31 @@ def test_closed_form_columns_periodic():
                 got = phi_closed_form("periodic", n, k, x, t, d=d)
                 want = system.phi_val(n, k, x)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_closed_form_columns_match_contour(t):
+    # the residue at v = 0 against the trapezoid rule on |v| = 1/2, which
+    # encloses no other singularity of either integrand
+    for n in range(1, 5):
+        for k in range(n):
+            for x in range(-7, 7):
+
+                def step(v):
+                    return (1 - v) ** (x + n) / v ** (k + 1) * np.exp(t * v)
+
+                want = 2.0 ** (x + n - k) * circle_quadrature(step, ContourSpec.gamma0()).value.real
+                got = phi_closed_form("step", n, k, x, t)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                for d in (2, 3):
+
+                    def periodic(v):
+                        num = (1 - d * v) * (2 * (1 - v)) ** (x + d * n - 1)
+                        return num / (v * (2.0**d * (1 - v) ** (d - 1) * v) ** k) * np.exp(t * v)
+
+                    want = 2.0 * circle_quadrature(periodic, ContourSpec.gamma0()).value.real
+                    got = phi_closed_form("periodic", n, k, x, t, d=d)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_column_scaled_degree():
@@ -793,6 +842,33 @@ def test_kernel_two_periodic_ladder_matches_contour():
             got = kt_kernel_two_periodic(t, n, z1, z2, tol=1e-8)
             want = kt_two_periodic_closed(t, n, z1, z2)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
+
+
+def _mp_two_periodic_residue(t, n, z1, z2):
+    """Two-periodic kernel entry by mpmath, with exact binomial coefficients.
+
+    With a = z2 + 2n and N = z1 + 2n + 1, the residue at v = 1 of
+    v^a e^(t(1-2v)) / (1-v)^N is minus the u^(N-1) coefficient of
+    (1-u)^a e^(-t) e^(2tu), and the kernel is -2^(z2-z1) times the residue.
+    """
+    t = mpmath.mpf(t)
+    big_n, a = z1 + 2 * n + 1, z2 + 2 * n
+    total = mpmath.mpf(0)
+    for i in range(max(big_n, 0)):
+        binom = math.prod(range(a - i + 1, a + 1)) // math.factorial(i)
+        total += (-1) ** i * binom * (2 * t) ** (big_n - 1 - i) / mpmath.factorial(big_n - 1 - i)
+    return mpmath.ldexp(mpmath.exp(-t) * total, z2 - z1)
+
+
+def test_kernel_two_periodic_closed_matches_mpmath_residue():
+    with mpmath.workdps(40):
+        for t in (0.3, 0.9, 2.0, 5.0, 40.0, 179.0, 384.9):
+            for n in range(-3, 4):
+                for z1 in range(-6, 6):
+                    for z2 in range(-6, 6):
+                        want = float(_mp_two_periodic_residue(t, n, z1, z2))
+                        got = kt_two_periodic_closed(t, n, z1, z2)
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (t, n, z1, z2)
 
 
 def test_kernel_rejects_bad_labels():

@@ -3,8 +3,9 @@
 The package is organized bottom-up: `special` (Poisson-Charlier
 recurrence, Airy, and the contour quadrature that tests check residues by),
 `dpp` (finite determinantal measures), `simulate` (continuous-time TASEP),
-`exact` (transition probabilities, biorthogonal kernels, multipoint formulas)
-and `fredholm` (determinant engines).
+`exact` (transition probabilities, biorthogonal kernels, multipoint formulas),
+`fredholm` (determinant engines) and `continuum` (the KPZ fixed point's
+S_{t,x} kernel and the Airy_1 and Airy_2 processes).
 """
 
 __version__ = "0.1.0"

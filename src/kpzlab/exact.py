@@ -338,14 +338,8 @@ class BiorthoSystem:
             raise ValueError(f"{x} outside window [{lo}, {hi}]")
         return x - lo
 
-    def psi_val(self, n: int, k: int, x: int) -> float:
-        return float(self.psi[n][k, self._col(x)])
-
     def phi_val(self, n: int, k: int, x: int) -> float:
         return float(self.phi[n][k, self._col(x)])
-
-    def h_coeffs(self, n: int, k: int, ell: int) -> tuple[Fraction, ...]:
-        return self.h[(n, k)][ell]
 
     def h_exact(self, n: int, k: int, ell: int, z: int) -> Fraction:
         return _pow2(z) * _poly_eval_frac(self.h[(n, k)][ell], z)
@@ -723,28 +717,6 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
         return 0.0
     val = _poisson_charlier(big_n - 1, z2 + 2 * n, 2.0 * t, -1.0, log_scale=-3.0 * t)[-1]
     return math.ldexp(val if big_n % 2 else -val, z2 - z1)
-
-
-def kt_kernel_two_periodic(
-    t: float, n: int, z1: int, z2: int, tol: float = 1e-8, max_doublings: int = 4
-) -> float:
-    """One-index kernel for every-other-site data via finite truncations.
-
-    The doubly infinite configuration is cut to 2N particles on the even
-    sites of [-2N, 2N - 2]; label n of the full data is label N + n of the
-    truncation.  N doubles until the value settles to tol.
-    """
-    size = max(8, abs(n) + 2)
-    prev = None
-    for _ in range(max_doublings + 1):
-        entries = tuple(2 * (size - i) for i in range(1, 2 * size + 1))
-        data = make_initial("explicit", entries=entries)
-        val = kt_kernel(t, data, size + n, size + n, z1, z2)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        size *= 2
-    raise TruncationError(f"kernel did not settle below {tol} by truncation {size}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Fredholm determinants: finite windows and Nystrom quadrature.
 
 Continuum determinants det(I - K) are discretized with Gauss-Legendre nodes
-pushed through a smooth map onto the domain, in the symmetrized form
-det(I - W^{1/2} K W^{1/2}).  Orders walk a fixed ladder (20, 40, 80, 160) so
-self-convergence deltas are reproducible.
+on (0, 1) pushed onto a half-line by the rational map s/(1 - s), in the
+symmetrized form det(I - W^{1/2} K W^{1/2}).  Orders walk a fixed ladder
+(20, 40, 80, 160) so self-convergence deltas are reproducible.
 
 Kernel callables receive broadcastable arrays (shapes (n,1) and (1,m)) and
 return the matrix of kernel values; a kernel with low-rank structure is free
@@ -34,17 +34,9 @@ class HalfLineUp:
 
     r: float
 
-    def nodes(self, order: int, map_kind: str = "rational", scale: float = 1.0):
+    def nodes(self, order: int):
         s, ws = _gauss01(order)
-        if map_kind == "rational":
-            y = self.r + scale * s / (1.0 - s)
-            dy = scale / (1.0 - s) ** 2
-        elif map_kind == "log":
-            y = self.r - scale * np.log(1.0 - s)
-            dy = scale / (1.0 - s)
-        else:
-            raise ValueError(f"unknown map {map_kind!r}")
-        return y, ws * dy
+        return self.r + s / (1.0 - s), ws / (1.0 - s) ** 2
 
 
 @dataclass(frozen=True)
@@ -53,25 +45,9 @@ class HalfLineDown:
 
     a: float
 
-    def nodes(self, order: int, map_kind: str = "rational", scale: float = 1.0):
-        y, w = HalfLineUp(-self.a).nodes(order, map_kind, scale)
+    def nodes(self, order: int):
+        y, w = HalfLineUp(-self.a).nodes(order)
         return -y, w
-
-
-@dataclass(frozen=True)
-class FullLine:
-    """All of R via the rational map (2s-1)/(s(1-s))."""
-
-    scale: float = 1.0
-
-    def nodes(self, order: int, map_kind: str = "rational", scale: float | None = None):
-        if map_kind != "rational":
-            raise ValueError("full line supports only the rational map")
-        c = self.scale if scale is None else scale
-        s, ws = _gauss01(order)
-        y = c * (2.0 * s - 1.0) / (s * (1.0 - s))
-        dy = c * (2.0 * s * s - 2.0 * s + 1.0) / (s * (1.0 - s)) ** 2
-        return y, ws * dy
 
 
 def _gauss01(order: int):
@@ -100,10 +76,8 @@ class NystromProblem:
     """det(I - K) on `domain` at one ladder order."""
 
     kernel: Callable
-    domain: HalfLineUp | HalfLineDown | FullLine
+    domain: HalfLineUp | HalfLineDown
     order: int = 80
-    map_kind: str = "rational"
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.order not in ORDER_LADDER:
@@ -117,10 +91,8 @@ class NystromResult:
     order: int
 
 
-def _nystrom_value(kernel, domain, order, map_kind, scale) -> float:
-    y, w = domain.nodes(order, map_kind, scale)
-    if np.any(w <= 0):
-        raise ValueError("mapped weights must be positive")
+def _nystrom_value(kernel, domain, order) -> float:
+    y, w = domain.nodes(order)
     k = np.asarray(kernel(y[:, None], y[None, :]), dtype=float)
     sq = np.sqrt(w)
     a = np.eye(order) - sq[:, None] * k * sq[None, :]
@@ -129,35 +101,27 @@ def _nystrom_value(kernel, domain, order, map_kind, scale) -> float:
 
 def nystrom_det(problem: NystromProblem) -> NystromResult:
     """Value at problem.order plus the delta from the previous ladder order."""
-    value = _nystrom_value(
-        problem.kernel, problem.domain, problem.order, problem.map_kind, problem.scale
-    )
+    value = _nystrom_value(problem.kernel, problem.domain, problem.order)
     idx = ORDER_LADDER.index(problem.order)
     delta = None
     if idx > 0:
-        prev = _nystrom_value(
-            problem.kernel,
-            problem.domain,
-            ORDER_LADDER[idx - 1],
-            problem.map_kind,
-            problem.scale,
-        )
-        delta = value - prev
+        delta = value - _nystrom_value(problem.kernel, problem.domain, ORDER_LADDER[idx - 1])
     return NystromResult(value, delta, problem.order)
 
 
-def nystrom_ladder(
-    kernel: Callable,
-    domain,
-    tol: float = 1e-10,
-    map_kind: str = "rational",
-    scale: float = 1.0,
-) -> NystromResult:
+def nystrom_ladder(kernel: Callable, domain, tol: float = 1e-10) -> NystromResult:
     """Walk the order ladder until successive values differ by at most tol."""
+    return _walk_ladder(lambda order: _nystrom_value(kernel, domain, order), tol)
+
+
+def _walk_ladder(value_at: Callable[[int], float], tol: float) -> NystromResult:
+    """value_at(order) up the ladder until successive values differ by at
+    most tol: the package's one order loop, shared by nystrom_ladder and
+    the continuum probabilities."""
     prev = None
     deltas = []
     for order in ORDER_LADDER:
-        value = _nystrom_value(kernel, domain, order, map_kind, scale)
+        value = value_at(order)
         if prev is not None:
             delta = value - prev
             deltas.append(delta)
@@ -186,8 +150,6 @@ class BlockExtendedProblem:
     kernel: Callable
     thresholds: Sequence[float]
     order: int = 80
-    map_kind: str = "rational"
-    scale: float = 1.0
     identity_pairs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
@@ -210,9 +172,7 @@ def block_extended_det(problem: BlockExtendedProblem) -> float:
     n = problem.order
     grids = {}
     for i in keep:
-        grids[i] = HalfLineDown(problem.thresholds[i]).nodes(
-            n, problem.map_kind, problem.scale
-        )
+        grids[i] = HalfLineDown(problem.thresholds[i]).nodes(n)
     m = len(keep)
     big = np.zeros((m * n, m * n))
     for bi, i in enumerate(keep):

@@ -3,9 +3,11 @@
 Everything here is elementary but tolerance-critical: the Poisson-Charlier
 recurrence evaluates every alternating residue sum of the exact layer, the
 F family's n >= 1 members are positive Laurent series, and the Airy
-function (scipy's, range-checked here) is the backbone of the continuum
-kernels.  No library path integrates on a contour: the circle quadrature
-is the independent route that the tests check those residue sums against.
+function is scipy's, range-checked here for scalar callers and
+lambda-quadrature kernels (`continuum` builds its closed-form kernels on
+scipy's airy and airye directly).  No library path integrates on a
+contour: the circle quadrature is the independent route that the tests
+check those residue sums against.
 All routines are deterministic and carry explicit error reporting instead
 of silent best-effort values.
 """

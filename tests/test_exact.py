@@ -33,7 +33,6 @@ from kpzlab.exact import (
     gt_pattern_sum,
     hitting_profile,
     kt_kernel,
-    kt_kernel_two_periodic,
     kt_step_closed,
     kt_two_periodic_closed,
     multipoint_probability,
@@ -835,11 +834,14 @@ def test_kernel_label_reversal():
     assert dev.max() < 1e-11
 
 
-def test_kernel_two_periodic_ladder_matches_contour():
+def test_kernel_two_periodic_truncation_matches_closed_form():
+    # 16 particles on the even sites of [-16, 14]; label n of the data on
+    # every even site is label 8 + n here
     t = 0.8
+    data = make_initial("explicit", entries=tuple(range(14, -17, -2)))
     for n in (-1, 0, 2):
         for z1, z2 in ((-1, 0), (0, 0), (2, -1)):
-            got = kt_kernel_two_periodic(t, n, z1, z2, tol=1e-8)
+            got = kt_kernel(t, data, 8 + n, 8 + n, z1, z2)
             want = kt_two_periodic_closed(t, n, z1, z2)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
 

@@ -9,7 +9,6 @@ import pytest
 from kpzlab.fredholm import (
     BlockExtendedProblem,
     ConvergenceError,
-    FullLine,
     HalfLineDown,
     HalfLineUp,
     NystromProblem,
@@ -137,15 +136,6 @@ def test_ladder_stops_early():
     assert res.value == pytest.approx(0.5, abs=1e-9)
 
 
-def test_map_invariance_on_airy():
-    k = airy_kernel_matrix()
-    a = nystrom_det(NystromProblem(k, HalfLineUp(0.0), order=160, scale=1.0)).value
-    b = nystrom_det(NystromProblem(k, HalfLineUp(0.0), order=160, scale=2.0)).value
-    c = nystrom_det(NystromProblem(k, HalfLineUp(0.0), order=160, map_kind="log", scale=2.0)).value
-    assert a == pytest.approx(b, abs=1e-9)
-    assert a == pytest.approx(c, abs=1e-9)
-
-
 def test_cyclic_property():
     # det(I - AB) = det(I - BA) with A, B discretized on the same rule
     y, w = HalfLineUp(0.0).nodes(60)
@@ -167,12 +157,6 @@ def test_half_line_down_mirrors_up():
     kd = NystromProblem(lambda x, y: np.exp(x + y), HalfLineDown(0.0), order=40)
     assert nystrom_det(ku).value == pytest.approx(nystrom_det(kd).value, rel=1e-13)
 
-
-def test_full_line_gaussian():
-    # K(x,y) = exp(-x^2 - y^2)/sqrt(pi) is rank one with trace sqrt(2)/2
-    k = lambda x, y: np.exp(-x * x - y * y) / math.sqrt(math.pi)
-    res = nystrom_det(NystromProblem(k, FullLine(), order=80))
-    assert res.value == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-10)
 
 
 # ---------------------------------------------------------------- block dets

@@ -1,7 +1,11 @@
-"""pyproject.toml names only files, directories and modules that exist."""
+"""pyproject.toml names only files, directories and modules that exist, its
+dependencies import, and importing the package stays light."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -37,3 +41,15 @@ def test_declared_dependencies_import():
     for requirement in PROJECT["project"]["dependencies"]:
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group()
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_import_loads_only_scipy_special():
+    # scipy.integrate alone would add about half the package's import time
+    code = (
+        "import sys, scipy.special; before = set(sys.modules); "
+        "import kpzlab, kpzlab.continuum; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

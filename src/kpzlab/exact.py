@@ -18,16 +18,19 @@ Every object here is a finite sum; no value comes from a contour integral
 or a truncated series.  Exact rational arithmetic (dyadic Fractions) is used
 for the backwards-heat polynomials, the column functions built from them
 and the walk matrices; everything crossing into kernel numerics is
-converted to float at the boundary.  Every alternating Poisson sum (the row
-functions, both transfer kernels, the array-sum table, the closed-form
-step-data and two-periodic kernels and column functions, and the F family
-behind the transition determinants) is a Poisson weight times a Charlier
-polynomial, evaluated by special._poisson_charlier's forward recurrence,
-one run per matrix row or column.  Its round-off is relative to the largest entry of each run, not
-to each entry, so sums and determinants over a run stay accurate where the
-direct sums cancel, from t = 0 to the 1:2:3 scaling at eps = 0.015
-(t ~ 1100) and beyond.  The first-passage walk is run lazily, step by step,
-and stops once no live mass can cross the data again.
+converted to float at the boundary.  Every alternating Poisson sum is a
+Poisson weight times a Charlier polynomial from special._poisson_charlier's
+forward recurrence, so no direct sum cancels, from t = 0 to the 1:2:3
+scaling at eps = 0.015 (t ~ 1100) and beyond.  The row function
+Psi^n_k(x) = 2^(-s) E_p(k), which is also F_(-k) of the transition
+determinants and the weight of the array sum, is accurate per entry: its
+one evaluator special._charlier_term steps the shorter index, and the
+degree-k column functions amplify its entries far right of the bulk.  The
+transfer matrices are one run over the degree each, accurate per run: the
+kernel sums over them need no more, and stepping their fixed index, the
+particle label (77 at eps = 0.04), per entry would take that many steps.
+The first-passage walk is run lazily and stops once no live mass can cross
+the data again.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from .dpp import LEnsembleSpec, conditional_l_to_k
 from .fredholm import det_window
 from .simulate import InitialData, make_initial
-from .special import _charlier_term, _poisson_charlier, gen_binomial, schuetz_F
+from .special import _charlier_term, _check_time, _poisson_charlier, gen_binomial, schuetz_F
 
 N_MAX_DET = 8  # largest determinant size for transition probabilities
 N_MAX_ARRAY_SUM = 4  # interlacing-array sum grows too fast beyond this
@@ -187,6 +190,7 @@ def psi_residue(
     contour, which then excludes the pole at w = 1; the same E_p(k) is then
     a positive series against the binomial tail of (1-w)^k.
     """
+    _check_time(t)
     if k >= n:
         raise ValueError("need k < n")
     s = x - _entry_int(init, n - k)
@@ -197,11 +201,13 @@ def psi_residue(
 def transfer_inverse(t: float, n: int, z1: int, z2: int) -> float:
     """Adjoint of the backward half-heat flow composed with n inverse walk
     steps.  Vanishes for z1 - z2 > n and decays like 2^(z1-z2) leftwards."""
+    _check_time(t)
     return float(_transfer_inverse_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
 
 def transfer_extended(t: float, n: int, z1: int, z2: int) -> float:
     """Polynomial extension of n walk steps composed with the half-heat flow."""
+    _check_time(t)
     return float(_transfer_extended_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
 
@@ -209,21 +215,17 @@ def _transfer_inverse_matrix(t: float, n: int, ys: np.ndarray, xs: np.ndarray) -
     """transfer_inverse on a (start, target) grid.
 
     Entry (y, x) is 2^n E_p(n) at r = t/2, p = n + x - y, and 0 for p < 0:
-    a Toeplitz matrix that one run of the recurrence over p fills.
+    a Toeplitz matrix that one run of the recurrence over p fills.  The run
+    is accurate norm-wise, not per entry (see the module docstring).
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    return np.ldexp(_charlier_run(n + xs[None, :] - ys[:, None], n, t, 0.5), n)
-
-
-def _charlier_run(p: np.ndarray, k: int, t: float, c: float = 1.0) -> np.ndarray:
-    """E_p(k) of special._poisson_charlier over an integer array of degrees
-    p, and 0 where p < 0: one run of the recurrence up to the largest p."""
+    p = n + xs[None, :] - ys[:, None]
     p_max = int(p.max(initial=-1))
     if p_max < 0:
         return np.zeros(p.shape)
-    vals = np.array(_poisson_charlier(p_max, k, t, c))
-    return np.where(p >= 0, vals[np.maximum(p, 0)], 0.0)
+    run = np.ldexp(_poisson_charlier(p_max, n, t, 0.5), n)
+    return np.where(p >= 0, run[np.maximum(p, 0)], 0.0)
 
 
 def _transfer_extended_matrix(t: float, n: int, bs: np.ndarray, z2s: np.ndarray) -> np.ndarray:
@@ -252,6 +254,7 @@ def epi_transfer_matrix(
     steps, of transfer_extended(t, n - m, stop position, z2s[iz]).  Starts
     at or below entry(n) give exactly zero.
     """
+    _check_time(t)
     z2s = np.asarray(z2s, dtype=int)
     out = np.zeros((y_hi - y_lo + 1, len(z2s)))
     for m, bs, mass in hitting_profile(init, n, y_lo, y_hi):
@@ -388,13 +391,14 @@ def build_biortho(
 ) -> BiorthoSystem:
     """Construct the conjugated biorthogonal system on a window.
 
-    Row k of level n is the residue sum psi_residue, one run of the
-    recurrence per row; column functions are the level-0 backwards-heat
-    solution pushed through the forward half-heat flow, a finite sum (see
-    _phi_row).  Raises WindowError with a suggestion if the column
+    Row k of level n is the residue sum psi_residue, one call of
+    special._charlier_term per row; column functions are the level-0
+    backwards-heat solution pushed through the forward half-heat flow, a
+    finite sum (see _phi_row).  Raises WindowError with a suggestion if the column
     functions leave the double range on the window, or if the window
     cannot certify biorthogonality at 1e-8.
     """
+    _check_time(t)
     if not 1 <= n_max <= N_MAX_DET:
         raise ValueError(f"need 1 <= n_max <= {N_MAX_DET}")
     lo, hi = int(window[0]), int(window[1])
@@ -411,7 +415,7 @@ def build_biortho(
         fn = np.zeros((n, len(xs)))
         for k in range(n):
             s = xs - _entry_int(init, n - k)
-            pn[k] = np.ldexp(_charlier_run(s + k, k, t), -s)
+            pn[k] = np.ldexp(_charlier_term(s + k, k, t), -s)
             levels = backward_heat_polys(init, n, k)
             h[(n, k)] = levels
             fn[k] = _phi_row(t, levels[0], xs)
@@ -461,6 +465,7 @@ def phi_closed_form(
     M = x + dn - 1 - (d-1)k it is 2^(x+d(n-k)) (E_k(M) - d E_(k-1)(M)),
     both terms from one run.
     """
+    _check_time(t)
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     if kind == "step":
@@ -495,24 +500,12 @@ def schuetz_transition(x, y, t: float) -> float:
         raise ValueError("configurations must have equal size")
     if not 1 <= n <= N_MAX_DET:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     mat = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             mat[i - 1, j - 1] = schuetz_F(i - j, xv[n - i] - yv[n - j], t)
     return float(np.linalg.det(mat))
-
-
-def _det_weight_table(y, t: float, zs: np.ndarray) -> np.ndarray:
-    """Rows of the top-level determinant: column j holds the unconjugated
-    row function attached to data entry y_j along zs, (-1)^k F_(-k)(z - y_j)
-    with k = n - j, which is E_p(k) at r = t, p = z - y_j + k."""
-    n = len(y)
-    out = np.empty((len(zs), n))
-    for j in range(1, n + 1):
-        out[:, j - 1] = _charlier_run(zs - y[j - 1] + (n - j), n - j, t)
-    return out
 
 
 def gt_pattern_sum(x, y, t: float, pad: int = 40, report: bool = False):
@@ -522,6 +515,7 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40, report: bool = False):
     [min(x,y) - pad, max(x,y) + pad].  With report=True returns (value,
     delta) where delta compares against the half-pad window.
     """
+    _check_time(t)
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
@@ -547,7 +541,9 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40, report: bool = False):
 def _array_sum_value(xv, yv, t, lo, hi):
     n = len(xv)
     zs = np.arange(lo, hi + 1)
-    table = _det_weight_table(yv, t, zs)
+    # column j: the unconjugated row function of entry y_j along zs,
+    # (-1)^k F_(-k)(z - y_j) = E_p(k), k = n - j, p = z - y_j + k
+    table = np.stack([_charlier_term(zs - y + n - j, n - j, t) for j, y in enumerate(yv, 1)], 1)
 
     if n == 1:
         return float(table[xv[0] - lo, 0])
@@ -653,26 +649,17 @@ def kt_kernel(
 ) -> float:
     """Conjugated space-time correlation kernel entry.
 
-    An infinite prefix of the data is removed by relabeling; both particle
-    labels must point past it.  The composite term is an exactly finite
-    sum: the inverse-flow factor vanishes above x1 + n_i and the
-    first-passage factor vanishes at or below entry(n_j).
+    Entry (0, 1) of the two-index kernel block matrix on the one-site grids
+    x1 and x2.  An infinite prefix of the data is removed by relabeling;
+    both particle labels must point past it.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     base, shift = _strip_leading_inf(init)
     ni, nj = n_i - shift, n_j - shift
     if min(ni, nj) < 1:
         raise ValueError("labels must point past the infinite prefix")
-    term1 = -float(q_weight(n_j - n_i, x1, x2)) if n_i < n_j else 0.0
-    y_hi = x1 + ni
-    y_lo = _entry_int(base, nj) + 1
-    if y_lo > y_hi:
-        return term1
-    ys = np.arange(y_lo, y_hi + 1)
-    left = _transfer_inverse_matrix(t, ni, ys, np.array([x1]))[:, 0]
-    right = epi_transfer_matrix(base, t, nj, y_lo, y_hi, [x2])[:, 0]
-    return term1 + float(left @ right)
+    grids = [np.array([x1]), np.array([x2])]
+    return float(_kernel_block_matrix(t, base, [ni, nj], grids)[0, 1])
 
 
 def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
@@ -689,6 +676,7 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
     and K = term1 for M < 0: one degree run at x = n_i, carrying e^t as its
     log offset, and one run at degree n_j - 1 over m.
     """
+    _check_time(t)
     if min(n_i, n_j) < 1:
         raise ValueError("labels start at 1")
     term1 = -float(q_weight(n_j - n_i, z1, z2)) if n_i < n_j else 0.0
@@ -712,6 +700,7 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
 
         K = -2^(z2-z1) (-1)^N E_(N-1)(z2 + 2n).
     """
+    _check_time(t)
     big_n = z1 + 2 * n + 1
     if big_n < 1:
         return 0.0
@@ -734,7 +723,10 @@ class DiscreteKernelWindow:
     last_delta: float
 
 
-def _clean_events(events):
+def _joint_events(init: InitialData, events):
+    """Validated events with the -inf thresholds dropped, and the data with
+    its infinite prefix stripped: (kept, base, ns, a_vals, tops), with ns
+    the kept labels relabeled onto base and tops the integer thresholds."""
     evs = [(int(nv), float(av)) for nv, av in events]
     if not evs:
         raise ValueError("need at least one (label, threshold) event")
@@ -747,7 +739,13 @@ def _clean_events(events):
         raise ValueError("labels must be strictly increasing")
     if any(av == math.inf for _, av in evs):
         raise ValueError("thresholds must be real or -inf")
-    return [(nv, av) for nv, av in evs if av != -math.inf]
+    kept = [(nv, av) for nv, av in evs if av != -math.inf]
+    base, shift = _strip_leading_inf(init)
+    ns = [nv - shift for nv, _ in kept]
+    if any(nv < 1 for nv in ns):
+        raise ValueError("labels must point past the infinite prefix")
+    a_vals = [av for _, av in kept]
+    return kept, base, ns, a_vals, [int(math.floor(av)) for av in a_vals]
 
 
 def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -829,18 +827,13 @@ def multipoint_probability(
     starts WINDOW_BELOW deep and doubles until the determinant moves by
     less than tol.
     """
-    kept = _clean_events(events)
+    _check_time(t)
+    kept, base, ns, a_vals, tops = _joint_events(init, events)
     if not kept:
         if report:
             win = DiscreteKernelWindow((), (), (), np.zeros((0, 0)), 0.0)
             return 1.0, win
         return 1.0
-    base, shift = _strip_leading_inf(init)
-    ns = [nv - shift for nv, _ in kept]
-    if min(ns) < 1:
-        raise ValueError("labels must point past the infinite prefix")
-    a_vals = [av for _, av in kept]
-    tops = [int(math.floor(av)) for av in a_vals]
 
     def build(depth):
         lo = min(tops) - depth
@@ -873,15 +866,10 @@ def path_integral_probability(t: float, init: InitialData, events, tol: float = 
     signed sum over constraint subsets of absolutely convergent products
     of a relabeled kernel, cutoffs and forward walk powers.
     """
-    kept = _clean_events(events)
+    _check_time(t)
+    kept, base, ns, a_vals, tops = _joint_events(init, events)
     if not kept:
         return 1.0
-    base, shift = _strip_leading_inf(init)
-    ns = [nv - shift for nv, _ in kept]
-    if min(ns) < 1:
-        raise ValueError("labels must point past the infinite prefix")
-    a_vals = [av for _, av in kept]
-    tops = [int(math.floor(av)) for av in a_vals]
     m = len(ns)
     floor_site = min(tops + [_entry_int(base, ns[-1])])
     top_site = max(tops + [_entry_int(base, 1)])
@@ -927,6 +915,7 @@ def bfps_l_verify(
     WindowError, naming a window that works, unless the window covers the
     sampled sites [entry(2) - 6, entry(1) + 10].
     """
+    _check_time(t)
     if init.n_finite != 2 or _leading_inf(init):
         raise ValueError("this check is specific to two finite particles")
     lo, hi = int(window[0]), int(window[1])
@@ -945,24 +934,18 @@ def bfps_l_verify(
     L = np.zeros((len(space), len(space)))
     L[0, 2 : 2 + width] = 1.0  # virtual row j feeds level j with unit weight
     L[1, 2 + width :] = 1.0
-    for a, x in enumerate(sites):
-        for b, yv in enumerate(sites):
-            if x > yv:
-                L[2 + a, 2 + width + b] = -1.0
-    for b, x in enumerate(sites):
-        for j in (1, 2):
-            L[2 + width + b, j - 1] = psi_residue(init, t, 2, 2 - j, x, conjugated=False)
+    L[2 : 2 + width, 2 + width :] = -np.tri(width, k=-1)  # -1 where level 1 is right of level 2
+    for j, e in ((1, e1), (2, e2)):
+        # level 2's unconjugated row function psi(2, 2 - j) attached to entry j
+        L[2 + width :, j - 1] = _charlier_term(np.array(sites) - e + 2 - j, 2 - j, t)
     spec = LEnsembleSpec(space, L, conditioning_subset=space[2:])
     dpp = conditional_l_to_k(spec)
 
-    x_lo = max(e2 - 12, lo + 8)
-    x_hi = min(e1 + 12, hi - 8)
-    max_dev = 0.0
-    for x1 in range(x_lo, x_hi + 1):
-        for x2 in range(x_lo, x_hi + 1):
-            got = float(dpp.kernel[dpp.index[(1, x1)], dpp.index[(1, x2)]])
-            want = 2.0 ** (x1 - x2) * kt_kernel(t, init, 1, 1, x1, x2)
-            max_dev = max(max_dev, abs(got - want))
+    grid = np.arange(max(e2 - 12, lo + 8), min(e1 + 12, hi - 8) + 1)
+    at = [dpp.index[(1, x)] for x in grid.tolist()]
+    got = dpp.kernel[np.ix_(at, at)]
+    want = np.ldexp(_kernel_block_matrix(t, init, [1], [grid]), grid[:, None] - grid[None, :])
+    max_dev = float(np.abs(got - want).max())
 
     rng = np.random.default_rng(7)
     sign = 0.0
@@ -974,16 +957,9 @@ def bfps_l_verify(
         z21, z22 = sorted((z21, z22))
         idx = [0, 1] + sorted(spec.index_of(p) for p in [(1, z11), (2, z21), (2, z22)])
         minor = float(np.linalg.det(L[np.ix_(idx, idx)]))
-        if gt_indicator([(z11,), (z21, z22)]):
-            rows = np.array(
-                [
-                    [psi_residue(init, t, 2, 2 - j, zv, conjugated=False) for j in (1, 2)]
-                    for zv in (z21, z22)
-                ]
-            )
-            weight = float(np.linalg.det(rows))
-        else:
-            weight = 0.0
+        weight = 0.0
+        if gt_indicator([(z11,), (z21, z22)]):  # psi rows of z21, z22 from L
+            weight = float(np.linalg.det(L[[2 + width + z21 - lo, 2 + width + z22 - lo], :2]))
         if not sign and abs(weight) > 1e-12:
             sign = math.copysign(1.0, minor * weight)
         ref = sign if sign else 1.0
@@ -993,14 +969,9 @@ def bfps_l_verify(
     for _ in range(trials):
         size = int(rng.integers(2, 6))
         arr = [sorted(rng.integers(-6, 7, size=m).tolist()) for m in range(1, size + 1)]
-        ok = 1
-        for m in range(1, size):
-            upper, lower = arr[m - 1], arr[m]
-            for i in range(m):
-                if not lower[i] < upper[i] <= lower[i + 1]:
-                    ok = 0
-        if gt_indicator(arr) != ok:
-            mism += 1
+        pairs = [(arr[m], arr[m - 1], i) for m in range(1, size) for i in range(m)]
+        ok = all(low[i] < up[i] <= low[i + 1] for low, up, i in pairs)
+        mism += gt_indicator(arr) != ok
 
     return {
         "max_kernel_dev": max_dev,

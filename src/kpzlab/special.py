@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.special import airy
+from scipy.special import airy, gammaln
 
 # Γ_0 is a circle around the origin only; Γ_{0,1} encloses 0 and 1.
 GAMMA0_RADIUS = 0.5
@@ -169,8 +169,11 @@ def _poisson_charlier(
     It is not relative entrywise: right of the Poisson bulk the run picks
     up the recurrence's slowly decaying second solution at round-off level,
     so _poisson_charlier(60, 3, 0.5) gives 1.2e-22 at j = 40, where the
-    value is -3.1e-55.  At t = 0 the recurrence gives
-    the limit (-c)^j C(x, j).  e^(s - r) is carried as a log offset and the
+    value is -3.1e-55.  So the row functions and F_(n <= 0), used entry by
+    entry, come from _charlier_term, which steps the shorter index; exact's
+    transfer matrices keep the run, accurate per run, because their kernel
+    sums need no more and their fixed index, the particle label, is long.
+    At t = 0 the recurrence gives the limit (-c)^j C(x, j).  e^(s - r) is carried as a log offset and the
     running pair is renormalised by powers of 2, so the recurrence neither
     overflows nor underflows at any r; only values outside the double range
     come out as 0 (or +-inf, for a scalar x).  It is private so that a
@@ -204,20 +207,41 @@ def _times_exp(v: float, s: float) -> float:
     return math.copysign(math.exp(a) if a < _LOG_MAX else math.inf, v)
 
 
-def _charlier_term(p: int, k: int, t: float) -> float:
+def _charlier_term(p, k: int, t: float):
     """E_p(k) at r = t, the residue sum e^(-t) sum_j C(k, j) (-1)^j
-    t^(p-j) / (p-j)!; zero for p < 0.
+    t^(p-j) / (p-j)!, for an integer p or an integer array p; zero where
+    p < 0.
 
-    The 1x1 call of _poisson_charlier.  For 0 <= k < p and t > 0 it steps the
-    shorter index, the degree k at x = p, and moves the Poisson weight from
-    k to p through log_scale; otherwise it steps p at x = k.
+    The one evaluator of the row functions and of F_(n <= 0).  It steps the
+    shorter index, so every entry is accurate to itself: for 0 <= k < p and
+    t > 0 the degree k at x = p, moving the Poisson weight from k to p;
+    otherwise p at x = k.  A scalar p stays in plain floats; an array p
+    takes k numpy steps for its entries past k and one scalar run for the
+    rest.
     """
-    if p < 0:
-        return 0.0
-    if 0 <= k < p and t > 0.0:
-        move = (p - k) * math.log(t) + math.lgamma(k + 1) - math.lgamma(p + 1)
-        return _poisson_charlier(k, p, t, log_scale=move)[-1]
-    return _poisson_charlier(p, k, t)[-1]
+    if not isinstance(p, np.ndarray):
+        if p < 0:
+            return 0.0
+        if 0 <= k < p and t > 0.0:
+            move = (p - k) * math.log(t) + math.lgamma(k + 1) - math.lgamma(p + 1)
+            return _poisson_charlier(k, p, t, log_scale=move)[-1]
+        return _poisson_charlier(p, k, t)[-1]
+    top = k if k >= 0 and t > 0.0 else int(p.max(initial=0))
+    run = np.array(_poisson_charlier(max(top, 0), k, t))
+    out = np.where(p >= 0, run.take(p, mode="clip"), 0.0)
+    if p.max(initial=top) > top:
+        q = np.maximum(p, top + 1)
+        # log_scale = t cancels e^(-r): the run leaves t^k / k! C_k(q; t)
+        poly = _poisson_charlier(k, q, t, log_scale=t)[-1]
+        move = (q - k) * math.log(t) + math.lgamma(k + 1) - gammaln(q + 1) - t
+        e = np.floor(move / _LN2)
+        out = np.where(p > top, np.ldexp(poly * np.exp(move - e * _LN2), e.astype(int)), out)
+    return out
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
 
 
 def schuetz_F(n: int, x: int, t: float) -> float:
@@ -238,8 +262,7 @@ def schuetz_F(n: int, x: int, t: float) -> float:
     """
     n = int(n)
     x = int(x)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     if n <= 0:
         return (-1) ** n * _charlier_term(x - n, -n, t)
     if t == 0.0:

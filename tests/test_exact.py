@@ -29,6 +29,7 @@ from kpzlab.exact import (
     backward_heat_polys,
     bfps_l_verify,
     build_biortho,
+    epi_transfer_matrix,
     gt_indicator,
     gt_pattern_sum,
     hitting_profile,
@@ -603,6 +604,15 @@ def test_biortho_defect_is_tiny_at_large_t(t):
         assert system.biortho_defect(n) < 1e-10
 
 
+def test_biortho_deep_data_certifies_far_right_of_the_bulk():
+    # the window reaches 3t + 51, far right of the Poisson bulk, where the
+    # degree-7 column functions amplify any row error not relative per entry
+    deep = make_initial(kind="explicit", entries=(3, 1, -2, -4, -7, -9, -10, -14))
+    system = build_biortho(deep, 150.0, n_max=8, window=(-60, 501))
+    for n in range(1, 9):
+        assert system.biortho_defect(n) < 1e-10
+
+
 def test_biortho_window_past_double_range():
     # 2^x overflows near x = 1000: the columns there are not finite, and the
     # error names a smaller window, which then builds
@@ -873,6 +883,34 @@ def test_kernel_two_periodic_closed_matches_mpmath_residue():
                         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (t, n, z1, z2)
 
 
+TWO = make_initial(kind="explicit", entries=(1, -2))
+TIMED = {
+    "psi_residue": lambda t: psi_residue(EXPL, t, 2, 0, 0),
+    "transfer_inverse": lambda t: transfer_inverse(t, 1, 0, 0),
+    "transfer_extended": lambda t: transfer_extended(t, 1, 0, 0),
+    "epi_transfer_matrix": lambda t: epi_transfer_matrix(EXPL, t, 2, -3, 3, [0]),
+    "transfer_epi": lambda t: transfer_epi(EXPL, t, 2, 0, 0),
+    "build_biortho": lambda t: build_biortho(EXPL, t, 2, (-20, 10)),
+    "phi_closed_form": lambda t: phi_closed_form("step", 2, 1, 0, t),
+    "schuetz_transition": lambda t: schuetz_transition((1, -2), (0, -3), t),
+    "gt_pattern_sum": lambda t: gt_pattern_sum((1, -2), (0, -3), t),
+    "kt_kernel": lambda t: kt_kernel(t, STEP, 1, 2, 0, 0),
+    "kt_step_closed": lambda t: kt_step_closed(t, 1, 2, 0, 0),
+    "kt_two_periodic_closed": lambda t: kt_two_periodic_closed(t, 1, 0, 0),
+    "multipoint_probability": lambda t: multipoint_probability(t, STEP, [(1, 0)]),
+    "path_integral_probability": lambda t: path_integral_probability(t, STEP, [(1, 0)]),
+    "bfps_l_verify": lambda t: bfps_l_verify(TWO, t, (-20, 12), trials=1),
+    "schuetz_F": lambda t: schuetz_F(0, 2, t),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(TIMED))
+def test_time_must_be_finite_and_nonnegative(name, t):
+    with pytest.raises(ValueError, match=r"^t must be finite and nonnegative"):
+        TIMED[name](t)
+
+
 def test_kernel_rejects_bad_labels():
     with pytest.raises(ValueError):
         kt_kernel(-0.5, STEP, 1, 1, 0, 0)
@@ -984,22 +1022,6 @@ def test_array_sum_matches_determinant():
         got = gt_pattern_sum(x, y, t, pad=pad)
         want = schuetz_transition(x, y, t)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-@pytest.mark.parametrize("t", [0.3, 2.0, 40.0])
-def test_array_sum_table_columns_match_schuetz_F(t):
-    # each column is one run of the recurrence over the degree; the scalar
-    # F steps the shorter index instead.  Norm-wise per column, since
-    # entries far below the column's scale sit on its round-off floor.
-    from kpzlab.exact import _det_weight_table
-
-    y = (3, 1, -2, -4)
-    zs = np.arange(-40, int(3 * t) + 50)
-    table = _det_weight_table(y, t, zs)
-    n = len(y)
-    for j in range(1, n + 1):
-        want = np.array([(-1.0) ** (n - j) * schuetz_F(j - n, int(z) - y[j - 1], t) for z in zs])
-        assert np.abs(table[:, j - 1] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_array_sum_report_delta():

@@ -38,7 +38,9 @@ def test_named_modules_exist():
 
 
 def test_declared_dependencies_import():
-    for requirement in PROJECT["project"]["dependencies"]:
+    # the test extras too: the tests need them
+    test_extras = PROJECT["project"]["optional-dependencies"]["test"]
+    for requirement in PROJECT["project"]["dependencies"] + test_extras:
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group()
         importlib.import_module(name.replace("-", "_"))
 

@@ -17,6 +17,7 @@ import pytest
 from kpzlab.special import (
     ContourSpec,
     QuadratureError,
+    _charlier_term,
     _poisson_charlier,
     airy_ai,
     airy_ai_kernel,
@@ -153,6 +154,37 @@ def test_poisson_charlier_matches_mpmath(t, c):
         for j in (0, 1, 7, 30, 60):
             want = np.array([float(_mp_poisson_charlier(j, int(x), t, c)) for x in xs])
             assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _mp_charlier_term(p, k, t):
+    """E_p(k) = e^(-t) t^(p-m) / p! * Q, m = min(k, p), with the cancelling
+    part Q = sum_(j <= m) C(k, j) (-1)^j t^(m-j) p! / (p-j)! in exact
+    rationals, so that Q = 0 exactly where E_p(k) vanishes."""
+    m, tq = min(k, p), Fraction(t)
+    q = sum(
+        math.comb(k, j) * (-1) ** j * tq ** (m - j) * math.perm(p, j) for j in range(m + 1)
+    )
+    t = mpmath.mpf(t)
+    weight = mpmath.exp(-t) * t ** (p - m) / mpmath.factorial(p)
+    return weight * mpmath.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 40.0, 150.0, 384.9])
+def test_charlier_term_array_matches_mpmath(t):
+    # every entry to itself, right of the Poisson bulk too, where one run
+    # over the degree is off by up to 1e230 relative
+    ps = np.arange(-5, int(3 * t) + 61)
+    for k in (0, 1, 3, 7):
+        got = _charlier_term(ps, k, t)
+        assert got.shape == ps.shape and not got[:5].any()
+        with mpmath.workdps(40):
+            want = np.array([float(_mp_charlier_term(int(p), k, t)) for p in ps[5:]])
+        assert (np.abs(got[5:] - want) <= 1e-11 * np.abs(want)).all(), k
+    # negative k and t = 0 run over p, as a scalar p does
+    for k, tt in ((-3, t), (3, 0.0)):
+        got = _charlier_term(ps, k, tt)
+        want = [_charlier_term(int(p), k, tt) for p in ps]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_poisson_charlier_scalar_is_one_column():

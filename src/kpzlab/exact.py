@@ -658,8 +658,11 @@ def kt_kernel(
     ni, nj = n_i - shift, n_j - shift
     if min(ni, nj) < 1:
         raise ValueError("labels must point past the infinite prefix")
-    grids = [np.array([x1]), np.array([x2])]
-    return float(_kernel_block_matrix(t, base, [ni, nj], grids)[0, 1])
+    gi, gj = np.array([x1]), np.array([x2])
+    y_lo, y_hi = _kernel_span(base, [ni, nj], [gi, gj])
+    left = _transfer_inverse_matrix(t, ni, np.arange(y_lo, y_hi + 1), gi)
+    right = epi_transfer_matrix(base, t, nj, y_lo, y_hi, gj)
+    return float(_kernel_block(left, right, ni, gi, nj, gj)[0, 0])
 
 
 def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
@@ -770,13 +773,26 @@ def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_span(base, ns, grids):
+    """The start points y_lo..y_hi that every block over labels ns sums over."""
+    y_hi = max(int(g[-1]) + nv for nv, g in zip(ns, grids))
+    y_lo = min(_entry_int(base, nv) for nv in ns) + 1
+    return min(y_lo, y_hi + 1), y_hi
+
+
+def _kernel_block(left, right, n_i, grid_i, n_j, grid_j):
+    """Kernel block (i, j) from the inverse flow of n_i and the first-passage
+    walk of n_j over shared start points, less Q^(n_j - n_i) if n_i < n_j."""
+    blk = left.T @ right
+    if n_i < n_j:
+        blk = blk - _window_q_power(n_j - n_i, grid_i, grid_j)
+    return blk
+
+
 def _kernel_block_matrix(t, base, ns, grids):
     """Stacked kernel blocks over per-index grids, sharing start-point sums."""
     sizes = [len(g) for g in grids]
-    y_hi = max(int(g[-1]) + nv for nv, g in zip(ns, grids))
-    y_lo = min(_entry_int(base, nv) for nv in ns) + 1
-    if y_lo > y_hi:
-        y_lo = y_hi + 1
+    y_lo, y_hi = _kernel_span(base, ns, grids)
     ys = np.arange(y_lo, y_hi + 1)
     lefts = [_transfer_inverse_matrix(t, nv, ys, g) for nv, g in zip(ns, grids)]
     rights = [epi_transfer_matrix(base, t, nv, y_lo, y_hi, g) for nv, g in zip(ns, grids)]
@@ -785,10 +801,9 @@ def _kernel_block_matrix(t, base, ns, grids):
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     for i in range(len(ns)):
         for j in range(len(ns)):
-            blk = lefts[i].T @ rights[j]
-            if ns[i] < ns[j]:
-                blk = blk - _window_q_power(ns[j] - ns[i], grids[i], grids[j])
-            big[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = blk
+            big[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = _kernel_block(
+                lefts[i], rights[j], ns[i], grids[i], ns[j], grids[j]
+            )
     return big
 
 

@@ -8,6 +8,15 @@ that empties its target site.  Exponential clocks are memoryless, so starting
 each clock when the site frees gives TASEP's law.  Randomness is counter-based
 and keyed by (seed, particle label, jump number), so a trajectory is
 reproducible no matter how runs are scheduled.
+
+The draws come from a table: one numpy pass mixes every tracked particle's
+counter-based uniforms, (splitmix64(key + k·GOLD) >> 11)·2^-53 for its first
+16 + int(duration) jump numbers k, and a row that runs out is extended by
+the same routine.  The recursion over the table stays in Python, and so
+does the logarithm: it is `math.log`, not `np.log`, whose vectorised
+kernels differ from libm in the last bit on about 0.35 % of draws, so that
+trajectories would change with numpy's build and the host's instruction
+set.
 """
 
 from __future__ import annotations
@@ -24,25 +33,44 @@ import numpy as np
 HAVE_NUMBA = False
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-_GOLD = 0x9E3779B97F4A7C15
+_GOLD = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_LABEL_SALT = np.uint64(0x7F4A7C15)
 _TWO_NEG53 = 2.0**-53
 
 LIGHT_CONE_FACTOR = 10  # tracked particles per unit time beyond the window
 
 
-def _mix_int(z: int) -> int:
-    """splitmix64 finalizer: stream keys and draws."""
-    z = (z + _GOLD) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array, wrapping mod 2^64."""
+    with np.errstate(over="ignore"):
+        z = z + _GOLD
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
 
 
-def stream_base(seed: int, label: int) -> int:
-    """Per-particle stream key; mixing keeps streams decorrelated."""
-    s = _mix_int(int(seed) & _MASK)
-    lab = _mix_int((int(label) * _GOLD + 0x7F4A7C15) & _MASK)
-    return _mix_int(s ^ lab)
+def stream_base(seed: int, label: int | np.ndarray) -> int | np.ndarray:
+    """Per-particle stream key; mixing keeps streams decorrelated.
+
+    `label` is one label, for which the key is a Python int, or an array of
+    labels, for which the keys come back as a uint64 array.
+    """
+    labels = np.asarray(label).astype(np.uint64)
+    s = _mix(np.uint64(int(seed) & _MASK))
+    with np.errstate(over="ignore"):
+        keys = _mix(s ^ _mix(labels * _GOLD + _LABEL_SALT))
+    return int(keys) if keys.ndim == 0 else keys
+
+
+def _uniforms(keys: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Draw table u[i, c] = (mix(keys[i] + (start + c)·GOLD) >> 11)·2^-53
+    for c < width; the uint64-to-float conversion is exact."""
+    with np.errstate(over="ignore"):
+        steps = np.arange(start, start + width, dtype=np.uint64) * _GOLD
+        z = _mix(keys[:, None] + steps[None, :])
+    return (z >> np.uint64(11)) * _TWO_NEG53
 
 
 @dataclass(frozen=True)
@@ -204,7 +232,10 @@ def initial_state(
         if z_lo is None or duration is None:
             raise ValueError("need n_particles or (z_lo, duration)")
         n_particles = particles_needed(init, z_lo, duration)
-    pos = np.array([init.entry(k) for k in range(1, n_particles + 1)], dtype=np.int64)
+    if init.kind == "step":
+        pos = -np.arange(1, n_particles + 1)
+    else:
+        pos = -init.d * np.arange(n_particles)
     return ParticleState(pos, 1, 0.0, init.anchor(), complete=False)
 
 
@@ -241,31 +272,39 @@ def _last_passage(state, duration, seed):
     number of free sites ahead of particle i at t0, and the leader's term t0
     while its index is not positive.  The recursion stops at the first jump
     past t0 + duration, or at a jump whose leader term never happens by then.
-    w[i,k] is the k-th draw of the particle's stream.
+    w[i,k] = -log(1 - u[i,k]) is the k-th draw of the particle's stream: u
+    is read from the draw table, and the log is taken per draw with
+    `math.log` so that trajectories do not depend on numpy's vector kernels.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
     t0 = state.time
     t_end = t0 + duration
+    keys = stream_base(seed, state.labels)
+    rows = _uniforms(keys, 0, 16 + int(duration)).tolist()
+    log = math.log
     jumps = []
     lead, ahead = None, None  # jump times and start of the particle ahead
     for i, x in enumerate(state.positions.tolist()):
-        key = stream_base(seed, state.first_label + i)
-        free = 0 if lead is None else ahead - x - 1
+        row = rows[i]
+        free = -1 if lead is None else ahead - x - 1  # -1: nothing ahead
         own = []
         t = t0
+        k = 0  # draws taken; equal to len(own) at the top of the loop
         while True:
-            m = len(own) - free
-            if lead is not None and m >= 0:
-                if m >= len(lead):
+            if 0 <= free <= k:
+                if k - free == len(lead):
                     break
-                t = max(t, lead[m])
-            u = (_mix_int(key) >> 11) * _TWO_NEG53
-            key += _GOLD
-            t = t - math.log(1.0 - u)
+                freed = lead[k - free]
+                if freed > t:
+                    t = freed
+            if k == len(row):  # out of draws: double the row
+                row += _uniforms(keys[i : i + 1], k, k).tolist()[0]
+            t = t - log(1.0 - row[k])
             if t > t_end:
                 break
             own.append(t)
+            k += 1
         jumps.append(own)
         lead, ahead = own, x
     positions = state.positions + [len(own) for own in jumps]
@@ -273,27 +312,26 @@ def _last_passage(state, duration, seed):
     return new_state, jumps
 
 
-def inverse_label(state: ParticleState, z: int) -> int:
-    """X_t^{-1}(z) = min{k : X_t(k) <= z}; raises outside the determined region."""
+def inverse_label(state: ParticleState, z: int | np.ndarray) -> int | np.ndarray:
+    """X_t^{-1}(z) = min{k : X_t(k) <= z} at a site, or at an array of sites;
+    raises outside the determined region."""
     pos = state.positions
-    # positions decrease with index; find first index with pos <= z
-    idx = np.searchsorted(-pos, -z, side="left")
-    if idx == pos.size:
-        if state.complete:
-            return state.first_label + pos.size
+    # positions decrease with index; find the first index with pos <= z
+    idx = np.searchsorted(-pos, -np.asarray(z), side="left")
+    if not state.complete and np.any(idx == pos.size):
         raise ValueError(
-            f"site {z} lies below every tracked particle; enlarge the truncation"
+            f"site {np.min(z)} lies below every tracked particle; enlarge the truncation"
         )
-    return state.first_label + int(idx)
+    labels = state.first_label + idx
+    return int(labels) if labels.ndim == 0 else labels
 
 
 def height(state: ParticleState, z_lo: int, z_hi: int) -> HeightField:
     """h_t(z) = -2(X_t^{-1}(z-1) - X_0^{-1}(-1)) - z on [z_lo, z_hi]."""
     if z_hi < z_lo:
         raise ValueError("empty window")
-    vals = np.empty(z_hi - z_lo + 1, dtype=np.int64)
-    for j, z in enumerate(range(z_lo, z_hi + 1)):
-        vals[j] = -2 * (inverse_label(state, z - 1) - state.anchor0) - z
+    z = np.arange(z_lo, z_hi + 1)
+    vals = -2 * (inverse_label(state, z - 1) - state.anchor0) - z
     return HeightField(z_lo, vals, state.time)
 
 

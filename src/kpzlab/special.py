@@ -316,5 +316,7 @@ def airy_ai_kernel(z) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
     if arr.size and float(arr.min()) < -AIRY_RANGE:
         raise ValueError("airy_ai_kernel: argument below -30")
-    out = np.where(arr <= AIRY_RANGE, airy(np.minimum(arr, AIRY_RANGE))[0], 0.0)
+    out = np.zeros(arr.shape)
+    inside = arr <= AIRY_RANGE
+    out[inside] = airy(arr[inside])[0]
     return out if arr.shape else float(out)

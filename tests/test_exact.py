@@ -844,6 +844,21 @@ def test_kernel_label_reversal():
     assert dev.max() < 1e-11
 
 
+def test_kt_kernel_is_block_matrix_entry():
+    # kt_kernel builds only the (0, 1) block of the two-label matrix, with
+    # the same start points, so the entry agrees to the bit
+    from kpzlab.exact import _kernel_block_matrix
+
+    for init in (STEP, EXPL):
+        for t in (0.3, 0.7, 2.0):
+            for ni in range(1, 5):
+                for nj in range(1, 5):
+                    for x1, x2 in KERNEL_X:
+                        grids = [np.array([x1]), np.array([x2])]
+                        full = _kernel_block_matrix(t, init, [ni, nj], grids)
+                        assert kt_kernel(t, init, ni, nj, x1, x2) == full[0, 1]
+
+
 def test_kernel_two_periodic_truncation_matches_closed_form():
     # 16 particles on the even sites of [-16, 14]; label n of the data on
     # every even site is label 8 + n here

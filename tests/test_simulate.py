@@ -9,6 +9,7 @@ import pytest
 from kpzlab.simulate import (
     HeightField,
     InitialData,
+    ParticleState,
     evolve,
     evolve_events,
     height,
@@ -143,6 +144,101 @@ def test_trajectories_are_pinned(case):
     assert digest.hexdigest() == TRAJECTORY_DIGESTS[case]
 
 
+# A scalar copy of the recursion, one splitmix64 call in Python ints per
+# draw, as the simulator ran before its draws came from a table.  It shares
+# no code with kpzlab.simulate.
+_MASK = (1 << 64) - 1
+_GOLD = 0x9E3779B97F4A7C15
+
+
+def _mix_ref(z):
+    z = (z + _GOLD) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _stream_ref(seed, label):
+    s = _mix_ref(int(seed) & _MASK)
+    return _mix_ref(s ^ _mix_ref((label * _GOLD + 0x7F4A7C15) & _MASK))
+
+
+def _last_passage_ref(state, duration, seed):
+    """(end positions, jump times per particle, number of draws)."""
+    t_end = state.time + duration
+    jumps = []
+    draws = 0
+    lead, ahead = None, None
+    for i, x in enumerate(state.positions.tolist()):
+        key = _stream_ref(seed, state.first_label + i)
+        free = 0 if lead is None else ahead - x - 1
+        own = []
+        t = state.time
+        while True:
+            m = len(own) - free
+            if lead is not None and m >= 0:
+                if m >= len(lead):
+                    break
+                t = max(t, lead[m])
+            u = (_mix_ref(key) >> 11) * 2.0**-53
+            key += _GOLD
+            draws += 1
+            t = t - math.log(1.0 - u)
+            if t > t_end:
+                break
+            own.append(t)
+        jumps.append(own)
+        lead, ahead = own, x
+    return state.positions + [len(own) for own in jumps], jumps, draws
+
+
+def _reference_cases():
+    lone = initial_state(make_initial("explicit", entries=(0,)))
+    for seed in range(200):
+        yield "lone", lone, 60.0, seed
+    blocked = initial_state(make_initial("explicit", entries=(5, 4, 2, -1, -2, -3, -7)))
+    for seed in range(20):
+        yield "blocked", blocked, 3.0, seed
+    step = initial_state(make_initial("step"), n_particles=30)
+    for seed in range(10):
+        mid = evolve(step, 1.5, seed + 300)
+        tail = ParticleState(mid.positions[6:], 7, mid.time, mid.anchor0, complete=False)
+        yield "continuation", tail, 2.0, seed
+    for seed in (2**63, 2**63 + 1, 2**64 - 1, 2**64 + 5, -1, -(2**63)):
+        yield "large seed", step, 4.0, seed
+
+
+def test_last_passage_matches_scalar_reference():
+    # bit for bit, in jump times and end positions; np.log in place of
+    # math.log changes about 0.35 % of draws, so over 10^4 draws it fails
+    total = 0
+    longest = 0
+    for case, state, duration, seed in _reference_cases():
+        want_pos, want_jumps, draws = _last_passage_ref(state, duration, seed)
+        total += draws
+        longest = max(longest, max(len(own) for own in want_jumps))
+        out, events = evolve_events(state, duration, seed)
+        assert np.array_equal(out.positions, want_pos), (case, seed)
+        assert out.time == state.time + duration
+        for i, own in enumerate(want_jumps):
+            got = events["time"][events["label"] == state.first_label + i]
+            assert got.tobytes() == np.array(own, dtype=np.float64).tobytes(), (case, seed, i)
+    assert longest >= 16 + 60  # some row outgrew the first block of the table
+    assert total >= 10_000
+
+
+def test_stream_base_over_labels():
+    labels = np.arange(1, 60)
+    for seed in (0, 17, 2**63 + 3, 2**64 - 1, -5):
+        keys = stream_base(seed, labels)
+        assert keys.dtype == np.uint64
+        want = [_stream_ref(seed, int(lab)) for lab in labels]
+        assert keys.tolist() == want
+        assert all(stream_base(seed, int(lab)) == w for lab, w in zip(labels, want))
+        assert type(stream_base(seed, 3)) is int
+    assert stream_base(-1, 4) == stream_base(2**64 - 1, 4)
+
+
 def test_exclusion_and_order_preserved():
     state = initial_state(make_initial("step"), n_particles=30)
     out, events = evolve_events(state, 5.0, seed=42)
@@ -236,6 +332,34 @@ def test_height_decreases_under_flow():
     assert h1.time == 2.0
     assert np.all(h1.values <= h0.values)
     assert np.all((h1.values - h0.values) % 2 == 0)
+
+
+def _height_cases():
+    step = initial_state(make_initial("step"), n_particles=40)
+    flat = initial_state(make_initial("periodic", d=3), n_particles=30)
+    full = initial_state(make_initial("explicit", entries=(6, 3, 2, 0, -4, -5, -9)))
+    for seed in range(8):
+        for start in (step, flat, full):
+            yield evolve(start, 0.5 + 0.7 * seed, seed)
+        mid = evolve(step, 1.0, seed)
+        yield ParticleState(mid.positions[3:], 4, mid.time, mid.anchor0, complete=False)
+
+
+def test_height_matches_per_site_inverse_label():
+    for state in _height_cases():
+        pos = state.positions
+        lo = pos[-1] - 6 if state.complete else pos[-1] + 1
+        h = height(state, lo, pos[0] + 6)
+        want = [
+            -2 * (inverse_label(state, z - 1) - state.anchor0) - z for z in range(lo, pos[0] + 7)
+        ]
+        assert h.values.tolist() == want
+        # X^{-1}(z) is one more than the number of particles right of z
+        count = [state.first_label + int(np.sum(pos > z - 1)) for z in range(lo, pos[0] + 7)]
+        assert [inverse_label(state, z - 1) for z in range(lo, pos[0] + 7)] == count
+        if not state.complete:
+            with pytest.raises(ValueError):
+                height(state, lo - 1, pos[0])
 
 
 def test_height_field_validates_increments():

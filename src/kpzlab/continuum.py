@@ -13,9 +13,10 @@ rescaling, as processes in x:
 `airy2_probability` and `airy1_probability` evaluate the finite-dimensional
 distributions of A_2 and A_1 as Fredholm determinants of the closed-form
 extended kernels (Bornemann, arXiv:0804.2543), on fredholm's block
-determinant and order ladder.  F_GUE(s) and F_GOE(2s) are their one-point
-cases.  Ai comes from scipy: airy, and airye wherever the argument is
-positive, so that no overflowing exponential ever meets an underflowing Ai.
+determinant and order ladder, as `Certified` floats.  F_GUE(s) and
+F_GOE(2s) are their one-point cases.  Ai comes from scipy: airy, and airye
+wherever the argument is positive, so that no overflowing exponential ever
+meets an underflowing Ai.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import numpy as np
 from scipy.special import airy, airye
 
-from .fredholm import BlockExtendedProblem, _walk_ladder, block_extended_det
+from .fredholm import ORDER_LADDER, BlockExtendedProblem, Certified, _settle, block_extended_det
 
 # The ladder stops once two successive orders agree to this.  The orders
 # double and converge geometrically, so the returned value is far closer.
@@ -85,7 +86,7 @@ def _heat(gap: float, u, v):
     return np.exp(-((u - v) ** 2) / (4.0 * gap)) / math.sqrt(4.0 * math.pi * gap)
 
 
-def _probability(points, block) -> float:
+def _probability(points, block) -> Certified:
     """det(I - K) on the direct sum of L^2(b_k, inf) for points (x_k, b_k),
     with block (k, l) of K given by block(x_l - x_k, u, v).
 
@@ -107,7 +108,7 @@ def _probability(points, block) -> float:
             BlockExtendedProblem(kernel, tuple(-b for b in levels), order=order)
         )
 
-    return _walk_ladder(det, _TOL).value
+    return _settle(det, ORDER_LADDER, _TOL)
 
 
 def _cancelling_exponent(d: float, b_i: float, b_j: float) -> float:
@@ -131,7 +132,7 @@ def _airy2_block(gap: float, u, v):
     return out
 
 
-def airy2_probability(points) -> float:
+def airy2_probability(points) -> Certified:
     """P(A_2(x_k) <= b_k for every k) for up to 4 points (x_k, b_k) with
     distinct x_k.
 
@@ -160,7 +161,7 @@ def _airy1_block(gap: float, u, v):
     return out - _heat(gap, u, v) if gap > 0.0 else out
 
 
-def airy1_probability(points) -> float:
+def airy1_probability(points) -> Certified:
     """P(A_1(x_k) <= b_k for every k) for up to 4 points (x_k, b_k) with
     distinct x_k.
 

@@ -21,7 +21,13 @@ and the walk matrices; everything crossing into kernel numerics is
 converted to float at the boundary.  Every alternating Poisson sum is a
 Poisson weight times a Charlier polynomial from special._poisson_charlier's
 forward recurrence, so no direct sum cancels, from t = 0 to the 1:2:3
-scaling at eps = 0.015 (t ~ 1100) and beyond.  The row function
+scaling at eps = 0.015 (t ~ 1100).  Past t ~ 4000 the layer is known to
+fail without raising: the extended transfer matrix applies 2^a only after
+its run, and the run's array exit multiplies by e^shift, which underflows
+past shift -745 where the product need not.  At eps = 0.005 (t ~ 5657)
+multipoint_probability on step data returns exactly 1.0 for the event
+(1422, -1), certified with error 0.  The inverse transfer matrix carries
+its 2^n in the run's log offset and matches mpmath there.  The row function
 Psi^n_k(x) = 2^(-s) E_p(k), which is also F_(-k) of the transition
 determinants and the weight of the array sum, is accurate per entry: its
 one evaluator special._charlier_term steps the shorter index, and the
@@ -43,14 +49,16 @@ from fractions import Fraction
 import numpy as np
 
 from .dpp import LEnsembleSpec, conditional_l_to_k
-from .fredholm import det_window
+from .fredholm import Certified, _settle, det_window
 from .simulate import InitialData, make_initial
 from .special import _charlier_term, _check_time, _poisson_charlier, gen_binomial, schuetz_F
 
 N_MAX_DET = 8  # largest determinant size for transition probabilities
 N_MAX_ARRAY_SUM = 4  # interlacing-array sum grows too fast beyond this
 N_MAX_JOINT = 4  # joint one-sided events per determinant
-WINDOW_BELOW = 48  # kernel columns decay like 2^z to the left of the data
+# window depths below the events: kernel columns decay like 2^z to the left
+# of the data
+WINDOW_DEPTHS = (48, 96, 192, 384, 768)
 WINDOW_ABOVE = 16
 
 
@@ -224,7 +232,9 @@ def _transfer_inverse_matrix(t: float, n: int, ys: np.ndarray, xs: np.ndarray) -
     p_max = int(p.max(initial=-1))
     if p_max < 0:
         return np.zeros(p.shape)
-    run = np.ldexp(_poisson_charlier(p_max, n, t, 0.5), n)
+    # 2^n rides in the run's log offset: applied after the run, it would
+    # come too late for entries that fell below the double range on the way
+    run = np.array(_poisson_charlier(p_max, n, t, 0.5, n * math.log(2.0)))
     return np.where(p >= 0, run[np.maximum(p, 0)], 0.0)
 
 
@@ -508,12 +518,11 @@ def schuetz_transition(x, y, t: float) -> float:
     return float(np.linalg.det(mat))
 
 
-def gt_pattern_sum(x, y, t: float, pad: int = 40, report: bool = False):
+def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
     """Transition probability as a sum over interlacing triangular arrays.
 
     The left edge of the array is pinned to x; free entries range over
-    [min(x,y) - pad, max(x,y) + pad].  With report=True returns (value,
-    delta) where delta compares against the half-pad window.
+    [min(x,y) - pad, max(x,y) + pad].
     """
     _check_time(t)
     xv = _weyl_tuple(x, "x")
@@ -525,17 +534,9 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40, report: bool = False):
         raise ValueError(f"array sum implemented for N <= {N_MAX_ARRAY_SUM}")
     if pad < 1:
         raise ValueError("pad must be positive")
-
-    def evaluate(p):
-        lo = min(min(xv), min(yv)) - p
-        hi = max(max(xv), max(yv)) + p
-        return _array_sum_value(xv, yv, t, lo, hi)
-
-    value = evaluate(pad)
-    if not report:
-        return value
-    delta = value - evaluate(max(pad // 2, 1))
-    return value, delta
+    lo = min(min(xv), min(yv)) - pad
+    hi = max(max(xv), max(yv)) + pad
+    return _array_sum_value(xv, yv, t, lo, hi)
 
 
 def _array_sum_value(xv, yv, t, lo, hi):
@@ -715,17 +716,6 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
 # Fredholm determinants for joint one-sided probabilities.
 
 
-@dataclass(frozen=True)
-class DiscreteKernelWindow:
-    """Projected extended kernel on truncated intervals, plus diagnostics."""
-
-    indices: tuple[int, ...]
-    intervals: tuple[tuple[int, int], ...]
-    thresholds: tuple[float, ...]
-    values: np.ndarray
-    last_delta: float
-
-
 def _joint_events(init: InitialData, events):
     """Validated events with the -inf thresholds dropped, and the data with
     its infinite prefix stripped: (kept, base, ns, a_vals, tops), with ns
@@ -807,68 +797,33 @@ def _kernel_block_matrix(t, base, ns, grids):
     return big
 
 
-def _settled_det(build, tol: float):
-    """Determinant of build(depth) as the window depth below the events
-    doubles from WINDOW_BELOW, until two successive depths agree to tol.
-
-    Returns (value, last change, depth, matrix).  It stays private:
-    bench/tracer.py wraps only public functions, so the span of det_window
-    keeps the calling probability as its parent.
-    """
-    depth = WINDOW_BELOW
-    older = prev = None
-    while depth <= 16 * WINDOW_BELOW:
-        mat = build(depth)
-        value = det_window(mat)
-        if prev is not None and abs(value - prev) < tol:
-            return float(value), abs(value - prev), depth, mat
-        older, prev = prev, value
-        depth *= 2
-    raise TruncationError(
-        f"determinant did not settle below {tol} by window depth {depth // 2}: "
-        f"last two values {older:.12g}, {prev:.12g}"
-    )
-
-
-def multipoint_probability(
-    t: float, init: InitialData, events, tol: float = 1e-9, report: bool = False
-):
+def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-9) -> Certified:
     """P(particle n_j is strictly right of a_j for every j), as a Fredholm
     determinant of the projected extended kernel.
 
     Events are (label, threshold) pairs with strictly increasing labels.
     Thresholds of -inf impose nothing and are dropped; with none left the
     probability is exactly 1.  The window below the smallest threshold
-    starts WINDOW_BELOW deep and doubles until the determinant moves by
-    less than tol.
+    deepens over WINDOW_DEPTHS until the determinant moves by at most tol;
+    the value's certificate names the last depth.  A TruncationError says
+    the depths ran out.
     """
     _check_time(t)
-    kept, base, ns, a_vals, tops = _joint_events(init, events)
+    kept, base, ns, _, tops = _joint_events(init, events)
     if not kept:
-        if report:
-            win = DiscreteKernelWindow((), (), (), np.zeros((0, 0)), 0.0)
-            return 1.0, win
-        return 1.0
+        return Certified(1.0)
 
-    def build(depth):
+    def det(depth):
         lo = min(tops) - depth
-        return _kernel_block_matrix(t, base, ns, [np.arange(lo, top + 1) for top in tops])
+        grids = [np.arange(lo, top + 1) for top in tops]
+        return det_window(_kernel_block_matrix(t, base, ns, grids))
 
-    value, delta, depth, big = _settled_det(build, tol)
-    if report:
-        lo = min(tops) - depth
-        win = DiscreteKernelWindow(
-            tuple(nv for nv, _ in kept),
-            tuple((lo, top) for top in tops),
-            tuple(a_vals),
-            big,
-            delta,
-        )
-        return value, win
-    return value
+    return _settle(det, WINDOW_DEPTHS, tol, TruncationError)
 
 
-def path_integral_probability(t: float, init: InitialData, events, tol: float = 1e-9):
+def path_integral_probability(
+    t: float, init: InitialData, events, tol: float = 1e-9
+) -> Certified:
     """Same probability as multipoint_probability, via the path-product
     identity: one determinant at the last label, with a product of walk
     powers and one-sided projections carrying the earlier constraints.
@@ -884,13 +839,13 @@ def path_integral_probability(t: float, init: InitialData, events, tol: float = 
     _check_time(t)
     kept, base, ns, a_vals, tops = _joint_events(init, events)
     if not kept:
-        return 1.0
+        return Certified(1.0)
     m = len(ns)
     floor_site = min(tops + [_entry_int(base, ns[-1])])
     top_site = max(tops + [_entry_int(base, 1)])
     hi = top_site + WINDOW_ABOVE + (ns[-1] - ns[0]) + int(math.ceil(t))
 
-    def build(depth):
+    def det(depth):
         grid = np.arange(floor_site - depth, hi + 1)
         kernels: dict[int, np.ndarray] = {}
         total = np.zeros((len(grid), len(grid)))
@@ -906,9 +861,9 @@ def path_integral_probability(t: float, init: InitialData, events, tol: float = 
                 if nxt != ns[j]:
                     term = term @ _window_q_power(nxt - ns[j], grid, grid)
             total += (-1.0) ** (len(chosen) + 1) * term
-        return total
+        return det_window(total)
 
-    return _settled_det(build, tol)[0]
+    return _settle(det, WINDOW_DEPTHS, tol, TruncationError)
 
 
 # ---------------------------------------------------------------------------

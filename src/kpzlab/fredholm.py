@@ -5,6 +5,10 @@ on (0, 1) pushed onto a half-line by the rational map s/(1 - s), in the
 symmetrized form det(I - W^{1/2} K W^{1/2}).  Orders walk a fixed ladder
 (20, 40, 80, 160) so self-convergence deltas are reproducible.
 
+`_settle` is the package's one refinement loop: it walks a ladder of rungs
+(Nystrom orders here, window depths in `exact`) until two successive values
+agree, and returns the value as a `Certified` float.
+
 Kernel callables receive broadcastable arrays (shapes (n,1) and (1,m)) and
 return the matrix of kernel values; a kernel with low-rank structure is free
 to exploit the shapes instead of evaluating pointwise.
@@ -13,7 +17,8 @@ to exploit the shapes instead of evaluating pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +28,48 @@ ORDER_LADDER = (20, 40, 80, 160)
 
 class ConvergenceError(RuntimeError):
     """Ladder exhausted before the requested tolerance was met."""
+
+
+class Certified(float):
+    """A value that settled on a refinement ladder, with its certificate.
+
+    `error` is the absolute change between the last two rungs, `order` the
+    last rung (nodes per block, or window depth) and `seconds` the wall
+    time of the walk.  The error is the ladder's stopping test, not a
+    bound: round-off that moves every rung alike does not show in it.  On
+    the eps = 0.03 step-data two-point the discrete path-product route
+    settles 1e-8 to 5e-8 away from the extended-kernel route, depending on
+    how its transfer matrices round, while its error reads 0.
+    Arithmetic gives plain floats; pickle and copy keep the certificate.
+    """
+
+    __slots__ = ("error", "order", "seconds")
+
+    def __new__(cls, value, error: float = 0.0, order: int = 0, seconds: float = 0.0):
+        self = super().__new__(cls, value)
+        self.error, self.order, self.seconds = error, order, seconds
+        return self
+
+    def __reduce__(self):
+        return type(self), (float(self), self.error, self.order, self.seconds)
+
+
+def _settle(
+    value_at: Callable[[int], float], rungs, tol: float, error=ConvergenceError
+) -> Certified:
+    """value_at(rung) up `rungs` until two successive values differ by at
+    most tol; raises `error` once the rungs run out.  It stays private:
+    bench/tracer.py wraps only public functions, so a determinant evaluated
+    in value_at keeps the calling probability as its parent span."""
+    start = time.perf_counter()
+    values = []
+    for rung in rungs:
+        values.append(value_at(rung))
+        if len(values) > 1:
+            change = abs(values[-1] - values[-2])
+            if change <= tol:
+                return Certified(values[-1], change, rung, time.perf_counter() - start)
+    raise error(f"did not settle below {tol} over the rungs {rungs}: last two values {values[-2:]}")
 
 
 # ------------------------------------------------------------------- domains
@@ -87,7 +134,7 @@ class NystromProblem:
 @dataclass(frozen=True)
 class NystromResult:
     value: float
-    delta: float | None  # change from the previous ladder order
+    delta: float | None  # absolute change from the previous ladder order
     order: int
 
 
@@ -105,32 +152,14 @@ def nystrom_det(problem: NystromProblem) -> NystromResult:
     idx = ORDER_LADDER.index(problem.order)
     delta = None
     if idx > 0:
-        delta = value - _nystrom_value(problem.kernel, problem.domain, ORDER_LADDER[idx - 1])
+        delta = abs(value - _nystrom_value(problem.kernel, problem.domain, ORDER_LADDER[idx - 1]))
     return NystromResult(value, delta, problem.order)
 
 
 def nystrom_ladder(kernel: Callable, domain, tol: float = 1e-10) -> NystromResult:
     """Walk the order ladder until successive values differ by at most tol."""
-    return _walk_ladder(lambda order: _nystrom_value(kernel, domain, order), tol)
-
-
-def _walk_ladder(value_at: Callable[[int], float], tol: float) -> NystromResult:
-    """value_at(order) up the ladder until successive values differ by at
-    most tol: the package's one order loop, shared by nystrom_ladder and
-    the continuum probabilities."""
-    prev = None
-    deltas = []
-    for order in ORDER_LADDER:
-        value = value_at(order)
-        if prev is not None:
-            delta = value - prev
-            deltas.append(delta)
-            if abs(delta) <= tol:
-                return NystromResult(value, delta, order)
-        prev = value
-    raise ConvergenceError(
-        f"order ladder {ORDER_LADDER} exhausted: last deltas {deltas} above {tol}"
-    )
+    res = _settle(lambda order: _nystrom_value(kernel, domain, order), ORDER_LADDER, tol)
+    return NystromResult(float(res), res.error, res.order)
 
 
 # -------------------------------------------------------------------- blocks
@@ -141,27 +170,18 @@ class BlockExtendedProblem:
     """Multipoint determinant over stacked blocks with projections onto
     (-infinity, a_i].
 
-    kernel(i, j, U, V) returns the smooth part of block (i,j) for broadcast
-    U, V.  Pairs listed in identity_pairs get the identity subtracted on
-    their block; that needs matching thresholds (shared grid), and is how a
-    degenerate transition between equal index points enters.
+    kernel(i, j, U, V) returns block (i,j) of the kernel for broadcast U, V.
     """
 
     kernel: Callable
     thresholds: Sequence[float]
     order: int = 80
-    identity_pairs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if len(self.thresholds) == 0 or len(self.thresholds) > 4:
             raise ValueError("between 1 and 4 blocks")
         if self.order not in ORDER_LADDER:
             raise ValueError(f"order must be one of {ORDER_LADDER}")
-        for (i, j) in self.identity_pairs:
-            if self.thresholds[i] != self.thresholds[j]:
-                raise ValueError(
-                    "identity insertion needs equal thresholds (shared grid)"
-                )
 
 
 def block_extended_det(problem: BlockExtendedProblem) -> float:
@@ -182,8 +202,6 @@ def block_extended_det(problem: BlockExtendedProblem) -> float:
             blk = np.asarray(
                 problem.kernel(i, j, ui[:, None], uj[None, :]), dtype=float
             )
-            if (i, j) in problem.identity_pairs:
-                blk = blk - np.diag(1.0 / wi)
             big[bi * n : (bi + 1) * n, bj * n : (bj + 1) * n] = (
                 np.sqrt(wi)[:, None] * blk * np.sqrt(wj)[None, :]
             )

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 # The last-passage recursion is the one simulator path and needs no compiler;
-# the flag stays because benchmark reports record it.
+# the flag stays because the benchmark records it with its results.
 HAVE_NUMBA = False
 
 _MASK = 0xFFFFFFFFFFFFFFFF

@@ -11,7 +11,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import airy, airye
 
 from kpzlab.continuum import airy1_probability, airy2_probability, airy_kernel, s_kernel
-from kpzlab.fredholm import BlockExtendedProblem, block_extended_det
+from kpzlab.fredholm import ORDER_LADDER, BlockExtendedProblem, Certified, block_extended_det
 
 # ------------------------------------------------------------------ kernels
 
@@ -70,6 +70,17 @@ def test_airy2_two_point():
     # the 1:2:3 limit of the step-data TASEP two-point
     got = airy2_probability([(-0.5, -0.25), (0.5, -0.25)])
     assert got == pytest.approx(0.9063952634600856, abs=1e-12)
+
+
+def test_airy_process_probabilities_are_certified():
+    # the continuum layer's stopping tolerance is 1e-12
+    points = [(-0.5, -0.25), (0.5, -0.25)]
+    for probability in (airy1_probability, airy2_probability):
+        got = probability(points)
+        assert isinstance(got, Certified) and 0.0 < got < 1.0
+        assert got.error <= 1e-12 and got.order in ORDER_LADDER[1:] and got.seconds > 0
+        certain = probability([(0.0, math.inf)])
+        assert certain == 1.0 and certain.error == 0.0
 
 
 def test_airy_processes_reject_repeated_x():

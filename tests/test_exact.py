@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import poisson
 
+from contour import ContourSpec, circle_quadrature
 from kpzlab.exact import (
+    WINDOW_DEPTHS,
     BiorthoSystem,
     TruncationError,
     WindowError,
@@ -47,9 +49,9 @@ from kpzlab.exact import (
     transfer_extended,
     transfer_inverse,
 )
-from kpzlab.fredholm import det_window
+from kpzlab.fredholm import Certified, det_window
 from kpzlab.simulate import make_initial
-from kpzlab.special import ContourSpec, circle_quadrature, schuetz_F
+from kpzlab.special import schuetz_F
 
 STEP = make_initial(kind="step")
 EXPL = make_initial(kind="explicit", entries=(3, 1, -2, -3, -7))
@@ -378,6 +380,17 @@ def test_transfer_matrices_match_mpmath(t):
             for ib, b in enumerate(bs):
                 want = np.array([_mp_extended_entry(t, n, int(z - b)) for z in z2s])
                 assert np.abs(got[ib] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_transfer_inverse_past_the_double_range_of_2_to_the_minus_n():
+    # eps = 0.005 on the 1:2:3 scaling: t = 2 eps^(-3/2) ~ 5657, n = 1355.
+    # 2^(-n) times these values is below the smallest double, so 2^n must
+    # enter the run before it ends, not after
+    t, n = 2.0 * 0.005**-1.5, 1355
+    with mpmath.workdps(900):
+        for z1, z2 in ((-1, -1), (-1, -3), (0, -5), (-60, -1)):
+            want = _mp_inverse_entry(t, n, n + z2 - z1)
+            assert transfer_inverse(t, n, z1, z2) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_first_passage_transfer_matches_walk_average():
@@ -1039,10 +1052,12 @@ def test_array_sum_matches_determinant():
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_array_sum_report_delta():
-    value, delta = gt_pattern_sum((1, -2), (0, -3), 1.0, pad=24, report=True)
+def test_array_sum_pads_agree():
+    # the array sum's truncation: doubling the pad moves it by almost nothing
+    value = gt_pattern_sum((1, -2), (0, -3), 1.0, pad=24)
+    assert type(value) is float
     assert value == pytest.approx(schuetz_transition((1, -2), (0, -3), 1.0))
-    assert delta < 1e-10
+    assert abs(value - gt_pattern_sum((1, -2), (0, -3), 1.0, pad=12)) < 1e-10
 
 
 def test_array_sum_rejects_bad_input():
@@ -1141,17 +1156,18 @@ def test_joint_trivial_and_invalid_events():
         multipoint_probability(1.0, STEP, [(0, 0)])
 
 
-def test_joint_report_window():
-    value, win = multipoint_probability(
-        1.0, STEP, [(1, -1), (2, -3)], report=True
-    )
-    assert win.indices == (1, 2)
-    assert win.thresholds == (-1.0, -3.0)
-    assert win.last_delta < 1e-9
-    lo1, hi1 = win.intervals[0]
-    assert hi1 == -1 and lo1 < -20
-    assert win.values.shape[0] == sum(b - a + 1 for a, b in win.intervals)
-    assert 0.0 <= value <= 1.0
+@pytest.mark.parametrize("route", [multipoint_probability, path_integral_probability])
+def test_joint_probability_is_certified(route):
+    values = []
+    for tol in (1e-9, 1e-12):
+        value = route(1.0, STEP, [(1, -1), (2, -3)], tol=tol)
+        assert isinstance(value, Certified) and 0.0 <= value <= 1.0
+        # a depth is certified by the one before it, so never the first
+        assert value.error <= tol and value.order in WINDOW_DEPTHS[1:] and value.seconds > 0
+        values.append(value)
+    assert abs(values[0] - values[1]) <= 1e-9
+    certain = route(1.0, STEP, [(2, -math.inf)])
+    assert certain == Certified(1.0) and certain.error == 0.0 and certain.order == 0
 
 
 def test_joint_leading_infinite_prefix_relabels():

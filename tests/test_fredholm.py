@@ -1,13 +1,17 @@
 """Determinant engine checks against analytic and enumeration oracles."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from kpzlab.fredholm import (
+    ORDER_LADDER,
     BlockExtendedProblem,
+    Certified,
     ConvergenceError,
     HalfLineDown,
     HalfLineUp,
@@ -16,6 +20,7 @@ from kpzlab.fredholm import (
     det_window,
     nystrom_det,
     nystrom_ladder,
+    _settle,
 )
 from kpzlab.special import airy_ai_kernel
 
@@ -130,6 +135,38 @@ def test_ladder_exhaustion_raises():
         nystrom_ladder(lambda x, y: np.exp(-x - y), HalfLineUp(0.0), tol=-1.0)
 
 
+# ------------------------------------------------------------------ certificates
+
+
+def test_settle_certifies_the_last_rung():
+    # value_at(k) = 1 + 2^-k settles once the change 2^-k falls below tol
+    got = _settle(lambda k: 1.0 + 2.0**-k, (1, 2, 4, 8, 16), tol=0.1)
+    assert isinstance(got, Certified)
+    assert got == 1.0 + 2.0**-8 and got.error == 2.0**-4 - 2.0**-8
+    assert got.order == 8 and got.seconds > 0
+    with pytest.raises(KeyError, match="did not settle"):
+        _settle(lambda k: float(k), (1, 2, 3), tol=0.5, error=KeyError)
+
+
+def test_nystrom_ladder_certificate():
+    res = nystrom_ladder(airy_kernel_matrix(), HalfLineUp(0.0), tol=1e-10)
+    assert res.order in ORDER_LADDER[1:] and 0.0 <= res.delta <= 1e-10
+    assert type(res.value) is float
+
+
+def test_certified_is_a_float_that_keeps_its_slots():
+    c = Certified(0.25, 1e-13, 80, 0.5)
+    assert c == 0.25 and isinstance(c, float) and not hasattr(c, "__dict__")
+    for r in (c + 1.0, 2.0 * c, c - c, -c, abs(c), c**2, float(c)):
+        assert type(r) is float
+    copies = [copy.copy(c), copy.deepcopy(c)]
+    copies += [pickle.loads(pickle.dumps(c, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is Certified and other == c
+        assert (other.error, other.order, other.seconds) == (1e-13, 80, 0.5)
+    assert (Certified(1.0).error, Certified(1.0).order, Certified(1.0).seconds) == (0.0, 0, 0.0)
+
+
 def test_ladder_stops_early():
     res = nystrom_ladder(lambda x, y: np.exp(-x - y), HalfLineUp(0.0), tol=1e-9)
     assert res.order <= 80
@@ -176,21 +213,6 @@ def test_single_block_reduces_to_nystrom():
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_duplicate_block_collapses():
-    # duplicated index point with a degenerate transition (identity) between
-    # the copies leaves the determinant unchanged
-    single = BlockExtendedProblem(exp_block_kernel, [0.5], order=40)
-    double = BlockExtendedProblem(
-        exp_block_kernel,
-        [0.5, 0.5],
-        order=40,
-        identity_pairs=frozenset({(0, 1)}),
-    )
-    assert block_extended_det(double) == pytest.approx(
-        block_extended_det(single), abs=1e-10
-    )
-
-
 def test_all_thresholds_minus_inf():
     prob = BlockExtendedProblem(exp_block_kernel, [-math.inf, -math.inf], order=20)
     assert block_extended_det(prob) == 1.0
@@ -208,9 +230,3 @@ def test_block_count_capped():
     with pytest.raises(ValueError):
         BlockExtendedProblem(exp_block_kernel, [0.0] * 5)
 
-
-def test_identity_pair_needs_shared_grid():
-    with pytest.raises(ValueError):
-        BlockExtendedProblem(
-            exp_block_kernel, [0.0, 1.0], identity_pairs=frozenset({(0, 1)})
-        )

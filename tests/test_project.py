@@ -1,6 +1,8 @@
 """pyproject.toml names only files, directories and modules that exist, its
-dependencies import, and importing the package stays light."""
+dependencies import, importing the package stays light, and every kpzlab
+name the benchmark reads exists."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -55,3 +57,26 @@ def test_import_loads_only_scipy_special():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_names_resolve():
+    # the benchmark under bench/ is frozen between its own changes: a name it
+    # reads from a layer (exact.X, ``from kpzlab.fredholm import X``) must
+    # survive every change to the library
+    layers = {"exact", "fredholm", "special", "simulate"}
+    read = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in layers:
+                    read.add((path.name, node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kpzlab."):
+                layer = node.module.split(".", 1)[1]
+                read.update((path.name, layer, alias.name) for alias in node.names)
+    assert {"workloads.py", "run.py", "test_bench.py"} <= {name for name, _, _ in read}
+    missing = [
+        f"{name}: {layer}.{attr}"
+        for name, layer, attr in sorted(read)
+        if not hasattr(importlib.import_module(f"kpzlab.{layer}"), attr)
+    ]
+    assert not missing, missing

@@ -21,13 +21,10 @@ and the walk matrices; everything crossing into kernel numerics is
 converted to float at the boundary.  Every alternating Poisson sum is a
 Poisson weight times a Charlier polynomial from special._poisson_charlier's
 forward recurrence, so no direct sum cancels, from t = 0 to the 1:2:3
-scaling at eps = 0.015 (t ~ 1100).  Past t ~ 4000 the layer is known to
-fail without raising: the extended transfer matrix applies 2^a only after
-its run, and the run's array exit multiplies by e^shift, which underflows
-past shift -745 where the product need not.  At eps = 0.005 (t ~ 5657)
-multipoint_probability on step data returns exactly 1.0 for the event
-(1422, -1), certified with error 0.  The inverse transfer matrix carries
-its 2^n in the run's log offset and matches mpmath there.  The row function
+scaling at eps = 0.005 (t ~ 5657).  Each caller passes its power of 2
+(2^n, 2^a, 2^(x+n-k), ...) into the run, which carries it per entry as an
+exact exponent, so a value leaves the double range only where it is itself
+outside it; both transfer matrices match mpmath at t ~ 5657.  The row function
 Psi^n_k(x) = 2^(-s) E_p(k), which is also F_(-k) of the transition
 determinants and the weight of the array sum, is accurate per entry: its
 one evaluator special._charlier_term steps the shorter index, and the
@@ -51,7 +48,7 @@ import numpy as np
 from .dpp import LEnsembleSpec, conditional_l_to_k
 from .fredholm import Certified, _settle, det_window
 from .simulate import InitialData, make_initial
-from .special import _charlier_term, _check_time, _poisson_charlier, gen_binomial, schuetz_F
+from .special import _charlier_term, _check_time, _exit, _poisson_charlier, gen_binomial, schuetz_F
 
 N_MAX_DET = 8  # largest determinant size for transition probabilities
 N_MAX_ARRAY_SUM = 4  # interlacing-array sum grows too fast beyond this
@@ -59,7 +56,6 @@ N_MAX_JOINT = 4  # joint one-sided events per determinant
 # window depths below the events: kernel columns decay like 2^z to the left
 # of the data
 WINDOW_DEPTHS = (48, 96, 192, 384, 768)
-WINDOW_ABOVE = 16
 
 
 class TruncationError(RuntimeError):
@@ -232,9 +228,7 @@ def _transfer_inverse_matrix(t: float, n: int, ys: np.ndarray, xs: np.ndarray) -
     p_max = int(p.max(initial=-1))
     if p_max < 0:
         return np.zeros(p.shape)
-    # 2^n rides in the run's log offset: applied after the run, it would
-    # come too late for entries that fell below the double range on the way
-    run = np.array(_poisson_charlier(p_max, n, t, 0.5, n * math.log(2.0)))
+    run = np.array(_poisson_charlier(p_max, n, t, 0.5, exp2=n))
     return np.where(p >= 0, run[np.maximum(p, 0)], 0.0)
 
 
@@ -249,9 +243,8 @@ def _transfer_extended_matrix(t: float, n: int, bs: np.ndarray, z2s: np.ndarray)
     a = z2s[None, :] - bs[:, None] + (n - 1)
     if a.size == 0:
         return np.zeros(a.shape)
-    a_lo = int(a.min())
-    row = _poisson_charlier(n - 1, np.arange(a_lo, int(a.max()) + 1), t, 0.5)[-1]
-    return np.ldexp(row[a - a_lo], a)
+    span = np.arange(int(a.min()), int(a.max()) + 1)
+    return _poisson_charlier(n - 1, span, t, 0.5, exp2=span)[-1][a - span[0]]
 
 
 def epi_transfer_matrix(
@@ -479,14 +472,13 @@ def phi_closed_form(
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     if kind == "step":
-        return math.ldexp(_poisson_charlier(k, x + n, t, log_scale=t)[-1], x + n - k)
+        return _poisson_charlier(k, x + n, t, log_scale=t, exp2=x + n - k)[-1]
     if kind != "periodic":
         raise ValueError(f"unknown closed-form family: {kind!r}")
     if d is None or d < 2:
         raise ValueError("periodic data needs a gap d >= 2")
-    run = _poisson_charlier(k, x + d * n - 1 - (d - 1) * k, t, log_scale=t)
-    lower = run[-2] if k else 0.0
-    return math.ldexp(run[-1] - d * lower, x + d * (n - k))
+    run = _poisson_charlier(k, x + d * n - 1 - (d - 1) * k, t, log_scale=t, exp2=x + d * (n - k))
+    return run[-1] - d * run[-2] if k else run[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +682,7 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
     outer = _poisson_charlier(m_top, n_i, t, log_scale=t)[::-1]
     xs = np.arange(n_j + z2 - 1, n_j + z2 - 2 - m_top, -1)
     inner = _poisson_charlier(n_j - 1, xs, t)[-1]
-    return term1 + math.ldexp(float(np.dot(outer, inner)), z2 - z1)
+    return term1 + float(_exit(np.dot(outer, inner), z2 - z1))
 
 
 def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
@@ -708,8 +700,8 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
     big_n = z1 + 2 * n + 1
     if big_n < 1:
         return 0.0
-    val = _poisson_charlier(big_n - 1, z2 + 2 * n, 2.0 * t, -1.0, log_scale=-3.0 * t)[-1]
-    return math.ldexp(val if big_n % 2 else -val, z2 - z1)
+    val = _poisson_charlier(big_n - 1, z2 + 2 * n, 2.0 * t, -1.0, -3.0 * t, z2 - z1)[-1]
+    return val if big_n % 2 else -val
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +834,9 @@ def path_integral_probability(
         return Certified(1.0)
     m = len(ns)
     floor_site = min(tops + [_entry_int(base, ns[-1])])
-    top_site = max(tops + [_entry_int(base, 1)])
-    hi = top_site + WINDOW_ABOVE + (ns[-1] - ns[0]) + int(math.ceil(t))
+    # every term keeps columns <= max(tops) and reads kernel rows at most
+    # ns[-1] - ns[0] above its own, so I - total is block triangular past hi
+    hi = max(tops) + (ns[-1] - ns[0])
 
     def det(depth):
         grid = np.arange(floor_site - depth, hi + 1)

@@ -166,14 +166,6 @@ class ParticleState:
     def labels(self) -> np.ndarray:
         return self.first_label + np.arange(self.positions.size)
 
-    def occupations(self, z_lo: int, z_hi: int) -> np.ndarray:
-        """0/1 site occupation on [z_lo, z_hi] as seen by tracked particles."""
-        out = np.zeros(z_hi - z_lo + 1, dtype=np.int64)
-        for x in self.positions:
-            if z_lo <= x <= z_hi:
-                out[x - z_lo] = 1
-        return out
-
 
 @dataclass
 class HeightField:

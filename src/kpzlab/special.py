@@ -21,9 +21,10 @@ from scipy.special import airy, gammaln
 
 AIRY_RANGE = 30.0
 
-_LN2 = math.log(2.0)
+# ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < 2^20
+_LN2_HI, _LN2_LO = 0.693147180369123816490, 1.90821492927058770002e-10
 _RESCALE = 2.0**500  # _poisson_charlier renormalises its rows outside [1/this, this]
-_LOG_MAX = math.log(np.finfo(float).max)
+_SPLIT = 300.0  # below this |s|, e^s times such a row stays normal and needs no split
 _SERIES_EPS = 2.0**-56  # schuetz_F stops a positive series once its tail is below this
 
 
@@ -53,9 +54,9 @@ def gen_binomial(m, j: int):
 
 
 def _poisson_charlier(
-    m: int, x, t: float, c: float = 1.0, log_scale: float = 0.0
+    m: int, x, t: float, c: float = 1.0, log_scale=0.0, exp2=0
 ) -> np.ndarray | list[float]:
-    """Poisson-weighted Charlier polynomials E_j(x) for j = 0..m.
+    """Poisson-weighted Charlier polynomials E_j(x) for j = 0..m, times 2^exp2.
 
     E_j(x) = e^(s - r) r^j / j! * C_j(x; t), with r = c t, s = log_scale and
     C_j(x; t) = 2F0(-j, -x;; -1/t), symmetric at nonnegative integers:
@@ -77,38 +78,54 @@ def _poisson_charlier(
     entry, come from _charlier_term, which steps the shorter index; exact's
     transfer matrices keep the run, accurate per run, because their kernel
     sums need no more and their fixed index, the particle label, is long.
-    At t = 0 the recurrence gives the limit (-c)^j C(x, j).  e^(s - r) is carried as a log offset and the
-    running pair is renormalised by powers of 2, so the recurrence neither
-    overflows nor underflows at any r; only values outside the double range
-    come out as 0 (or +-inf, for a scalar x).  It is private so that a
-    traced benchmark run charges its time to the kernel that called it.
+    At t = 0 the recurrence gives the limit (-c)^j C(x, j).  The scale
+    rides beside the values: e^(s - r) = 2^k e^f, with k = 0 while
+    |s - r| < _SPLIT and 0 <= f < ln 2 past it, and each entry carries an
+    exact power of 2, the sum of exp2 (an integer, or one per entry of x,
+    as log_scale may be), k and the renormalisations of its running pair
+    into [2^-500, 2^500].  Both exits multiply by e^f and apply the power
+    with ldexp (the array exit is _exit), so a row is 0 or +-inf only where
+    its value is outside the double range.  It is private so that a traced
+    benchmark run charges its time to the kernel that called it.
     """
-    scalar = isinstance(x, (int, float, np.number))
-    x = float(x) if scalar else np.asarray(x, dtype=float)
-    ldexp = math.ldexp if scalar else np.ldexp
-    r = c * t
-    prev, cur, shift = 0.0 * x, 1.0 + 0.0 * x, log_scale - r
-    rows, shifts = [cur], [shift]
+    s = log_scale - c * t
+    if isinstance(x, (int, float, np.number)):
+        k = 0 if -_SPLIT < s < _SPLIT else math.floor(s / _LN2_HI)
+        x, r, prev, cur, e = float(x), c * t, 0.0, 1.0, exp2 + k
+        rows, exps = [cur], [e]
+        for j in range(m):
+            prev, cur = cur, ((j + t - x) * cur - r * prev) * (c / (j + 1))
+            big = max(abs(prev), abs(cur))
+            if big > _RESCALE or 0.0 < big < 1.0 / _RESCALE:
+                f = math.frexp(big)[1]
+                prev, cur, e = math.ldexp(prev, -f), math.ldexp(cur, -f), e + f
+            rows.append(cur)
+            exps.append(e)
+        g = math.exp(s - k * _LN2_HI - k * _LN2_LO) if k else math.exp(s)
+        try:
+            return [math.ldexp(v * g, e) if e else v * g for v, e in zip(rows, exps)]
+        except OverflowError:  # a row past the double range: numpy's ldexp gives it as inf
+            return _exit(np.array(rows), np.array(exps), g).tolist()
+    x, r, k = np.asarray(x, dtype=float), c * t, s / _LN2_HI // 1 * (abs(s) >= _SPLIT)
+    prev, cur, e = np.zeros(x.shape), np.ones(x.shape), np.full(x.shape, exp2 + k, dtype=int)
+    rows, exps = [cur], [e]
     for j in range(m):
         prev, cur = cur, ((j + t - x) * cur - r * prev) * (c / (j + 1))
-        big = max(abs(prev), abs(cur)) if scalar else max(abs(prev).max(), abs(cur).max())
-        if big > _RESCALE or 0.0 < big < 1.0 / _RESCALE:
-            e = math.frexp(big)[1]
-            prev, cur = ldexp(prev, -e), ldexp(cur, -e)
-            shift += e * _LN2
+        size = abs(cur)  # prev was checked on the step before
+        if size.max() > _RESCALE or size.min() < 1.0 / _RESCALE:
+            f = np.frexp(np.maximum(abs(prev), size))[1]
+            prev, cur, e = np.ldexp(prev, -f), np.ldexp(cur, -f), e + f
         rows.append(cur)
-        shifts.append(shift)
-    if scalar:
-        return [_times_exp(v, s) for v, s in zip(rows, shifts)]
-    return np.array(rows) * np.exp(shifts).reshape((-1,) + (1,) * x.ndim)
+        exps.append(e)
+    return _exit(np.array(rows), np.array(exps), np.exp(s - k * _LN2_HI - k * _LN2_LO))
 
 
-def _times_exp(v: float, s: float) -> float:
-    """v e^s in plain floats, out of range only where the product is."""
-    if abs(s) < 700.0:  # e^s is a normal float
-        return v * math.exp(s)
-    a = math.log(abs(v)) + s if v else -math.inf
-    return math.copysign(math.exp(a) if a < _LOG_MAX else math.inf, v)
+def _exit(v, e, g=1.0):
+    """v g 2^e for integer exponents e, the one exit of every Charlier run:
+    0 or +-inf only where the product is outside the double range.  A
+    scalar run takes math.ldexp's fast path to the same product."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(v * g, e)
 
 
 def _charlier_term(p, k: int, t: float):
@@ -135,11 +152,8 @@ def _charlier_term(p, k: int, t: float):
     out = np.where(p >= 0, run.take(p, mode="clip"), 0.0)
     if p.max(initial=top) > top:
         q = np.maximum(p, top + 1)
-        # log_scale = t cancels e^(-r): the run leaves t^k / k! C_k(q; t)
-        poly = _poisson_charlier(k, q, t, log_scale=t)[-1]
-        move = (q - k) * math.log(t) + math.lgamma(k + 1) - gammaln(q + 1) - t
-        e = np.floor(move / _LN2)
-        out = np.where(p > top, np.ldexp(poly * np.exp(move - e * _LN2), e.astype(int)), out)
+        move = (q - k) * math.log(t) + math.lgamma(k + 1) - gammaln(q + 1)
+        out = np.where(p > top, _poisson_charlier(k, q, t, log_scale=move)[-1], out)
     return out
 
 

@@ -345,16 +345,22 @@ def _mp_inverse_entry(t, n, p):
     return float(mpmath.ldexp(mpmath.exp(-t / 2) * total, n - p))
 
 
-def _mp_extended_entry(t, n, d):
+def _mp_extended_row(t, n, ds):
     """2^d e^(-t/2) sum_{j<n} C(a,j) (-1)^j t^(n-1-j)/(n-1-j)!, the
-    extended transfer kernel at d = z2 - z1, a = d + n - 1, in mpmath."""
+    extended transfer kernel at each d = z2 - z1 of ds, a = d + n - 1, in
+    mpmath, with exact integer binomials."""
     t = mpmath.mpf(t)
-    a = d + n - 1
-    term, total = t ** (n - 1) / mpmath.factorial(n - 1), mpmath.mpf(0)
-    for j in range(n):
-        total += term
-        term *= -mpmath.mpf(a - j) * (n - 1 - j) / ((j + 1) * t)
-    return float(mpmath.ldexp(mpmath.exp(-t / 2) * total, d))
+    poisson_terms = [t ** (n - 1) / mpmath.factorial(n - 1)]
+    for j in range(n - 1):
+        poisson_terms.append(poisson_terms[-1] * (n - 1 - j) / t)
+    out = []
+    for d in ds:
+        a, total, coef = d + n - 1, mpmath.mpf(0), 1
+        for j, term in enumerate(poisson_terms):
+            total += coef * term
+            coef = coef * (j - a) // (j + 1)  # (-1)^(j+1) C(a, j+1), exactly
+        out.append(float(mpmath.ldexp(mpmath.exp(-t / 2) * total, d)))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0, 179.0, 384.9])
@@ -378,7 +384,7 @@ def test_transfer_matrices_match_mpmath(t):
             z2s = np.arange(-reach, 21, 3)
             got = _transfer_extended_matrix(t, n, bs, z2s)
             for ib, b in enumerate(bs):
-                want = np.array([_mp_extended_entry(t, n, int(z - b)) for z in z2s])
+                want = _mp_extended_row(t, n, (z2s - b).tolist())
                 assert np.abs(got[ib] - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -391,6 +397,32 @@ def test_transfer_inverse_past_the_double_range_of_2_to_the_minus_n():
         for z1, z2 in ((-1, -1), (-1, -3), (0, -5), (-60, -1)):
             want = _mp_inverse_entry(t, n, n + z2 - z1)
             assert transfer_inverse(t, n, z1, z2) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1355, 1356])
+def test_transfer_extended_past_the_double_range_of_2_to_the_a(n):
+    # eps = 0.005 again.  Entry (b, z2) is 2^a E_(n-1)(a), a = z2 - b + n - 1,
+    # and one run over these starts spans more than 2000 binades of 2^a: it
+    # must ride with each entry through the run, not be applied after it
+    from kpzlab.exact import _transfer_extended_matrix
+
+    t = 2.0 * 0.005**-1.5
+    bs, z2s = np.array([-1354, 0]), np.arange(0, -770, -32)
+    got = _transfer_extended_matrix(t, n, bs, z2s)
+    with mpmath.workdps(900):
+        for ib, b in enumerate(bs):
+            want = _mp_extended_row(t, n, (z2s - b).tolist())
+            assert np.abs(got[ib] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_closed_form_column_past_the_double_range_is_a_signed_infinity():
+    # -1102 * 2^1102 is beyond the largest double
+    assert phi_closed_form("step", 3, 1, 1100, 1.0) == -math.inf
+
+
+def test_step_kernel_past_the_double_range_is_a_signed_infinity():
+    # -1100 e^-1 * 2^1101 is beyond the largest double
+    assert kt_step_closed(1.0, 2, 3, -1, 1100) == -math.inf
 
 
 def test_first_passage_transfer_matches_walk_average():

@@ -55,7 +55,7 @@ def test_f_gue_oracle_has_converged():
     assert f_gue(-1.0) == pytest.approx(0.80721424199929, abs=1e-12)
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.05, 0.03, 0.02])
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.03, 0.02, 0.01, 0.007, 0.005])
 def test_one_point_approaches_f_gue(eps):
     t = 2.0 * eps**-1.5
     for r in (-2.0, -1.0, 0.0, 1.0):
@@ -74,3 +74,14 @@ def test_two_point_routes_agree_at_eps_005():
     b = path_integral_probability(t, STEP, events)
     assert abs(a - b) <= 1e-9
     assert a == pytest.approx(0.8956800693, abs=1e-9)
+
+
+def test_one_point_routes_agree_at_eps_0005():
+    # the path route's window ends where I - total turns block triangular;
+    # past it the conjugated kernel leaves the double range
+    eps = 0.005
+    t = 2.0 * eps**-1.5
+    events = [height_event(eps, 0.0, -1.0)[0]]
+    a = multipoint_probability(t, STEP, events)
+    b = path_integral_probability(t, STEP, events)
+    assert abs(a - b) <= 1e-9

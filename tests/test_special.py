@@ -221,13 +221,7 @@ def test_poisson_charlier_symmetry_and_time_zero():
 
 @pytest.mark.parametrize(
     "t, log_scale, rtol",
-    [
-        (0.5, -300.0, 1e-14),
-        (1000.0, 1400.0, 1e-14),
-        # at |s| >= 700 the scalar exit adds log|v| to s: one more rounding
-        # of a ~700-size exponent, about 1e-13
-        (0.5, 705.5, 1e-12),
-    ],
+    [(0.5, -300.0, 1e-14), (1000.0, 1400.0, 1e-14), (0.5, 705.5, 1e-14)],
 )
 def test_poisson_charlier_scalar_exit_matches_vector_exit(t, log_scale, rtol):
     # Python and numpy scalars exit as a list of plain floats, which must
@@ -243,18 +237,22 @@ def test_poisson_charlier_scalar_exit_matches_vector_exit(t, log_scale, rtol):
 
 
 def test_poisson_charlier_scalar_exit_past_the_offset_range():
-    # e^720 alone overflows, so the vector exit gives inf for every row.
-    # The scalar exit gives each row whose value is in the double range,
-    # and inf only for rows whose value is not.
-    base = _poisson_charlier(40, 2, 0.5)
-    got = _poisson_charlier(40, 2, 0.5, 1.0, 720.0)
-    for j in range(41):
-        want = float(mpmath.exp(720) * base[j])
-        if math.isinf(want):
-            assert got[j] == want
-        else:
-            assert got[j] == pytest.approx(want, rel=1e-12)
-    assert math.isinf(got[0]) and math.isfinite(got[40]) and got[40] != 0.0
+    # e^720 alone overflows and e^-760 alone underflows.  Both exits give
+    # each row whose value is in the double range, and +-inf or 0 only for
+    # rows whose value is not; a subnormal row may differ in its last bit
+    xs = np.array([2, -400])
+    base = _poisson_charlier(40, xs, 0.5)
+    for offset in (720.0, -760.0):
+        rows = _poisson_charlier(40, xs, 0.5, 1.0, offset)
+        for ix, x in enumerate(xs.tolist()):
+            want = [float(mpmath.exp(offset) * v) for v in base[:, ix]]
+            for got in (_poisson_charlier(40, x, 0.5, 1.0, offset), rows[:, ix]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-320)
+    # each case has rows on both sides of the range
+    high = _poisson_charlier(40, 2, 0.5, 1.0, 720.0)
+    low = _poisson_charlier(40, -400, 0.5, 1.0, -760.0)
+    assert math.isinf(high[0]) and math.isfinite(high[40]) and high[40] != 0.0
+    assert low[0] == 0.0 and low[40] > 1e-300
 
 
 def test_schuetz_F_frozen():

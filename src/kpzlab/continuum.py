@@ -14,9 +14,12 @@ rescaling, as processes in x:
 distributions of A_2 and A_1 as Fredholm determinants of the closed-form
 extended kernels (Bornemann, arXiv:0804.2543), on fredholm's block
 determinant and order ladder, as `Certified` floats.  F_GUE(s) and
-F_GOE(2s) are their one-point cases.  Ai comes from scipy: airy, and airye
-wherever the argument is positive, so that no overflowing exponential ever
-meets an underflowing Ai.
+F_GOE(2s) are their one-point cases.  Ai and Ai' come from special's one
+Airy evaluator: cephes up to 10 and K_(1/3), K_(2/3) through kve above, so
+that an argument past 10 costs a tenth of scipy's complex route.
+`s_kernel` takes Ai scaled by e^((2/3) a^(3/2)) and folds that factor into
+its own exponent, so that no overflowing exponential ever meets an
+underflowing Ai.
 """
 
 from __future__ import annotations
@@ -25,9 +28,15 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import airy, airye
-
-from .fredholm import ORDER_LADDER, BlockExtendedProblem, Certified, _settle, block_extended_det
+from .fredholm import (
+    ORDER_LADDER,
+    BlockExtendedProblem,
+    Certified,
+    _gauss01,
+    _settle,
+    block_extended_det,
+)
+from .special import _airy
 
 # The ladder stops once two successive orders agree to this.  The orders
 # double and converge geometrically, so the returned value is far closer.
@@ -38,8 +47,7 @@ _TOL = 1e-12
 # lam) Ai(v + lam) peaks near lam = d^2 / 4, and by 16 + d^2 the decay of
 # Ai^2 has long beaten e^(lam d).  Left at [0, 16], the dropped tail costs
 # 3e-11 at d = 4 and 0.27 at d = 6.
-_LAMBDA, _LAMBDA_WEIGHTS = np.polynomial.legendre.leggauss(96)
-_LAMBDA, _LAMBDA_WEIGHTS = 8.0 * (_LAMBDA + 1.0), 8.0 * _LAMBDA_WEIGHTS
+_LAMBDA, _LAMBDA_WEIGHTS = (16.0 * a for a in _gauss01(96))
 
 # Both terms of the Airy_2 kernel from (x, u) to (x + d, v), d > 0, are of
 # size e^(d^3/12 - d(u+v)/2 - (u-v)^2/(4d)) while their
@@ -62,10 +70,8 @@ def s_kernel(t: float, x, z) -> np.ndarray:
     c = t ** (-1.0 / 3.0)
     a = -c * z + (c * c * x) ** 2
     exponent = 2.0 * x**3 / (3.0 * t * t) - z * x / t
-    pos = a > 0.0
-    ap = np.where(pos, a, 0.0)
-    ai = np.where(pos, airye(ap)[0], airy(np.where(pos, 0.0, a))[0])
-    return c * ai * np.exp(exponent - 2.0 / 3.0 * ap**1.5)
+    ai = _airy(a, scaled=True)
+    return c * ai * np.exp(exponent - 2.0 / 3.0 * np.maximum(a, 0.0) ** 1.5)
 
 
 def airy_kernel(u, v) -> np.ndarray:
@@ -73,8 +79,8 @@ def airy_kernel(u, v) -> np.ndarray:
     diagonal Ai'(u)^2 - u Ai(u)^2."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    ai_u, aip_u, _, _ = airy(u)
-    ai_v, aip_v, _, _ = airy(v)
+    ai_u, aip_u = _airy(u, derivative=True)
+    ai_v, aip_v = _airy(v, derivative=True)
     diff = u - v
     same = diff == 0.0
     off = (ai_u * aip_v - aip_u * ai_v) / np.where(same, 1.0, diff)
@@ -123,8 +129,8 @@ def _airy2_block(gap: float, u, v):
         return airy_kernel(u, v)
     stretch = 1.0 + gap * gap / 16.0
     lam = stretch * _LAMBDA
-    ai_u = airy(u + lam)[0]
-    ai_v = airy(v.T + lam)[0]
+    ai_u = _airy(u + lam)
+    ai_v = _airy(v.T + lam)
     out = (ai_u * (stretch * _LAMBDA_WEIGHTS * np.exp(lam * gap))) @ ai_v.T
     if gap > 0.0:
         # int_0^inf - int_R: the full line is a heat kernel in closed form

@@ -854,7 +854,14 @@ def path_integral_probability(
                 if nxt != ns[j]:
                     term = term @ _window_q_power(nxt - ns[j], grid, grid)
             total += (-1.0) ** (len(chosen) + 1) * term
-        return det_window(total)
+        value = det_window(total)
+        if not math.isfinite(value):
+            raise TruncationError(
+                f"the path product's determinant at window depth {depth} is {value}: "
+                "its terms are too large for its double-precision LU here; "
+                "multipoint_probability evaluates the same probability"
+            )
+        return value
 
     return _settle(det, WINDOW_DEPTHS, tol, TruncationError)
 

@@ -16,6 +16,7 @@ to exploit the shapes instead of evaluating pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -97,21 +98,30 @@ class HalfLineDown:
         return -y, w
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss01(order: int):
+    """Gauss-Legendre nodes and weights on (0, 1), built once per order and
+    returned read-only, since every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    s.setflags(write=False)
+    ws.setflags(write=False)
+    return s, ws
 
 
 # ---------------------------------------------------------------- finite part
 
 
 def det_window(kernel_matrix: np.ndarray) -> float | complex:
-    """det(I - K) on a finite window, LU with partial pivoting."""
+    """det(I - K) on a finite window, LU with partial pivoting.  A product
+    of pivots past the double range gives inf or nan, without a warning:
+    the caller knows what such a window means."""
     k = np.asarray(kernel_matrix)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("kernel window must be square")
     a = np.eye(k.shape[0], dtype=k.dtype) - k
-    out = np.linalg.det(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.det(a)
     return complex(out) if np.iscomplexobj(k) else float(out)
 
 
@@ -192,17 +202,18 @@ def block_extended_det(problem: BlockExtendedProblem) -> float:
     n = problem.order
     grids = {}
     for i in keep:
-        grids[i] = HalfLineDown(problem.thresholds[i]).nodes(n)
+        u, w = HalfLineDown(problem.thresholds[i]).nodes(n)
+        grids[i] = u, np.sqrt(w)
     m = len(keep)
     big = np.zeros((m * n, m * n))
     for bi, i in enumerate(keep):
-        ui, wi = grids[i]
+        ui, sqi = grids[i]
         for bj, j in enumerate(keep):
-            uj, wj = grids[j]
+            uj, sqj = grids[j]
             blk = np.asarray(
                 problem.kernel(i, j, ui[:, None], uj[None, :]), dtype=float
             )
             big[bi * n : (bi + 1) * n, bj * n : (bj + 1) * n] = (
-                np.sqrt(wi)[:, None] * blk * np.sqrt(wj)[None, :]
+                sqi[:, None] * blk * sqj[None, :]
             )
     return float(np.linalg.det(np.eye(m * n) - big))

@@ -20,6 +20,7 @@ from kpzlab.fredholm import (
     det_window,
     nystrom_det,
     nystrom_ladder,
+    _gauss01,
     _settle,
 )
 from kpzlab.special import airy_ai_kernel
@@ -152,6 +153,26 @@ def test_nystrom_ladder_certificate():
     res = nystrom_ladder(airy_kernel_matrix(), HalfLineUp(0.0), tol=1e-10)
     assert res.order in ORDER_LADDER[1:] and 0.0 <= res.delta <= 1e-10
     assert type(res.value) is float
+    # F_GUE(0), as in test_nystrom_airy_gue_value; a second walk reads the
+    # cached Gauss rules and must repeat the first bit for bit
+    assert res.value == pytest.approx(0.9693728283553, abs=1e-9)
+    assert nystrom_ladder(airy_kernel_matrix(), HalfLineUp(0.0), tol=1e-10) == res
+
+
+def test_gauss_rules_are_cached_and_read_only():
+    for order in ORDER_LADDER + (96, 120):
+        s, w = _gauss01(order)
+        assert _gauss01(order)[0] is s and _gauss01(order)[1] is w
+        for a in (s, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+        x, v = np.polynomial.legendre.leggauss(order)
+        for r in (-3.0, 0.0, 1.5):
+            y, wy = HalfLineUp(r).nodes(order)
+            s0 = 0.5 * (x + 1.0)
+            assert np.array_equal(y, r + s0 / (1.0 - s0))
+            assert np.array_equal(wy, 0.5 * v / (1.0 - s0) ** 2)
+            assert y.flags.writeable and wy.flags.writeable
 
 
 def test_certified_is_a_float_that_keeps_its_slots():

@@ -80,3 +80,19 @@ def test_benchmark_names_resolve():
         if not hasattr(importlib.import_module(f"kpzlab.{layer}"), attr)
     ]
     assert not missing, missing
+
+
+def test_only_special_evaluates_airy():
+    # one Airy evaluator: every other module takes Ai from special._airy
+    banned = {"airy", "airye", "kv", "kve"}
+    found = {}
+    for path in sorted((ROOT / "src" / "kpzlab").glob("*.py")):
+        found[path.name] = {
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+            for alias in node.names
+            if alias.name in banned
+        }
+    assert {"airy", "kve"} <= found.pop("special.py")
+    assert not {name: names for name, names in found.items() if names}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
-from kpzlab.exact import multipoint_probability, path_integral_probability
+from kpzlab.exact import TruncationError, multipoint_probability, path_integral_probability
 from kpzlab.simulate import make_initial
 
 STEP = make_initial("step")
@@ -85,3 +85,14 @@ def test_one_point_routes_agree_at_eps_0005():
     a = multipoint_probability(t, STEP, events)
     b = path_integral_probability(t, STEP, events)
     assert abs(a - b) <= 1e-9
+
+
+def test_two_point_path_route_refuses_at_eps_001():
+    # the path product's determinant leaves the double range on the first
+    # rung; it must raise at once, with no overflow warning on the way
+    eps = 0.01
+    t = 2.0 * eps**-1.5
+    events = sorted(height_event(eps, x, -0.5)[0] for x in (0.5, -0.5))
+    assert events == [(453, 99), (553, -101)]
+    with pytest.raises(TruncationError, match="depth 48 .*multipoint_probability"):
+        path_integral_probability(t, STEP, events)

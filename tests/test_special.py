@@ -14,10 +14,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import airy
 
 from contour import ContourSpec, circle_quadrature
 from kpzlab.special import (
     QuadratureError,
+    _airy,
     _charlier_term,
     _poisson_charlier,
     airy_ai_kernel,
@@ -82,6 +84,35 @@ def test_airy_matches_mpmath_on_dense_grid():
     zs = np.linspace(-30.0, 30.0, 1201)
     want = np.array([float(mpmath.airyai(z)) for z in zs])
     assert np.abs(airy_ai_kernel(zs) - want).max() <= 1e-12
+
+
+# arguments on both sides of the evaluator's switch from cephes to kve at 10
+AIRY_TAIL = [9.0, 9.999999, 10.0, 10.000001, 10.5, 12.25, 15.0, 17.3, 20.0, 24.9, 29.99, 30.0]
+
+
+def test_airy_ai_kernel_relative_accuracy_past_ten():
+    # Ai(10) = 1.1e-10 and Ai(30) = 3.2e-49: an absolute gate says nothing here
+    zs = np.array(AIRY_TAIL + list(np.linspace(10.0, 30.0, 41)[1:]))
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.airyai(mpmath.mpf(z))) for z in zs])
+    assert np.abs(airy_ai_kernel(zs) / want - 1.0).max() <= 1e-13
+
+
+def test_scaled_airy_relative_accuracy():
+    # Ai and Ai' times e^zeta, zeta = (2/3) x^(3/2), as airye gives them
+    zs = np.array([1e-3, 0.5, 2.0, 5.0] + AIRY_TAIL + [50.0, 104.0, 110.0, 250.0, 400.0])
+    zs = np.concatenate([zs, np.geomspace(1e-2, 400.0, 60)])
+    ai, aip = _airy(zs, scaled=True, derivative=True)
+    with mpmath.workdps(40):
+        for z, a, ap in zip(zs, ai, aip):
+            x = mpmath.mpf(z)
+            e = mpmath.exp(2 * x**1.5 / 3)
+            assert abs(a / float(mpmath.airyai(x) * e) - 1.0) <= 5e-14, z
+            assert abs(ap / float(mpmath.airyai(x, derivative=1) * e) - 1.0) <= 5e-14, z
+    # unscaled, and left of 0 where there is no factor, the values are scipy's
+    assert np.array_equal(_airy(zs[zs <= 10.0]), airy(zs[zs <= 10.0])[0])
+    left = np.linspace(-30.0, 0.0, 31)
+    assert np.array_equal(_airy(left, scaled=True), airy(left)[0])
 
 
 def test_airy_against_contour_representation():

@@ -33,7 +33,8 @@ transfer matrices are one run over the degree each, accurate per run: the
 kernel sums over them need no more, and stepping their fixed index, the
 particle label (77 at eps = 0.04), per entry would take that many steps.
 The first-passage walk is run lazily and stops once no live mass can cross
-the data again.
+the data again.  A deeper Fredholm window grows only to the left, so the
+first two of WINDOW_DEPTHS share one kernel build.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _transfer_extended_matrix(t: float, n: int, bs: np.ndarray, z2s: np.ndarray)
     if a.size == 0:
         return np.zeros(a.shape)
     span = np.arange(int(a.min()), int(a.max()) + 1)
-    return _poisson_charlier(n - 1, span, t, 0.5, exp2=span)[-1][a - span[0]]
+    return _poisson_charlier(n - 1, span, t, 0.5, exp2=span)[a - span[0]]
 
 
 def epi_transfer_matrix(
@@ -681,7 +682,7 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
         return term1
     outer = _poisson_charlier(m_top, n_i, t, log_scale=t)[::-1]
     xs = np.arange(n_j + z2 - 1, n_j + z2 - 2 - m_top, -1)
-    inner = _poisson_charlier(n_j - 1, xs, t)[-1]
+    inner = _poisson_charlier(n_j - 1, xs, t)
     return term1 + float(_exit(np.dot(outer, inner), z2 - z1))
 
 
@@ -734,25 +735,25 @@ def _joint_events(init: InitialData, events):
 
 
 def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Float walk-power matrix on a grid, overflow safe for deep windows."""
-    xg = xs[:, None].astype(float)
-    yg = ys[None, :].astype(float)
+    """Float walk-power matrix on a grid, overflow safe for deep windows.
+    It is Toeplitz: its values are built once along d = x - y and indexed."""
+    d = xs[:, None] - ys[None, :]
+    lo = int(d.min(initial=0))
+    ds = np.arange(lo, d.max(initial=0) + 1.0)
     if steps == 0:
-        return (xg == yg).astype(float)
-    if steps > 0:
-        d = xg - yg
-        ok = d >= steps
-        coeff = np.ones(d.shape)
+        line = (ds == 0).astype(float)
+    elif steps > 0:
+        ok = ds >= steps
+        coeff = np.ones(ds.shape)
         for i in range(steps - 1):
-            coeff *= (d - 1 - i) / (i + 1.0)
-        expo = np.where(ok, yg - xg, 0.0)
-        return np.where(ok, 2.0**expo * coeff, 0.0)
-    k = -steps
-    diff = (yg - xg).astype(int)
-    out = np.zeros(diff.shape)
-    for j in range(k + 1):
-        out[diff == j] = (-1.0) ** (k - j) * 2.0**j * math.comb(k, j)
-    return out
+            coeff *= (ds - 1 - i) / (i + 1.0)
+        line = np.where(ok, 2.0 ** np.where(ok, -ds, 0.0) * coeff, 0.0)
+    else:
+        k = -steps
+        line = np.zeros(ds.shape)
+        for j in range(k + 1):
+            line[ds == -j] = (-1.0) ** (k - j) * 2.0**j * math.comb(k, j)
+    return line[d - lo]
 
 
 def _kernel_span(base, ns, grids):
@@ -789,6 +790,25 @@ def _kernel_block_matrix(t, base, ns, grids):
     return big
 
 
+def _window_rungs(build):
+    """depth -> kernel matrix over WINDOW_DEPTHS, from build(depth), which
+    gives the matrix and the site of each row.  A deeper window only adds
+    sites below, so the first rung is the part of the second's build at or
+    above its floor, and that build is held until the second rung takes it."""
+    held = {}
+
+    def matrix(depth):
+        size = max(depth, WINDOW_DEPTHS[1])
+        big, sites = held.pop(size, None) or build(size)
+        if depth < size:
+            held[size] = big, sites
+            inside = sites >= sites.min() + size - depth
+            big = big[np.ix_(inside, inside)]
+        return big
+
+    return matrix
+
+
 def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-9) -> Certified:
     """P(particle n_j is strictly right of a_j for every j), as a Fredholm
     determinant of the projected extended kernel.
@@ -797,20 +817,20 @@ def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-
     Thresholds of -inf impose nothing and are dropped; with none left the
     probability is exactly 1.  The window below the smallest threshold
     deepens over WINDOW_DEPTHS until the determinant moves by at most tol;
-    the value's certificate names the last depth.  A TruncationError says
-    the depths ran out.
+    the value's certificate names the last depth; the first two depths
+    share one kernel build.  A TruncationError says the depths ran out.
     """
     _check_time(t)
     kept, base, ns, _, tops = _joint_events(init, events)
     if not kept:
         return Certified(1.0)
 
-    def det(depth):
-        lo = min(tops) - depth
-        grids = [np.arange(lo, top + 1) for top in tops]
-        return det_window(_kernel_block_matrix(t, base, ns, grids))
+    def build(depth):
+        grids = [np.arange(min(tops) - depth, top + 1) for top in tops]
+        return _kernel_block_matrix(t, base, ns, grids), np.concatenate(grids)
 
-    return _settle(det, WINDOW_DEPTHS, tol, TruncationError)
+    matrix = _window_rungs(build)
+    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol, TruncationError)
 
 
 def path_integral_probability(
@@ -826,7 +846,9 @@ def path_integral_probability(
     complement is expanded, the kernel is pushed through the banded
     inverse powers onto the first retained cutoff, and the result is a
     signed sum over constraint subsets of absolutely convergent products
-    of a relabeled kernel, cutoffs and forward walk powers.
+    of a relabeled kernel, cutoffs and forward walk powers.  The first two
+    depths share one build: inverse powers reach only right, forward ones
+    only left, so no entry of the shallower window reads a deeper site.
     """
     _check_time(t)
     kept, base, ns, a_vals, tops = _joint_events(init, events)
@@ -838,7 +860,7 @@ def path_integral_probability(
     # ns[-1] - ns[0] above its own, so I - total is block triangular past hi
     hi = max(tops) + (ns[-1] - ns[0])
 
-    def det(depth):
+    def build(depth):
         grid = np.arange(floor_site - depth, hi + 1)
         kernels: dict[int, np.ndarray] = {}
         total = np.zeros((len(grid), len(grid)))
@@ -854,7 +876,12 @@ def path_integral_probability(
                 if nxt != ns[j]:
                     term = term @ _window_q_power(nxt - ns[j], grid, grid)
             total += (-1.0) ** (len(chosen) + 1) * term
-        value = det_window(total)
+        return total, grid
+
+    matrix = _window_rungs(build)
+
+    def det(depth):
+        value = det_window(matrix(depth))
         if not math.isfinite(value):
             raise TruncationError(
                 f"the path product's determinant at window depth {depth} is {value}: "

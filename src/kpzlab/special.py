@@ -70,8 +70,9 @@ def _poisson_charlier(
 
         (j + 1) / c * E_(j+1) = (j + t - x) E_j - r E_(j-1),
 
-    vectorised over x: the result has shape (m + 1,) + x.shape, or is a
-    list of m + 1 plain floats for a Python or numpy scalar x.  Its
+    vectorised over x.  For an array x the run keeps only its running pair
+    and returns the top row E_m(x), of shape x.shape; for a Python or numpy
+    scalar x it returns the degree table, a list of m + 1 plain floats.  Its
     round-off is relative to the largest entry of the run, that is
     norm-wise, where the direct sums lose the size of their largest term.
     It is not relative entrywise: right of the Poisson bulk the run picks
@@ -111,16 +112,13 @@ def _poisson_charlier(
             return _exit(np.array(rows), np.array(exps), g).tolist()
     x, r, k = np.asarray(x, dtype=float), c * t, s / _LN2_HI // 1 * (abs(s) >= _SPLIT)
     prev, cur, e = np.zeros(x.shape), np.ones(x.shape), np.full(x.shape, exp2 + k, dtype=int)
-    rows, exps = [cur], [e]
     for j in range(m):
         prev, cur = cur, ((j + t - x) * cur - r * prev) * (c / (j + 1))
         size = abs(cur)  # prev was checked on the step before
         if size.max() > _RESCALE or size.min() < 1.0 / _RESCALE:
             f = np.frexp(np.maximum(abs(prev), size))[1]
             prev, cur, e = np.ldexp(prev, -f), np.ldexp(cur, -f), e + f
-        rows.append(cur)
-        exps.append(e)
-    return _exit(np.array(rows), np.array(exps), np.exp(s - k * _LN2_HI - k * _LN2_LO))
+    return _exit(cur, e, np.exp(s - k * _LN2_HI - k * _LN2_LO))
 
 
 def _exit(v, e, g=1.0):
@@ -156,7 +154,7 @@ def _charlier_term(p, k: int, t: float):
     if p.max(initial=top) > top:
         q = np.maximum(p, top + 1)
         move = (q - k) * math.log(t) + math.lgamma(k + 1) - gammaln(q + 1)
-        out = np.where(p > top, _poisson_charlier(k, q, t, log_scale=move)[-1], out)
+        out = np.where(p > top, _poisson_charlier(k, q, t, log_scale=move), out)
     return out
 
 

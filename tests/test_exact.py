@@ -889,6 +889,45 @@ def test_kernel_label_reversal():
     assert dev.max() < 1e-11
 
 
+def _dense_q_power(steps, xs, ys):
+    """The float walk power entry by entry over the whole grid, the formula
+    exact._window_q_power had before it became Toeplitz; its reference."""
+    xg = xs[:, None].astype(float)
+    yg = ys[None, :].astype(float)
+    if steps == 0:
+        return (xg == yg).astype(float)
+    if steps > 0:
+        d = xg - yg
+        ok = d >= steps
+        coeff = np.ones(d.shape)
+        for i in range(steps - 1):
+            coeff *= (d - 1 - i) / (i + 1.0)
+        expo = np.where(ok, yg - xg, 0.0)
+        return np.where(ok, 2.0**expo * coeff, 0.0)
+    k = -steps
+    diff = (yg - xg).astype(int)
+    out = np.zeros(diff.shape)
+    for j in range(k + 1):
+        out[diff == j] = (-1.0) ** (k - j) * 2.0**j * math.comb(k, j)
+    return out
+
+
+def test_window_q_power_is_the_dense_formula_to_the_bit():
+    from kpzlab.exact import _window_q_power
+
+    grids = [
+        (np.arange(-60, 41), np.arange(-90, 5)),
+        (np.arange(3, 20), np.arange(-100, 80)),
+        (np.arange(-1200, -1100), np.arange(-1180, -1150)),
+        (np.arange(5, 6), np.arange(-3, 9)),
+    ]
+    for xs, ys in grids:
+        for steps in range(-8, 61):
+            got = _window_q_power(steps, xs, ys)
+            assert got.shape == (len(xs), len(ys))
+            assert np.array_equal(got, _dense_q_power(steps, xs, ys)), steps
+
+
 def test_kt_kernel_is_block_matrix_entry():
     # kt_kernel builds only the (0, 1) block of the two-label matrix, with
     # the same start points, so the entry agrees to the bit
@@ -1231,6 +1270,68 @@ def test_path_product_matches_extended():
         got = path_integral_probability(t, data, events)
         want = multipoint_probability(t, data, events)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-10)
+
+
+# The first two window depths share one kernel build.  The step events are
+# h(0) <= -1 and h(+-1/2) <= -1/2 of the rescaled height at t = 2 eps^(-3/2),
+# as test_scaling.py builds them, at eps = 0.1, 0.01 and 0.005.
+LADDER_CASES = [
+    (multipoint_probability, 2 * 0.1**-1.5, STEP, [(18, -1)]),
+    (multipoint_probability, 2 * 0.1**-1.5, STEP, [(12, 9), (22, -11)]),
+    (multipoint_probability, 2 * 0.01**-1.5, STEP, [(505, -1)]),
+    (multipoint_probability, 2 * 0.01**-1.5, STEP, [(453, 99), (553, -101)]),
+    (multipoint_probability, 0.9, EXPL, [(2, 2), (4, -2)]),
+    (path_integral_probability, 2 * 0.1**-1.5, STEP, [(18, -1)]),
+    (path_integral_probability, 2 * 0.1**-1.5, STEP, [(12, 9), (22, -11)]),
+    (path_integral_probability, 0.9, EXPL, [(2, 2), (4, -2)]),
+    (path_integral_probability, 2 * 0.01**-1.5, STEP, [(505, -1)]),
+    (path_integral_probability, 2 * 0.005**-1.5, STEP, [(1422, -1)]),
+]
+
+
+@pytest.mark.parametrize(
+    "route, t, data, events",
+    LADDER_CASES,
+    ids=["mp-one-0.1", "mp-two-0.1", "mp-one-0.01", "mp-two-0.01", "mp-explicit",
+         "path-one-0.1", "path-two-0.1", "path-explicit", "path-one-0.01", "path-one-0.005"],
+)
+def test_first_two_rungs_share_one_build(monkeypatch, route, t, data, events):
+    # the first rung's window is a trailing sub-block of the second's.  A
+    # deeper site read into it, say 0 * inf from a kernel entry past the
+    # double range, would make the rung differ from its own build
+    from kpzlab import exact
+
+    kernels, dets, builds = [], [], []
+    build = exact._kernel_block_matrix
+
+    def recorded_det(kernel):
+        kernels.append(kernel)
+        dets.append(det_window(kernel))
+        return dets[-1]
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(exact, "det_window", recorded_det)
+    monkeypatch.setattr(exact, "_kernel_block_matrix", counted_build)
+    value = route(t, data, events)
+    rungs = WINDOW_DEPTHS.index(value.order) + 1
+    assert len(dets) == rungs and float(value) == dets[-1]
+    # one build serves the first two rungs, and each deeper rung builds once;
+    # the path route builds one kernel per lead label
+    leads = len(events) if route is path_integral_probability else 1
+    assert len(builds) == leads * (rungs - 1)
+    # a ladder whose two rungs are one depth builds that depth itself
+    shared, shared_det = kernels[0], dets[0]
+    kernels.clear()
+    dets.clear()
+    monkeypatch.setattr(exact, "WINDOW_DEPTHS", (WINDOW_DEPTHS[0],) * 2)
+    with pytest.raises(TruncationError, match="did not settle"):
+        route(t, data, events, tol=-1.0)
+    assert abs(shared_det - dets[0]) <= 4e-16 * abs(dets[0])
+    # the same entries, and no more: the matrices agree per entry
+    np.testing.assert_allclose(shared, kernels[0], rtol=1e-13, atol=0)
 
 
 def test_path_product_trivial_events():

@@ -181,18 +181,23 @@ def _mp_poisson_charlier(j, x, t, c):
     return mpmath.exp(-r) * total
 
 
+def _degree_runs(m, xs, *args):
+    """Rows 0..m of the Charlier table over xs, row j from its own array
+    run of degree j: an array run returns only its top row."""
+    return np.array([_poisson_charlier(j, xs, *args) for j in range(m + 1)])
+
+
 @pytest.mark.parametrize("t", [0.3, 2.0, 179.0, 1000.0])
 @pytest.mark.parametrize("c", [0.5, 1.0])
 def test_poisson_charlier_matches_mpmath(t, c):
     # r = 1000 runs through the log offset: e^(-r) alone underflows
-    m = 60
     xs = np.arange(-40, 2 * int(t) + 60, max(1, int(t) // 8))
-    got = _poisson_charlier(m, xs, t, c)
-    assert got.shape == (m + 1, len(xs))
+    assert _poisson_charlier(60, xs, t, c).shape == xs.shape
     with mpmath.workdps(150):
         for j in (0, 1, 7, 30, 60):
+            got = _poisson_charlier(j, xs, t, c)
             want = np.array([float(_mp_poisson_charlier(j, int(x), t, c)) for x in xs])
-            assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _mp_charlier_term(p, k, t):
@@ -227,9 +232,9 @@ def test_charlier_term_array_matches_mpmath(t):
 
 
 def test_poisson_charlier_scalar_is_one_column():
-    # scalar x runs on plain floats; it must give the vector call's column
+    # scalar x runs on plain floats; it must give the vector runs' column
     xs = np.arange(-5, 30)
-    rows = _poisson_charlier(25, xs, 3.7, 0.5)
+    rows = _degree_runs(25, xs, 3.7, 0.5)
     for ix, x in enumerate(xs):
         column = _poisson_charlier(25, int(x), 3.7, 0.5)
         np.testing.assert_allclose(column, rows[:, ix], rtol=1e-14, atol=0)
@@ -244,7 +249,7 @@ def test_poisson_charlier_symmetry_and_time_zero():
             b = _poisson_charlier(x, j, t)[x] * t ** (j - x) * math.factorial(x)
             assert a == pytest.approx(b / math.factorial(j), rel=1e-13)
     # t = 0 is the limit (-c)^j C(x, j)
-    rows = _poisson_charlier(6, np.arange(-4, 9), 0.0, 0.5)
+    rows = _degree_runs(6, np.arange(-4, 9), 0.0, 0.5)
     for j in range(7):
         for ix, x in enumerate(range(-4, 9)):
             assert rows[j, ix] == pytest.approx(float((-0.5) ** j * gen_binomial(x, j)), abs=1e-15)
@@ -258,7 +263,7 @@ def test_poisson_charlier_scalar_exit_matches_vector_exit(t, log_scale, rtol):
     # Python and numpy scalars exit as a list of plain floats, which must
     # match the vector exit wherever that is finite
     xs = np.arange(0, 6)
-    rows = _poisson_charlier(8, xs, t, 1.0, log_scale)
+    rows = _degree_runs(8, xs, t, 1.0, log_scale)
     assert np.isfinite(rows).all()
     for ix, x in enumerate(xs):
         for scalar in (int(x), np.int64(x), float(x)):
@@ -272,9 +277,9 @@ def test_poisson_charlier_scalar_exit_past_the_offset_range():
     # each row whose value is in the double range, and +-inf or 0 only for
     # rows whose value is not; a subnormal row may differ in its last bit
     xs = np.array([2, -400])
-    base = _poisson_charlier(40, xs, 0.5)
+    base = _degree_runs(40, xs, 0.5)
     for offset in (720.0, -760.0):
-        rows = _poisson_charlier(40, xs, 0.5, 1.0, offset)
+        rows = _degree_runs(40, xs, 0.5, 1.0, offset)
         for ix, x in enumerate(xs.tolist()):
             want = [float(mpmath.exp(offset) * v) for v in base[:, ix]]
             for got in (_poisson_charlier(40, x, 0.5, 1.0, offset), rows[:, ix]):

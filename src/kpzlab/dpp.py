@@ -1,9 +1,8 @@
 """Determinantal point processes on finite spaces.
 
-Correlation kernels, gap probabilities, L-ensembles (conditional ones too,
-with signed weights), Karlin-McGregor determinants, and the non-intersecting
-walk kernel.  Spaces are small and dense by design: everything here is meant
-to be checkable against exhaustive enumeration.
+Correlation kernels, gap probabilities, and L-ensembles (conditional ones
+too, with signed weights).  Spaces are small and dense by design: everything
+here is meant to be checkable against exhaustive enumeration.
 
 Kernels are stored, inverted and reduced to determinants in np.longdouble
 (64-bit mantissa on x86): at cond(1_Z + L) near 10^3, float64 alone leaves
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -199,70 +198,3 @@ def gap_from_weights(weights: Mapping, B: Sequence) -> float:
     """Oracle: P(no point in B) = sum of W(X) over X disjoint from B."""
     avoid = {_as_tuple(p) for p in B}
     return float(sum(w for X, w in weights.items() if not (X & avoid)))
-
-
-def karlin_mcgregor_det(
-    p: Callable[[int, int], float],
-    starts: Sequence[int],
-    ends: Sequence[int],
-    t: int,
-) -> float:
-    """Non-intersection probability det[p_t(k_i, l_j)] for one-step ±1 walks.
-
-    `p(a, b)` is the one-step transition probability; the t-step transitions
-    are built by forward dynamic programming.
-    """
-    starts = [int(s) for s in starts]
-    ends = [int(e) for e in ends]
-    n = len(starts)
-    mat = np.empty((n, n))
-    for i, k in enumerate(starts):
-        dist = {k: 1.0}
-        for _ in range(int(t)):
-            nxt: dict[int, float] = {}
-            for a, w in dist.items():
-                for b in (a - 1, a + 1):
-                    q = p(a, b)
-                    if q:
-                        nxt[b] = nxt.get(b, 0.0) + w * q
-            dist = nxt
-        for j, e in enumerate(ends):
-            mat[i, j] = dist.get(e, 0.0)
-    return float(np.linalg.det(mat))
-
-
-def vicious_walk_kernel(
-    space: Sequence,
-    p_t: Callable,
-    pi: Mapping,
-    xs: Sequence,
-) -> FiniteDpp:
-    """Mid-position kernel for walks pinned to the same configuration.
-
-    Walks start at xs, run for time t, and return over another t; the
-    mid-time configuration is determinantal with kernel
-    K(u,v) = sum_i psi_i(u) phi_i(v),
-    psi_i(u) = sum_k (A^{-1/2})_{ik} p_t(x_k,u)/pi(u)  (phi likewise),
-    A_{ik} = p_{2t}(x_i,x_k)/pi(x_k).  The principal symmetric square root of
-    A is used; a non-symmetric or near-singular A means the reversibility or
-    invertibility preconditions are violated and raises.
-    """
-    space = tuple(space)
-    n = len(xs)
-    pivec = np.array([pi[u] for u in space], dtype=float)
-    P = np.array([[p_t(x, u) for u in space] for x in xs], dtype=float)
-    # p_{2t}(x_i, x_k) by Chapman-Kolmogorov over the (closed) finite space
-    Pback = np.array([[p_t(u, x) for x in xs] for u in space], dtype=float)
-    p2t = P @ Pback
-    xloc = [space.index(x) for x in xs]
-    A = p2t / pivec[xloc][None, :]
-    if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.abs(A).max()))):
-        raise ValueError("A is not symmetric: pi is not reversible for p_t")
-    evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
-    if evals.min() <= 1e-10 * evals.max():
-        raise ValueError("A is numerically singular or not positive definite")
-    a_isqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    psi = (a_isqrt @ P) / pivec[None, :]  # psi[i, u]
-    K = psi.T @ psi
-    return FiniteDpp(space, K, pivec)
-

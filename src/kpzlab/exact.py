@@ -127,11 +127,6 @@ def qbar(n: int, y1: int, y2: int) -> Fraction:
     return _pow2(y2 - y1) * gen_binomial(y1 - y2 - 1, n - 1)
 
 
-def stopping_curve(init: InitialData, n: int) -> tuple[float, ...]:
-    """First-passage thresholds: step m of the walk is stopped above entry m+1."""
-    return tuple(init.entry(m + 1) for m in range(n))
-
-
 def hitting_profile(init: InitialData, n: int, y_lo: int, y_hi: int):
     """First-passage law of the geometric left walk over the data, step by step.
 
@@ -154,7 +149,7 @@ def hitting_profile(init: InitialData, n: int, y_lo: int, y_hi: int):
     b_lo = _entry_int(init, n) + 1
     if b_lo > y_hi:
         return
-    curve = np.array(stopping_curve(init, n))
+    curve = np.array([init.entry(m + 1) for m in range(n)])
     ys = np.arange(y_lo, y_hi + 1)
     # live[ib, iy]: mass of the walk from ys[iy] alive at position b_lo + ib
     live = (np.arange(b_lo, y_hi + 1)[:, None] == ys[None, :]).astype(float)

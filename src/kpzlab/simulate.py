@@ -9,6 +9,17 @@ each clock when the site frees gives TASEP's law.  Randomness is counter-based
 and keyed by (seed, particle label, jump number), so a trajectory is
 reproducible no matter how runs are scheduled.
 
+The same recursion bounds what a run must track.  Particle n's trajectory
+depends only on its own draws and on particle n - 1's trajectory, so the
+particles behind the last tracked label never influence the tracked ones:
+dropping them changes no tracked jump time, and outputs are bit-identical
+for every truncation.  What a truncation can lose is the height at a site
+the tracked particles no longer reach.  The last tracked particle jumps at
+most as often as partial sums of its own unit-mean draws stay within the
+duration, a Poisson(duration) count, so starting it `jump_bound(duration)`
+sites left of the window keeps it out except with probability at most
+2^-60; if it does enter, `inverse_label` raises rather than guess.
+
 The draws come from a table: one numpy pass mixes every tracked particle's
 counter-based uniforms, (splitmix64(key + k·GOLD) >> 11)·2^-53 for its first
 16 + int(duration) jump numbers k, and a row that runs out is extended by
@@ -21,12 +32,14 @@ set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import pdtrc
 
 # The last-passage recursion is the one simulator path and needs no compiler;
 # the flag stays because the benchmark records it with its results.
@@ -39,7 +52,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _LABEL_SALT = np.uint64(0x7F4A7C15)
 _TWO_NEG53 = 2.0**-53
 
-LIGHT_CONE_FACTOR = 10  # tracked particles per unit time beyond the window
+TRUNCATION_RISK = 2.0**-60  # per-run chance that the light cone is too short
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -190,18 +203,38 @@ def make_initial(kind: str, *, d: int | None = None, entries: Sequence | None = 
     return InitialData(kind, d=d, entries=tuple(entries) if entries is not None else None)
 
 
+@functools.lru_cache(maxsize=256)
+def jump_bound(duration: float) -> int:
+    """The least m with P(Poisson(duration) > m) <= TRUNCATION_RISK.
+
+    m is at least floor(duration), and Bennett's inequality puts it at most
+    duration + 28.8 + 9.2·sqrt(duration), so one `pdtrc` call over that span
+    finds it.
+    """
+    if not duration >= 0 or math.isinf(duration):
+        raise ValueError("duration must be finite and >= 0")
+    lo = math.floor(duration)
+    tail = pdtrc(np.arange(lo, lo + 32 + int(10 * math.sqrt(duration))), duration)
+    return lo + int(np.argmax(tail <= TRUNCATION_RISK))
+
+
 def particles_needed(init: InitialData, z_lo: int, duration: float) -> int:
-    """Light-cone truncation: enough particles that the untracked ones cannot
-    influence sites >= z_lo - 1 within `duration`."""
-    in_window = 0
-    k = 1
-    while k <= init.n_finite and init.entry(k) >= z_lo - 1:
-        in_window += 1
-        k += 1
-    need = in_window + int(math.ceil(LIGHT_CONE_FACTOR * duration)) + 8
-    if init.n_finite != math.inf:
-        need = min(need, int(init.n_finite))
-    return max(need, 1)
+    """Light-cone truncation for heights on sites >= z_lo within `duration`.
+
+    Returns the first label N with X_0(N) <= z_lo - 1 - jump_bound(duration)
+    (or the last label, for explicit data that has none).  Labels behind N
+    never influence labels 1..N, and N itself stays at or left of z_lo - 1
+    unless it jumps more than jump_bound(duration) times, which happens with
+    probability at most TRUNCATION_RISK; see the module docstring.
+    """
+    edge = z_lo - 1 - jump_bound(duration)
+    if init.kind == "step":
+        return max(1, -edge)
+    if init.kind == "periodic":
+        return 1 + max(0, -(edge // init.d))
+    return next(
+        (k for k, e in enumerate(init.entries, start=1) if e <= edge), len(init.entries)
+    )
 
 
 def initial_state(
@@ -213,7 +246,8 @@ def initial_state(
     """Materialize a tracked configuration at time 0.
 
     Either pass n_particles directly or (z_lo, duration) for the light-cone
-    rule.  Explicit data is always materialized in full.
+    rule of `particles_needed`.  Explicit data is always materialized in
+    full.
     """
     if init.kind == "explicit":
         if any(math.isinf(e) for e in init.entries):
@@ -311,8 +345,11 @@ def inverse_label(state: ParticleState, z: int | np.ndarray) -> int | np.ndarray
     # positions decrease with index; find the first index with pos <= z
     idx = np.searchsorted(-pos, -np.asarray(z), side="left")
     if not state.complete and np.any(idx == pos.size):
+        last = state.first_label + pos.size - 1
         raise ValueError(
-            f"site {np.min(z)} lies below every tracked particle; enlarge the truncation"
+            f"site {np.min(z)} lies left of every tracked particle: "
+            f"the last tracked label {last} is at {pos[-1]}; evolve no longer than "
+            "the duration given to initial_state, or pass a larger n_particles"
         )
     labels = state.first_label + idx
     return int(labels) if labels.ndim == 0 else labels

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
+from kpzlab.exact import multipoint_probability
 from kpzlab.simulate import (
+    TRUNCATION_RISK,
     HeightField,
     InitialData,
     ParticleState,
@@ -15,6 +18,7 @@ from kpzlab.simulate import (
     height,
     initial_state,
     inverse_label,
+    jump_bound,
     make_initial,
     particles_needed,
     rescale_height,
@@ -77,11 +81,81 @@ def test_unknown_kind():
 def test_light_cone_count():
     init = make_initial("step")
     n = particles_needed(init, z_lo=-5, duration=3.0)
-    # labels 1..6 sit at -1..-6 >= z_lo - 1 = -6, plus 30 light-cone, plus pad
-    assert n == 6 + 30 + 8
+    # the first label at or left of z_lo - 1 - jump_bound(3) = -6 - 28
+    assert jump_bound(3.0) == 28
+    assert n == 6 + 28
     state = initial_state(init, z_lo=-5, duration=3.0)
     assert state.positions.size == n
     assert not state.complete
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 8.0, 179.0, 5657.0])
+def test_jump_bound_is_the_least_tail_bound(t):
+    m = jump_bound(t)
+    assert m == {0.0: 0, 0.5: 15, 8.0: 43, 179.0: 308, 5657.0: 6329}[t]
+    assert pdtrc(m, t) <= TRUNCATION_RISK
+    if m > 0:
+        assert pdtrc(m - 1, t) > TRUNCATION_RISK
+
+
+def test_jump_bound_rejects_bad_durations():
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            jump_bound(t)
+
+
+def _first_label_below(init, edge):
+    k = 1
+    while init.entry(k) > edge:
+        k += 1
+    return k
+
+
+def test_light_cone_closed_form_matches_the_entries():
+    data = [make_initial("step"), make_initial("periodic", d=2), make_initial("periodic", d=3)]
+    for init in data:
+        for z_lo in (-40, -21, -20, -5, 0, 3, 40):
+            for t in (0.0, 0.5, 3.0, 8.0):
+                edge = z_lo - 1 - jump_bound(t)
+                assert particles_needed(init, z_lo, t) == _first_label_below(init, edge)
+    explicit = make_initial("explicit", entries=(5, 2, 0, -40, -90))
+    assert particles_needed(explicit, 0, 3.0) == 4
+    assert particles_needed(explicit, -60, 3.0) == 5
+
+
+def _pad_count(init, z_lo, duration):
+    """The tracked count of the former rule: every particle at or right of
+    z_lo - 1, plus 10 per unit time, plus 8."""
+    in_window = _first_label_below(init, z_lo - 2) - 1
+    return in_window + math.ceil(10 * duration) + 8
+
+
+@pytest.mark.parametrize(
+    "kind, d, z_lo, z_hi, duration",
+    [("step", None, -5, 5, 3.0), ("periodic", 2, -20, 20, 8.0), ("periodic", 3, -10, 10, 5.0)],
+)
+def test_light_cone_runs_are_bit_equal_to_padded_runs(kind, d, z_lo, z_hi, duration):
+    init = make_initial(kind, d=d)
+    cone = initial_state(init, z_lo=z_lo, duration=duration)
+    padded = initial_state(init, n_particles=_pad_count(init, z_lo, duration))
+    n = cone.positions.size
+    assert n < padded.positions.size
+    for seed in range(50):
+        out, log = evolve_events(cone, duration, seed)
+        ref, ref_log = evolve_events(padded, duration, seed)
+        assert out.positions.tobytes() == ref.positions[:n].tobytes()
+        assert height(out, z_lo, z_hi).values.tobytes() == height(ref, z_lo, z_hi).values.tobytes()
+        assert log.tobytes() == ref_log[ref_log["label"] <= n].tobytes()
+
+
+def test_evolving_past_the_light_cone_names_the_fix():
+    init = make_initial("step")
+    state = initial_state(init, z_lo=-5, duration=1.0)
+    last = state.positions.size
+    assert last == 6 + jump_bound(1.0)
+    height(evolve(state, 1.0, seed=3), -5, 5)
+    with pytest.raises(ValueError, match=rf"site -6 .* label {last} .*initial_state.*n_particles"):
+        height(evolve(state, 200.0, seed=3), -5, 5)
 
 
 # ------------------------------------------------------------------- evolution
@@ -284,6 +358,29 @@ def test_blocked_particle_never_jumps():
         times_2 = events["time"][events["label"] == 2]
         if times_2.size:
             assert times_1.size and times_2[0] > times_1[0]
+
+
+def test_half_flat_frequency_at_eps_005_matches_exact():
+    # h^eps(1, 0) <= -1 for half-flat data at eps = 0.05, t = 2 eps^(-3/2):
+    # with anchor 2 and level eps^(-1/2)(-1) - eps^(-3/2) this is X_t(48) > -1
+    eps = 0.05
+    t = 2.0 * eps**-1.5
+    init = make_initial("periodic", d=2)
+    exact = multipoint_probability(t, init, [(48, -1)])
+    assert exact == pytest.approx(0.50708, abs=1e-5)
+    seeds = np.random.SeedSequence([7]).generate_state(400, dtype=np.uint64).tolist()
+    start = initial_state(init, n_particles=48)
+    finals = [evolve(start, t, s).positions for s in seeds]
+    freq = sum(pos[47] > -1 for pos in finals) / len(seeds)
+    assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / len(seeds))
+    # the light cone of the window [-180, 180] keeps the same trajectories
+    cone = initial_state(init, z_lo=-180, duration=t)
+    assert cone.positions.size == 246
+    for s, pos in zip(seeds[:6], finals):
+        out = evolve(cone, t, s)
+        assert out.positions[:48].tobytes() == pos.tobytes()
+        h = rescale_height(height(out, -180, 180), eps, 1.0)
+        assert (h(0.0) <= -1.0) == (pos[47] > -1)
 
 
 # ---------------------------------------------------------------------- height

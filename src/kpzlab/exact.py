@@ -730,24 +730,17 @@ def _joint_events(init: InitialData, events):
 
 
 def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Float walk-power matrix on a grid, overflow safe for deep windows.
-    It is Toeplitz: its values are built once along d = x - y and indexed."""
+    """Float walk power Q^steps, steps >= 1, on a grid, overflow safe for
+    deep windows.  It is Toeplitz: its values are built once along
+    d = x - y and indexed."""
     d = xs[:, None] - ys[None, :]
     lo = int(d.min(initial=0))
     ds = np.arange(lo, d.max(initial=0) + 1.0)
-    if steps == 0:
-        line = (ds == 0).astype(float)
-    elif steps > 0:
-        ok = ds >= steps
-        coeff = np.ones(ds.shape)
-        for i in range(steps - 1):
-            coeff *= (ds - 1 - i) / (i + 1.0)
-        line = np.where(ok, 2.0 ** np.where(ok, -ds, 0.0) * coeff, 0.0)
-    else:
-        k = -steps
-        line = np.zeros(ds.shape)
-        for j in range(k + 1):
-            line[ds == -j] = (-1.0) ** (k - j) * 2.0**j * math.comb(k, j)
+    ok = ds >= steps
+    coeff = np.ones(ds.shape)
+    for i in range(steps - 1):
+        coeff *= (ds - 1 - i) / (i + 1.0)
+    line = np.where(ok, 2.0 ** np.where(ok, -ds, 0.0) * coeff, 0.0)
     return line[d - lo]
 
 
@@ -831,40 +824,37 @@ def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-
 def path_integral_probability(
     t: float, init: InitialData, events, tol: float = 1e-9
 ) -> Certified:
-    """Same probability as multipoint_probability, via the path-product
-    identity: one determinant at the last label, with a product of walk
-    powers and one-sided projections carrying the earlier constraints.
+    """Same probability as multipoint_probability, via the path-integral
+    identity (Borodin-Corwin-Remenik, arXiv:1301.7450): one determinant at
+    the last label, with walk powers and one-sided projections carrying
+    the earlier constraints.
 
-    The product is not evaluated literally: composing the kernel with the
-    projector complements pairs its growing columns against the decaying
-    side of the walk powers and the entrywise sums diverge.  Instead each
-    complement is expanded, the kernel is pushed through the banded
-    inverse powers onto the first retained cutoff, and the result is a
-    signed sum over constraint subsets of absolutely convergent products
-    of a relabeled kernel, cutoffs and forward walk powers.  The first two
-    depths share one build: inverse powers reach only right, forward ones
-    only left, so no entry of the shallower window reads a deeper site.
+    The route reads the extended-kernel blocks that multipoint_probability
+    builds; what it checks on its own is the identity.  Each projector
+    complement is expanded, so the determinant's matrix is a signed sum
+    over constraint subsets.  A subset's term starts from the kernel block
+    (last label, its first label), which is the kernel at the first label
+    moved to the last by the inverse walk power, and alternates one-sided
+    projections with forward walk powers up to the last label.  Every term
+    keeps columns at or below the largest threshold, and forward powers
+    reach only left, so the grid ends there and the first two depths share
+    one build.
     """
     _check_time(t)
     kept, base, ns, a_vals, tops = _joint_events(init, events)
     if not kept:
         return Certified(1.0)
     m = len(ns)
-    floor_site = min(tops + [_entry_int(base, ns[-1])])
-    # every term keeps columns <= max(tops) and reads kernel rows at most
-    # ns[-1] - ns[0] above its own, so I - total is block triangular past hi
-    hi = max(tops) + (ns[-1] - ns[0])
 
     def build(depth):
-        grid = np.arange(floor_site - depth, hi + 1)
-        kernels: dict[int, np.ndarray] = {}
-        total = np.zeros((len(grid), len(grid)))
+        grid = np.arange(min(tops) - depth, max(tops) + 1)
+        size = len(grid)
+        kernel = _kernel_block_matrix(t, base, ns, [grid] * m)
+        total = np.zeros((size, size))
         for bits in range(1, 1 << m):
             chosen = [j for j in range(m) if bits >> j & 1]
-            lead = ns[chosen[0]]
-            if lead not in kernels:
-                kernels[lead] = _kernel_block_matrix(t, base, [lead], [grid])
-            term = _window_q_power(lead - ns[-1], grid, grid) @ kernels[lead]
+            lead = chosen[0]
+            term = kernel[(m - 1) * size :, lead * size : (lead + 1) * size]
             for pos, j in enumerate(chosen):
                 term = term * (grid <= a_vals[j])[None, :]
                 nxt = ns[chosen[pos + 1]] if pos + 1 < len(chosen) else ns[-1]
@@ -874,18 +864,7 @@ def path_integral_probability(
         return total, grid
 
     matrix = _window_rungs(build)
-
-    def det(depth):
-        value = det_window(matrix(depth))
-        if not math.isfinite(value):
-            raise TruncationError(
-                f"the path product's determinant at window depth {depth} is {value}: "
-                "its terms are too large for its double-precision LU here; "
-                "multipoint_probability evaluates the same probability"
-            )
-        return value
-
-    return _settle(det, WINDOW_DEPTHS, tol, TruncationError)
+    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol, TruncationError)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,7 @@ class Certified(float):
     `error` is the absolute change between the last two rungs, `order` the
     last rung (nodes per block, or window depth) and `seconds` the wall
     time of the walk.  The error is the ladder's stopping test, not a
-    bound: round-off that moves every rung alike does not show in it.  On
-    the eps = 0.03 step-data two-point the discrete path-product route
-    settles 1e-8 to 5e-8 away from the extended-kernel route, depending on
-    how its transfer matrices round, while its error reads 0.
+    bound: round-off that moves every rung alike does not show in it.
     Arithmetic gives plain floats; pickle and copy keep the certificate.
     """
 

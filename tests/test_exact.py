@@ -883,7 +883,8 @@ def test_kernel_label_reversal():
     grid = np.arange(-40, 21)
     k3 = _kernel_block_matrix(t, STEP, [3], [grid])
     k2 = _kernel_block_matrix(t, STEP, [2], [grid])
-    moved = _window_q_power(1, grid, grid) @ k3 @ _window_q_power(-1, grid, grid)
+    q_inv = np.array([[float(q_weight(-1, int(a), int(b))) for b in grid] for a in grid])
+    moved = _window_q_power(1, grid, grid) @ k3 @ q_inv
     sel = np.s_[8:-10, 8:-10]
     dev = np.abs(moved - k2)[sel] / np.maximum(1.0, np.abs(k2))[sel]
     assert dev.max() < 1e-11
@@ -894,22 +895,13 @@ def _dense_q_power(steps, xs, ys):
     exact._window_q_power had before it became Toeplitz; its reference."""
     xg = xs[:, None].astype(float)
     yg = ys[None, :].astype(float)
-    if steps == 0:
-        return (xg == yg).astype(float)
-    if steps > 0:
-        d = xg - yg
-        ok = d >= steps
-        coeff = np.ones(d.shape)
-        for i in range(steps - 1):
-            coeff *= (d - 1 - i) / (i + 1.0)
-        expo = np.where(ok, yg - xg, 0.0)
-        return np.where(ok, 2.0**expo * coeff, 0.0)
-    k = -steps
-    diff = (yg - xg).astype(int)
-    out = np.zeros(diff.shape)
-    for j in range(k + 1):
-        out[diff == j] = (-1.0) ** (k - j) * 2.0**j * math.comb(k, j)
-    return out
+    d = xg - yg
+    ok = d >= steps
+    coeff = np.ones(d.shape)
+    for i in range(steps - 1):
+        coeff *= (d - 1 - i) / (i + 1.0)
+    expo = np.where(ok, yg - xg, 0.0)
+    return np.where(ok, 2.0**expo * coeff, 0.0)
 
 
 def test_window_q_power_is_the_dense_formula_to_the_bit():
@@ -922,7 +914,7 @@ def test_window_q_power_is_the_dense_formula_to_the_bit():
         (np.arange(5, 6), np.arange(-3, 9)),
     ]
     for xs, ys in grids:
-        for steps in range(-8, 61):
+        for steps in range(1, 61):
             got = _window_q_power(steps, xs, ys)
             assert got.shape == (len(xs), len(ys))
             assert np.array_equal(got, _dense_q_power(steps, xs, ys)), steps
@@ -1265,6 +1257,15 @@ def test_path_product_matches_extended():
             [(3, 2), (5, 0)],
         ),
         (1.2, make_initial(kind="periodic", d=2), [(1, 0), (3, -3)]),
+        # half-flat data, and a step three- and four-point, along the scaling
+        (2 * 0.05**-1.5, make_initial(kind="periodic", d=2), [(40, 10), (56, -12)]),
+        (2 * 0.05**-1.5, STEP, [(36, 19), (46, 0), (56, -21)]),
+        (2 * 0.1**-1.5, STEP, [(8, 15), (12, 9), (18, -1), (22, -11)]),
+        (
+            3.0,
+            make_initial(kind="explicit", entries=(5, 4, 2, -1, -2, -3, -7)),
+            [(2, 6), (5, 1), (7, -3)],
+        ),
     ]
     for t, data, events in cases:
         got = path_integral_probability(t, data, events)
@@ -1286,6 +1287,7 @@ LADDER_CASES = [
     (path_integral_probability, 0.9, EXPL, [(2, 2), (4, -2)]),
     (path_integral_probability, 2 * 0.01**-1.5, STEP, [(505, -1)]),
     (path_integral_probability, 2 * 0.005**-1.5, STEP, [(1422, -1)]),
+    (path_integral_probability, 2 * 0.01**-1.5, STEP, [(453, 99), (553, -101)]),
 ]
 
 
@@ -1293,7 +1295,8 @@ LADDER_CASES = [
     "route, t, data, events",
     LADDER_CASES,
     ids=["mp-one-0.1", "mp-two-0.1", "mp-one-0.01", "mp-two-0.01", "mp-explicit",
-         "path-one-0.1", "path-two-0.1", "path-explicit", "path-one-0.01", "path-one-0.005"],
+         "path-one-0.1", "path-two-0.1", "path-explicit", "path-one-0.01", "path-one-0.005",
+         "path-two-0.01"],
 )
 def test_first_two_rungs_share_one_build(monkeypatch, route, t, data, events):
     # the first rung's window is a trailing sub-block of the second's.  A
@@ -1318,10 +1321,8 @@ def test_first_two_rungs_share_one_build(monkeypatch, route, t, data, events):
     value = route(t, data, events)
     rungs = WINDOW_DEPTHS.index(value.order) + 1
     assert len(dets) == rungs and float(value) == dets[-1]
-    # one build serves the first two rungs, and each deeper rung builds once;
-    # the path route builds one kernel per lead label
-    leads = len(events) if route is path_integral_probability else 1
-    assert len(builds) == leads * (rungs - 1)
+    # one build serves the first two rungs, and each deeper rung builds once
+    assert len(builds) == rungs - 1
     # a ladder whose two rungs are one depth builds that depth itself
     shared, shared_det = kernels[0], dets[0]
     kernels.clear()

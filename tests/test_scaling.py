@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
-from kpzlab.exact import TruncationError, multipoint_probability, path_integral_probability
+from kpzlab.exact import multipoint_probability, path_integral_probability
 from kpzlab.simulate import make_initial
 
 STEP = make_initial("step")
@@ -65,34 +65,28 @@ def test_one_point_approaches_f_gue(eps):
         assert abs(p - f_gue(r_mid)) <= 0.5 * math.sqrt(eps), (r, p)
 
 
-def test_two_point_routes_agree_at_eps_005():
-    eps = 0.05
+# h(+-1/2) <= -1/2 at each eps, as height_event builds them
+TWO_POINTS = {
+    0.05: [(36, 19), (56, -21)],
+    0.03: [(82, 32), (115, -34)],
+    0.02: [(154, 49), (204, -51)],
+    0.01: [(453, 99), (553, -101)],
+    0.005: [(1318, 199), (1518, -201)],
+}
+
+
+@pytest.mark.parametrize("eps", sorted(TWO_POINTS, reverse=True))
+def test_two_point_routes_agree(eps):
     t = 2.0 * eps**-1.5
     events = sorted(height_event(eps, x, -0.5)[0] for x in (0.5, -0.5))
-    assert events == [(36, 19), (56, -21)]
+    assert events == TWO_POINTS[eps]
     a = multipoint_probability(t, STEP, events)
     b = path_integral_probability(t, STEP, events)
     assert abs(a - b) <= 1e-9
-    assert a == pytest.approx(0.8956800693, abs=1e-9)
-
-
-def test_one_point_routes_agree_at_eps_0005():
-    # the path route's window ends where I - total turns block triangular;
-    # past it the conjugated kernel leaves the double range
-    eps = 0.005
-    t = 2.0 * eps**-1.5
-    events = [height_event(eps, 0.0, -1.0)[0]]
-    a = multipoint_probability(t, STEP, events)
-    b = path_integral_probability(t, STEP, events)
-    assert abs(a - b) <= 1e-9
-
-
-def test_two_point_path_route_refuses_at_eps_001():
-    # the path product's determinant leaves the double range on the first
-    # rung; it must raise at once, with no overflow warning on the way
-    eps = 0.01
-    t = 2.0 * eps**-1.5
-    events = sorted(height_event(eps, x, -0.5)[0] for x in (0.5, -0.5))
-    assert events == [(453, 99), (553, -101)]
-    with pytest.raises(TruncationError, match="depth 48 .*multipoint_probability"):
-        path_integral_probability(t, STEP, events)
+    if eps == 0.05:
+        assert a == pytest.approx(0.8956800693, abs=1e-9)
+    if eps == 0.005:
+        # with one event the two routes build the same matrix
+        one = [height_event(eps, 0.0, -1.0)[0]]
+        a = multipoint_probability(t, STEP, one)
+        assert abs(a - path_integral_probability(t, STEP, one)) <= 1e-9

@@ -39,7 +39,6 @@ first two of WINDOW_DEPTHS share one kernel build.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +48,15 @@ import numpy as np
 from .dpp import LEnsembleSpec, conditional_l_to_k
 from .fredholm import Certified, _settle, det_window
 from .simulate import InitialData, make_initial
-from .special import _charlier_term, _check_time, _exit, _poisson_charlier, gen_binomial, schuetz_F
+from .special import (
+    _charlier_term,
+    _check_time,
+    _exit,
+    _integer,
+    _poisson_charlier,
+    gen_binomial,
+    schuetz_F,
+)
 
 N_MAX_DET = 8  # largest determinant size for transition probabilities
 N_MAX_ARRAY_SUM = 4  # interlacing-array sum grows too fast beyond this
@@ -482,15 +489,17 @@ def phi_closed_form(
 
 
 def _weyl_tuple(vec, name: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in vec)
-    if any(out[i] <= out[i + 1] for i in range(len(out) - 1)):
+    out = tuple([_integer(v, name) for v in vec])
+    if not all(a > b for a, b in zip(out, out[1:])):
         raise ValueError(f"{name} must be strictly decreasing")
     return out
 
 
 def schuetz_transition(x, y, t: float) -> float:
     """Transition probability from configuration y to x in time t >= 0, as
-    an N x N determinant of index-shifted one-particle kernels."""
+    the N x N determinant det[F_(i-j)(x_(N+1-i) - y_(N+1-j), t)] of
+    index-shifted one-particle kernels.  At N = 1 it is the entry itself,
+    F_0(x - y, t).  Sites must be integral and strictly decreasing."""
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
@@ -499,10 +508,10 @@ def schuetz_transition(x, y, t: float) -> float:
     if not 1 <= n <= N_MAX_DET:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
     _check_time(t)
-    mat = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            mat[i - 1, j - 1] = schuetz_F(i - j, xv[n - i] - yv[n - j], t)
+    if n == 1:
+        return schuetz_F(0, xv[0] - yv[0], t)
+    ks = range(1, n + 1)
+    mat = [[schuetz_F(i - j, xv[n - i] - yv[n - j], t) for j in ks] for i in ks]
     return float(np.linalg.det(mat))
 
 
@@ -525,6 +534,13 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
     lo = min(min(xv), min(yv)) - pad
     hi = max(max(xv), max(yv)) + pad
     return _array_sum_value(xv, yv, t, lo, hi)
+
+
+def _increasing_triples(base: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The triples u1 < u2 < u3 of entries of an increasing array, as three
+    columns in itertools.combinations' (lexicographic) order."""
+    a = np.arange(len(base))
+    return tuple(base[i] for i in np.nonzero((a[:, None, None] < a[:, None]) & (a[:, None] < a)))
 
 
 def _array_sum_value(xv, yv, t, lo, hi):
@@ -590,8 +606,7 @@ def _array_sum_value(xv, yv, t, lo, hi):
     base = np.arange(max(xv[2], lo), hi + 1)
     if len(base) < 3:
         return 0.0
-    triples = np.array(list(itertools.combinations(base.tolist(), 3)))
-    u1, u2, u3 = triples[:, 0], triples[:, 1], triples[:, 2]
+    u1, u2, u3 = _increasing_triples(base)
     counts = rect(np.maximum(u1, xv[1] - 1), u2, u2, u3)
     keep = counts > 0
     if not keep.any():
@@ -616,17 +631,18 @@ def gt_indicator(levels) -> int:
     Equals 1 exactly when consecutive rows interlace (the previous row
     extended by a virtual +infinity entry), else 0.
     """
-    prev: tuple = ()
-    prod = 1
+    size = len(levels)
+    # level m's matrix, padded with an identity block to the last level's size
+    mats = np.zeros((size, size, size))
+    mats.reshape(size, size * size)[:, :: size + 1] = 1.0
+    prev: list = []
     for m, raw in enumerate(levels, start=1):
-        rowv = tuple(float(v) for v in raw)
-        if len(rowv) != m:
+        row = [float(v) for v in raw]
+        if len(row) != m:
             raise ValueError(f"level {m} must have {m} entries")
-        ext = prev + (math.inf,)
-        mat = np.array([[1.0 if a > b else 0.0 for b in rowv] for a in ext])
-        prod *= int(round(np.linalg.det(mat)))
-        prev = rowv
-    return prod
+        mats[m - 1, :m, :m] = [[a > b for b in row] for a in prev + [math.inf]]
+        prev = row
+    return math.prod(map(round, np.linalg.det(mats).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -919,22 +935,24 @@ def bfps_l_verify(
     max_dev = float(np.abs(got - want).max())
 
     rng = np.random.default_rng(7)
-    sign = 0.0
-    max_weight_dev = 0.0
+    draws, interlaced = [], []
     for _ in range(200):
         z11, z21, z22 = rng.integers(span_lo, span_hi + 1, size=3).tolist()
         if z21 == z22:
             continue
         z21, z22 = sorted((z21, z22))
-        idx = [0, 1] + sorted(spec.index_of(p) for p in [(1, z11), (2, z21), (2, z22)])
-        minor = float(np.linalg.det(L[np.ix_(idx, idx)]))
-        weight = 0.0
-        if gt_indicator([(z11,), (z21, z22)]):  # psi rows of z21, z22 from L
-            weight = float(np.linalg.det(L[[2 + width + z21 - lo, 2 + width + z22 - lo], :2]))
-        if not sign and abs(weight) > 1e-12:
-            sign = math.copysign(1.0, minor * weight)
-        ref = sign if sign else 1.0
-        max_weight_dev = max(max_weight_dev, abs(minor - ref * weight))
+        draws.append([0, 1] + sorted(spec.index_of(p) for p in [(1, z11), (2, z21), (2, z22)]))
+        interlaced.append(gt_indicator([(z11,), (z21, z22)]))
+    idx = np.array(draws)
+    minor = np.linalg.det(L[idx[:, :, None], idx[:, None, :]])
+    # a draw's last two indices are level 2's: the psi rows of z21, z22 from L
+    weight = np.where(interlaced, np.linalg.det(L[idx[:, 3:], :2]), 0.0)
+    # one global sign, read off the first weight that is not round-off
+    big = np.flatnonzero(abs(weight) > 1e-12)
+    k = big[0] if len(big) else len(weight)
+    sign = math.copysign(1.0, minor[k] * weight[k]) if len(big) else 0.0
+    ref = np.where(np.arange(len(weight)) < k, 1.0, sign)  # the draws before it compare unsigned
+    max_weight_dev = float(np.abs(minor - ref * weight).max(initial=0.0))
 
     mism = 0
     for _ in range(trials):

@@ -203,16 +203,20 @@ def make_initial(kind: str, *, d: int | None = None, entries: Sequence | None = 
     return InitialData(kind, d=d, entries=tuple(entries) if entries is not None else None)
 
 
-@functools.lru_cache(maxsize=256)
 def jump_bound(duration: float) -> int:
     """The least m with P(Poisson(duration) > m) <= TRUNCATION_RISK.
 
     m is at least floor(duration), and Bennett's inequality puts it at most
     duration + 28.8 + 9.2·sqrt(duration), so one `pdtrc` call over that span
-    finds it.
+    finds it.  The last 256 durations are memoised.
     """
     if not duration >= 0 or math.isinf(duration):
         raise ValueError("duration must be finite and >= 0")
+    return _jump_bound(duration)
+
+
+@functools.lru_cache(maxsize=256)
+def _jump_bound(duration: float) -> int:
     lo = math.floor(duration)
     tail = pdtrc(np.arange(lo, lo + 32 + int(10 * math.sqrt(duration))), duration)
     return lo + int(np.argmax(tail <= TRUNCATION_RISK))

@@ -9,10 +9,20 @@ and Ai' from it, and no other module imports an Airy or Bessel function.
 No library path integrates on a contour: the circle quadrature that checks
 those residue sums lives in the tests.  All routines are deterministic and
 raise instead of returning silent best-effort values.
+
+schuetz_F checks its arguments and then reads a private memo,
+functools.lru_cache(maxsize=_SCHUETZ_MEMO = 128), of its last entries.  A
+Schuetz determinant summed over configurations asks for each entry
+F_(i-j)(x_i - y_j, t) once per configuration that shares it: the brute
+sums of the benchmark's small exact problems (N <= 3, t <= 2) make 22 090
+calls a round for at most 79 distinct entries per sum.  The bound is well
+below the ~2 090 distinct entries of a whole round, so the hits come from
+reuse inside one sum, never from replaying earlier work.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -29,6 +39,7 @@ _LN2_HI, _LN2_LO = 0.693147180369123816490, 1.90821492927058770002e-10
 _RESCALE = 2.0**500  # _poisson_charlier renormalises its rows outside [1/this, this]
 _SPLIT = 300.0  # below this |s|, e^s times such a row stays normal and needs no split
 _SERIES_EPS = 2.0**-56  # schuetz_F stops a positive series once its tail is below this
+_SCHUETZ_MEMO = 128  # entries schuetz_F's memo keeps; see the module docstring
 
 
 class QuadratureError(RuntimeError):
@@ -163,6 +174,18 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
 
 
+def _integer(v, name: str) -> int:
+    """v as a Python int: a lattice site or an index.  Raises ValueError
+    for a value that is not integral, which int() would truncate."""
+    if type(v) is int:
+        return v
+    if isinstance(v, np.integer):
+        return int(v)
+    if not float(v).is_integer():
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def schuetz_F(n: int, x: int, t: float) -> float:
     """One-parameter family F_n(x,t) of signed transition weights.
 
@@ -177,11 +200,17 @@ def schuetz_F(n: int, x: int, t: float) -> float:
     It is summed outwards from j0, the larger of its first index and the
     Poisson mode, whose weight past j0 = 15 is taken in Loader's
     saddle-point form: e^(-t) never underflows alone, and at large t the
-    weight keeps its relative accuracy.
+    weight keeps its relative accuracy.  n and x must be integral and t
+    finite and nonnegative; the checked arguments, as Python ints and a
+    float, key the memo of the last _SCHUETZ_MEMO entries.
     """
-    n = int(n)
-    x = int(x)
     _check_time(t)
+    return _schuetz_F(_integer(n, "n"), _integer(x, "x"), float(t))
+
+
+@functools.lru_cache(maxsize=_SCHUETZ_MEMO)
+def _schuetz_F(n: int, x: int, t: float) -> float:
+    """schuetz_F's value for checked arguments, memoised."""
     if n <= 0:
         return (-1) ** n * _charlier_term(x - n, -n, t)
     if t == 0.0:

@@ -8,6 +8,7 @@ particles by uniformization, and brute-force sums of transition determinants
 for the joint laws.  Nothing below reuses the code path it checks.
 """
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -28,6 +29,7 @@ from kpzlab.exact import (
     BiorthoSystem,
     TruncationError,
     WindowError,
+    _increasing_triples,
     backward_heat_polys,
     bfps_l_verify,
     build_biortho,
@@ -51,7 +53,7 @@ from kpzlab.exact import (
 )
 from kpzlab.fredholm import Certified, det_window
 from kpzlab.simulate import make_initial
-from kpzlab.special import schuetz_F
+from kpzlab.special import _schuetz_F, schuetz_F
 
 STEP = make_initial(kind="step")
 EXPL = make_initial(kind="explicit", entries=(3, 1, -2, -3, -7))
@@ -1041,6 +1043,40 @@ def test_transition_rejects_bad_configurations():
         schuetz_transition((1, 0), (2, 0), -0.1)
 
 
+def test_transition_rejects_non_integral_sites():
+    # int() would truncate these to a neighbouring configuration
+    bad = (((1.5, -0.5), (0, -1)), ((1, -1), (0, np.float64(-1.5))), ((math.inf, 0), (0, -1)))
+    for x, y in bad:
+        for route in (schuetz_transition, gt_pattern_sum):
+            with pytest.raises(ValueError, match=r"^[xy] must be an integer"):
+                route(x, y, 0.5)
+    want = schuetz_transition((1, -1), (0, -1), 0.5)
+    assert schuetz_transition((1.0, np.int64(-1)), np.array([0, -1]), 0.5) == want
+    want = gt_pattern_sum((1, -1), (0, -1), 0.5)
+    assert gt_pattern_sum((np.int32(1), -1.0), (0, -1), 0.5) == want
+
+
+def test_single_particle_transition_is_the_entry():
+    for x, y, t in ((3, 0, 0.7), (0, 0, 0.0), (-1, 2, 1.3), (5, -2, 2.0)):
+        assert schuetz_transition((x,), (y,), t) == schuetz_F(0, x - y, t)
+
+
+def test_transition_sum_same_with_cold_and_warm_memo():
+    y, t = (0, -2), 0.7
+
+    def total():
+        return sum(
+            schuetz_transition((x1, x2), y, t) for x1 in range(0, 15) for x2 in range(-2, x1)
+        )
+
+    _schuetz_F.cache_clear()
+    cold = total()
+    hits = _schuetz_F.cache_info().hits
+    assert hits > 0  # entries are reused inside one sum
+    assert total().hex() == cold.hex()
+    assert _schuetz_F.cache_info().hits > hits
+
+
 def test_transition_normalisation():
     t = 0.7
     y = (0, -2)
@@ -1133,31 +1169,40 @@ def test_array_sum_rejects_bad_input():
 
 
 def test_interlacing_indicator_examples():
+    assert gt_indicator([]) == 1
     assert gt_indicator([(0,)]) == 1
     assert gt_indicator([(0,), (-2, 0)]) == 1
     assert gt_indicator([(0,), (-2, 1)]) == 1
     assert gt_indicator([(0,), (0, 1)]) == 0
     assert gt_indicator([(0,), (-2, -1)]) == 0
-    with pytest.raises(ValueError):
+    five = [(0,), (-1, 1), (-2, 0, 2), (-3, -1, 1, 3), (-4, -2, 0, 2, 4)]
+    assert gt_indicator(five) == 1
+    assert gt_indicator(five[:4] + [(-4, -2, 0, 3, 4)]) == 0
+    assert gt_indicator(five[:4] + [(-4, -1, 0, 2, 4)]) == 0
+    with pytest.raises(ValueError, match="level 1"):
         gt_indicator([(0, 1)])
+    with pytest.raises(ValueError, match="level 2"):
+        gt_indicator([(0,), (1,)])
+    with pytest.raises(ValueError, match="level 4"):
+        gt_indicator(five[:3] + [(-3, -1, 1)])
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6))
+@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=10, max_size=10))
 def test_interlacing_indicator_property(raw):
-    top = (raw[0],)
-    mid = tuple(sorted(raw[1:3]))
-    bot = tuple(sorted(raw[3:6]))
-    levels = (top, mid, bot)
-    ok = 1
-    prev = None
-    for row in levels:
-        if prev is not None:
-            for i, p in enumerate(prev):
-                if not (row[i] < p <= row[i + 1]):
-                    ok = 0
-        prev = row
-    assert gt_indicator(levels) == ok
+    levels = (raw[:1], sorted(raw[1:3]), sorted(raw[3:6]), sorted(raw[6:10]))
+    # every prefix is checked: four random levels rarely interlace, three often do
+    ok = gt_indicator(levels[:1]) == 1
+    for k in range(2, 5):
+        prev, row = levels[k - 2], levels[k - 1]
+        ok = ok and all(row[i] < p <= row[i + 1] for i, p in enumerate(prev))
+        assert gt_indicator(levels[:k]) == ok
+
+
+def test_increasing_triples_in_combinations_order():
+    for base in (np.arange(-3, 9), np.array([-7, -2, 0, 5, 6]), np.arange(3), np.arange(2)):
+        got = np.stack(_increasing_triples(base), 1).tolist()
+        assert got == [list(c) for c in itertools.combinations(base.tolist(), 3)]
 
 
 # ---- joint laws ------------------------------------------------------------

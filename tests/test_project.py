@@ -4,6 +4,7 @@ name the benchmark reads exists."""
 
 import ast
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -96,3 +97,24 @@ def test_only_special_evaluates_airy():
         }
     assert {"airy", "kve"} <= found.pop("special.py")
     assert not {name: names for name, names in found.items() if names}
+
+
+def test_public_callables_are_plain_functions_or_classes():
+    # bench/tracer.py times only plain functions: a public name bound to a
+    # cached, partial or vectorised callable would read 0 s in its layer
+    odd = []
+    for layer in ("special", "exact", "fredholm", "simulate", "dpp", "continuum"):
+        module = importlib.import_module(f"kpzlab.{layer}")
+        tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        for name, obj in vars(module).items():
+            if name.startswith("_") or name in imported or not callable(obj):
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                odd.append(f"{layer}.{name}: {type(obj).__name__}")
+    assert not odd, odd

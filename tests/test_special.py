@@ -22,6 +22,7 @@ from kpzlab.special import (
     _airy,
     _charlier_term,
     _poisson_charlier,
+    _schuetz_F,
     airy_ai_kernel,
     gen_binomial,
     schuetz_F,
@@ -300,6 +301,43 @@ def test_schuetz_F_frozen():
     # F_1(0,1) = sum_{y>=0} e^{-1}/y! = 1 and F_2(0,1) = e^{-1} * 2e = 2
     assert abs(schuetz_F(1, 0, 1.0) - 1.0) <= 1e-9
     assert abs(schuetz_F(2, 0, 1.0) - 2.0) <= 1e-9
+
+
+def test_schuetz_F_memo_is_the_helper_to_the_bit():
+    # each entry is asked for twice, so the second read comes from the memo
+    compute = _schuetz_F.__wrapped__
+    for t in (0.0, 0.3, 1.7, 40.0):
+        for n in range(-4, 5):
+            for x in range(-6, 12):
+                want = compute(n, x, t).hex()
+                assert schuetz_F(n, x, t).hex() == want, (n, x, t)
+                assert schuetz_F(n, x, t).hex() == want, (n, x, t)
+
+
+def test_schuetz_F_numpy_arguments_share_the_entry():
+    for n, x, t in ((2, -1, 0.7), (-1, 3, 1.25), (0, 0, 0.0), (-3, 5, 2.0)):
+        want = schuetz_F(n, x, t)
+        misses = _schuetz_F.cache_info().misses
+        for args in (
+            (np.int64(n), np.int32(x), np.float64(t)),
+            (float(n), np.float64(x), t),
+            (np.int8(n), x, int(t) if t.is_integer() else t),
+        ):
+            got = schuetz_F(*args)
+            assert type(got) is float and got.hex() == want.hex(), args
+        assert _schuetz_F.cache_info().misses == misses
+
+
+def test_schuetz_F_checks_come_before_the_memo():
+    schuetz_F(1, 2, 0.5)
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^t must be finite and nonnegative"):
+            schuetz_F(1, 2, bad)
+    misses = _schuetz_F.cache_info().misses
+    for n, x in ((1, 2.5), (0.5, 2), (np.float64(1.25), 0), (1, math.inf), (1, math.nan)):
+        with pytest.raises(ValueError, match=r"must be an integer"):
+            schuetz_F(n, x, 0.5)
+    assert _schuetz_F.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])

@@ -2,17 +2,16 @@
 
 `s_kernel` is the paper's S_{t,x}, the kernel of e^(x D^2 + t D^3 / 3) with
 D the derivative; the fixed-point kernels of the notes are products of such
-kernels.  For the
-narrow-wedge and flat initial data those products are closed forms, and
-the fixed point at any time t > 0 is an Airy process after the 1:2:3
-rescaling, as processes in x:
+kernels.  For the narrow-wedge and flat initial data those products are
+closed forms, and the fixed point at any time t > 0 is an Airy process after
+the 1:2:3 rescaling, as processes in x:
 
     narrow wedge at 0:  h(t, x) = t^(1/3) A_2(t^(-2/3) x) - x^2 / t,
     flat, h_0 = 0:      h(t, x) = (2t)^(1/3) A_1((2t)^(-2/3) x).
 
 `airy2_probability` and `airy1_probability` evaluate the finite-dimensional
 distributions of A_2 and A_1 as Fredholm determinants of the closed-form
-extended kernels (Bornemann, arXiv:0804.2543), on fredholm's block
+extended kernels (Bornemann, arXiv:0804.2543), on fredholm's quadrature
 determinant and order ladder, as `Certified` floats.  F_GUE(s) and
 F_GOE(2s) are their one-point cases.  Ai and Ai' come from special's one
 Airy evaluator: cephes up to 10 and K_(1/3), K_(2/3) through kve above, so
@@ -28,14 +27,7 @@ import itertools
 import math
 
 import numpy as np
-from .fredholm import (
-    ORDER_LADDER,
-    BlockExtendedProblem,
-    Certified,
-    _gauss01,
-    _settle,
-    block_extended_det,
-)
+from .fredholm import ORDER_LADDER, Certified, HalfLineUp, _gauss01, _quadrature_det, _settle
 from .special import _airy
 
 # The ladder stops once two successive orders agree to this.  The orders
@@ -93,28 +85,27 @@ def _heat(gap: float, u, v):
 
 
 def _probability(points, block) -> Certified:
-    """det(I - K) on the direct sum of L^2(b_k, inf) for points (x_k, b_k),
-    with block (k, l) of K given by block(x_l - x_k, u, v).
-
-    block_extended_det projects onto (-inf, a_k], so each block is read on
-    the reflected grids a_k = -b_k.  A level b_k = +inf drops its point.
-    """
+    """det(I - K) on the direct sum of L^2(b_k, inf) for 1 to 4 points
+    (x_k, b_k), with block (k, l) of K given by block(x_l - x_k, u, v).  A
+    level b_k = +inf drops its point."""
+    if not 1 <= len(points) <= 4:
+        raise ValueError(f"need between 1 and 4 points, got {len(points)}")
     xs = [float(x) for x, _ in points]
-    levels = tuple(float(b) for _, b in points)
+    levels = [float(b) for _, b in points]
+    for x, b in zip(xs, levels):
+        if not math.isfinite(x):
+            raise ValueError(f"point ({x}, {b}) needs a finite x")
     if len(set(xs)) != len(xs):
         raise ValueError(f"points need distinct x, got {xs}")
     if any(math.isnan(b) or b == -math.inf for b in levels):
         raise ValueError(f"levels must be real or +inf, got {levels}")
+    kept = [x for x, b in zip(xs, levels) if b != math.inf]
+    domains = [HalfLineUp(b) for b in levels if b != math.inf]
 
     def kernel(i, j, u, v):
-        return block(xs[j] - xs[i], -u, -v)
+        return block(kept[j] - kept[i], u, v)
 
-    def det(order):
-        return block_extended_det(
-            BlockExtendedProblem(kernel, tuple(-b for b in levels), order=order)
-        )
-
-    return _settle(det, ORDER_LADDER, _TOL)
+    return _settle(lambda order: _quadrature_det(kernel, domains, order), ORDER_LADDER, _TOL)
 
 
 def _cancelling_exponent(d: float, b_i: float, b_j: float) -> float:

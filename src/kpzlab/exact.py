@@ -536,11 +536,15 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
     return _array_sum_value(xv, yv, t, lo, hi)
 
 
-def _increasing_triples(base: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The triples u1 < u2 < u3 of entries of an increasing array, as three
+def _increasing_tuples(base: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
+    """The r-tuples u_1 < ... < u_r of entries of an increasing array, as r
     columns in itertools.combinations' (lexicographic) order."""
     a = np.arange(len(base))
-    return tuple(base[i] for i in np.nonzero((a[:, None, None] < a[:, None]) & (a[:, None] < a)))
+    mask = np.ones((len(base),) * r, dtype=bool)
+    for k in range(1, r):
+        # axis k - 1 below axis k
+        mask &= a.reshape((-1,) + (1,) * (r - k)) < a.reshape((-1,) + (1,) * (r - 1 - k))
+    return tuple(base[i] for i in np.nonzero(mask))
 
 
 def _array_sum_value(xv, yv, t, lo, hi):
@@ -553,15 +557,9 @@ def _array_sum_value(xv, yv, t, lo, hi):
     if n == 1:
         return float(table[xv[0] - lo, 0])
 
-    if n == 2:
-        # one free entry v on the bottom level, v >= x_1
-        vs = np.arange(xv[0], hi + 1)
-        if len(vs) == 0:
-            return 0.0
-        mats = np.empty((len(vs), 2, 2))
-        mats[:, 0, :] = table[xv[1] - lo]
-        mats[:, 1, :] = table[vs - lo]
-        return float(np.linalg.det(mats).sum())
+    # bottom level x_n, u_1 < ... < u_(n-1) with u_1 >= x_(n-1): each tuple's
+    # determinant counts once per interlacing filling of the levels between
+    bottom = _increasing_tuples(np.arange(max(xv[-2], lo), hi + 1), n - 1)
 
     def pair_counts(w1g, w2g):
         # number of admissible middle entries for a bottom pair (w1, w2):
@@ -569,59 +567,37 @@ def _array_sum_value(xv, yv, t, lo, hi):
         lowest = np.maximum(xv[0], w1g + 1)
         return np.maximum(w2g - lowest + 1, 0)
 
-    if n == 3:
-        w1s = np.arange(max(xv[1], lo), hi + 1)
-        w2s = np.arange(lo, hi + 1)
-        if len(w1s) == 0:
-            return 0.0
-        w1g, w2g = np.meshgrid(w1s, w2s, indexing="ij")
-        counts = pair_counts(w1g, w2g)
-        mask = counts > 0
-        if not mask.any():
-            return 0.0
-        w1f = w1g[mask]
-        w2f = w2g[mask]
-        mats = np.empty((len(w1f), 3, 3))
-        mats[:, 0, :] = table[xv[2] - lo]
-        mats[:, 1, :] = table[w1f - lo]
-        mats[:, 2, :] = table[w2f - lo]
-        return float((counts[mask] * np.linalg.det(mats)).sum())
+    if n == 2:
+        counts = np.ones_like(bottom[0])
+    elif n == 3:
+        counts = pair_counts(*bottom)
+    else:
+        # n == 4: aggregate the two inner levels into a rectangle-sum table
+        # over the pair below them
+        w1s = np.arange(lo, hi + 1)
+        w1g, w2g = np.meshgrid(w1s, w1s, indexing="ij")
+        inner = np.where(w1g >= xv[1], pair_counts(w1g, w2g), 0)
+        pref = np.zeros((len(w1s) + 1, len(w1s) + 1))
+        pref[1:, 1:] = inner.cumsum(axis=0).cumsum(axis=1)
 
-    # n == 4: aggregate the two inner levels into a rectangle-sum table over
-    # the bottom pair, then sweep strictly increasing bottom-level triples.
-    w1s = np.arange(lo, hi + 1)
-    w1g, w2g = np.meshgrid(w1s, w1s, indexing="ij")
-    inner = np.where(w1g >= xv[1], pair_counts(w1g, w2g), 0)
-    pref = np.zeros((len(w1s) + 1, len(w1s) + 1))
-    pref[1:, 1:] = inner.cumsum(axis=0).cumsum(axis=1)
+        def rect(a_lo, a_hi, b_lo, b_hi):
+            # sum of inner over w1 in (a_lo, a_hi], w2 in (b_lo, b_hi]
+            ia0 = np.clip(a_lo - lo + 1, 0, len(w1s))
+            ia1 = np.clip(a_hi - lo + 1, 0, len(w1s))
+            ib0 = np.clip(b_lo - lo + 1, 0, len(w1s))
+            ib1 = np.clip(b_hi - lo + 1, 0, len(w1s))
+            return pref[ia1, ib1] - pref[ia0, ib1] - pref[ia1, ib0] + pref[ia0, ib0]
 
-    def rect(a_lo, a_hi, b_lo, b_hi):
-        # sum of inner over w1 in (a_lo, a_hi], w2 in (b_lo, b_hi]
-        ia0 = np.clip(a_lo - lo + 1, 0, len(w1s))
-        ia1 = np.clip(a_hi - lo + 1, 0, len(w1s))
-        ib0 = np.clip(b_lo - lo + 1, 0, len(w1s))
-        ib1 = np.clip(b_hi - lo + 1, 0, len(w1s))
-        return pref[ia1, ib1] - pref[ia0, ib1] - pref[ia1, ib0] + pref[ia0, ib0]
+        u1, u2, u3 = bottom
+        counts = rect(np.maximum(u1, xv[1] - 1), u2, u2, u3)
 
-    base = np.arange(max(xv[2], lo), hi + 1)
-    if len(base) < 3:
-        return 0.0
-    u1, u2, u3 = _increasing_triples(base)
-    counts = rect(np.maximum(u1, xv[1] - 1), u2, u2, u3)
     keep = counts > 0
-    if not keep.any():
-        return 0.0
-    u1, u2, u3, counts = u1[keep], u2[keep], u3[keep], counts[keep]
+    counts = counts[keep]
+    rows = np.stack([np.full(len(counts), xv[-1]), *(u[keep] for u in bottom)], 1) - lo
     total = 0.0
     chunk = 50000
-    for s in range(0, len(u1), chunk):
-        e = min(s + chunk, len(u1))
-        mats = np.empty((e - s, 4, 4))
-        mats[:, 0, :] = table[xv[3] - lo]
-        mats[:, 1, :] = table[u1[s:e] - lo]
-        mats[:, 2, :] = table[u2[s:e] - lo]
-        mats[:, 3, :] = table[u3[s:e] - lo]
-        total += float((counts[s:e] * np.linalg.det(mats)).sum())
+    for s in range(0, len(rows), chunk):
+        total += float((counts[s : s + chunk] * np.linalg.det(table[rows[s : s + chunk]])).sum())
     return total
 
 

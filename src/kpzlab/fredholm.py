@@ -1,13 +1,16 @@
-"""Fredholm determinants: finite windows and Nystrom quadrature.
+"""Fredholm determinants: finite windows and quadrature on half-lines.
 
-Continuum determinants det(I - K) are discretized with Gauss-Legendre nodes
-on (0, 1) pushed onto a half-line by the rational map s/(1 - s), in the
-symmetrized form det(I - W^{1/2} K W^{1/2}).  Orders walk a fixed ladder
-(20, 40, 80, 160) so self-convergence deltas are reproducible.
+`det_window` is the package's one det(I - K), on exact kernel windows and
+on quadrature matrices alike.  One core, `_quadrature_det`, discretizes
+continuum determinants over stacked blocks (Bornemann, arXiv:0804.2543):
+Gauss-Legendre nodes on (0, 1) pushed onto each half-line by s/(1 - s), in
+the symmetrized form det(I - W^{1/2} K W^{1/2}).  Nystrom on one half-line
+is its one-block case.  Orders walk a fixed ladder (20, 40, 80, 160) so
+self-convergence deltas are reproducible.
 
 `_settle` is the package's one refinement loop: it walks a ladder of rungs
-(Nystrom orders here, window depths in `exact`) until two successive values
-agree, and returns the value as a `Certified` float.
+(quadrature orders here, window depths in `exact`) until two successive
+values agree, and returns the value as a `Certified` float.
 
 Kernel callables receive broadcastable arrays (shapes (n,1) and (1,m)) and
 return the matrix of kernel values; a kernel with low-rank structure is free
@@ -122,6 +125,22 @@ def det_window(kernel_matrix: np.ndarray) -> float | complex:
     return complex(out) if np.iscomplexobj(k) else float(out)
 
 
+def _quadrature_det(block: Callable, domains, order: int) -> float:
+    """det(I - K) on the direct sum of L^2(domain_i) at `order` nodes each,
+    block (i, j) of K being block(i, j, U, V) for broadcast U, V, entries
+    symmetrized as sqrt(w_i) K_ij sqrt(w_j); 1.0 with no domains."""
+    if not domains:
+        return 1.0
+    grids = [(y, np.sqrt(w)) for y, w in (domain.nodes(order) for domain in domains)]
+    n = order
+    big = np.zeros((len(grids) * n, len(grids) * n))
+    for i, (yi, sqi) in enumerate(grids):
+        for j, (yj, sqj) in enumerate(grids):
+            blk = np.asarray(block(i, j, yi[:, None], yj[None, :]), dtype=float)
+            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = sqi[:, None] * blk * sqj[None, :]
+    return det_window(big)
+
+
 # ------------------------------------------------------------------- Nystrom
 
 
@@ -146,11 +165,7 @@ class NystromResult:
 
 
 def _nystrom_value(kernel, domain, order) -> float:
-    y, w = domain.nodes(order)
-    k = np.asarray(kernel(y[:, None], y[None, :]), dtype=float)
-    sq = np.sqrt(w)
-    a = np.eye(order) - sq[:, None] * k * sq[None, :]
-    return float(np.linalg.det(a))
+    return _quadrature_det(lambda i, j, u, v: kernel(u, v), [domain], order)
 
 
 def nystrom_det(problem: NystromProblem) -> NystromResult:
@@ -194,23 +209,8 @@ class BlockExtendedProblem:
 def block_extended_det(problem: BlockExtendedProblem) -> float:
     """det(I - K) over the concatenated blocks; empty projections drop out."""
     keep = [i for i, a in enumerate(problem.thresholds) if a != -math.inf]
-    if not keep:
-        return 1.0
-    n = problem.order
-    grids = {}
-    for i in keep:
-        u, w = HalfLineDown(problem.thresholds[i]).nodes(n)
-        grids[i] = u, np.sqrt(w)
-    m = len(keep)
-    big = np.zeros((m * n, m * n))
-    for bi, i in enumerate(keep):
-        ui, sqi = grids[i]
-        for bj, j in enumerate(keep):
-            uj, sqj = grids[j]
-            blk = np.asarray(
-                problem.kernel(i, j, ui[:, None], uj[None, :]), dtype=float
-            )
-            big[bi * n : (bi + 1) * n, bj * n : (bj + 1) * n] = (
-                sqi[:, None] * blk * sqj[None, :]
-            )
-    return float(np.linalg.det(np.eye(m * n) - big))
+    return _quadrature_det(
+        lambda i, j, u, v: problem.kernel(keep[i], keep[j], u, v),
+        [HalfLineDown(problem.thresholds[i]) for i in keep],
+        problem.order,
+    )

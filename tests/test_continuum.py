@@ -89,6 +89,31 @@ def test_airy_processes_reject_repeated_x():
             probability([(0.0, 0.0), (0.0, 1.0)])
 
 
+def test_airy_processes_reject_malformed_points():
+    # a point at level +inf still counts toward the four
+    five = [(float(k), math.inf if k == 4 else 0.0) for k in range(5)]
+    cases = [([(x, 0.0)], "finite x") for x in (math.nan, math.inf, -math.inf)]
+    cases += [([], "between 1 and 4 points"), (five, "between 1 and 4 points")]
+    for probability in (airy1_probability, airy2_probability):
+        for points, message in cases:
+            with pytest.raises(ValueError, match=message):
+                probability(points)
+
+
+def test_airy_process_values_to_the_bit():
+    # the last bits follow the BLAS: these are OpenBLAS 0.3.31's at its
+    # default two threads on x86-64, and one thread moves them
+    two = [(-0.5, -0.25), (0.5, -0.25)]
+    four = [(-1.0, -1.5), (0.0, -1.0), (1.0, -1.5), (2.0, 0.0)]
+    for probability, points, order, bits in (
+        (airy2_probability, two, 80, "0x1.d0130a3b9ee90p-1"),
+        (airy1_probability, two, 80, "0x1.0d09b303cb38ep-1"),
+        (airy2_probability, four, 160, "0x1.892a89a59d9efp-2"),
+    ):
+        got = probability(points)
+        assert got.order == order and float(got).hex() == bits
+
+
 def test_infinite_level_drops_its_point():
     for probability in (airy1_probability, airy2_probability):
         assert probability([(0.0, 0.5), (1.0, math.inf)]) == probability([(0.0, 0.5)])

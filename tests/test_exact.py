@@ -29,7 +29,7 @@ from kpzlab.exact import (
     BiorthoSystem,
     TruncationError,
     WindowError,
-    _increasing_triples,
+    _increasing_tuples,
     backward_heat_polys,
     bfps_l_verify,
     build_biortho,
@@ -1199,10 +1199,11 @@ def test_interlacing_indicator_property(raw):
         assert gt_indicator(levels[:k]) == ok
 
 
-def test_increasing_triples_in_combinations_order():
+def test_increasing_tuples_in_combinations_order():
     for base in (np.arange(-3, 9), np.array([-7, -2, 0, 5, 6]), np.arange(3), np.arange(2)):
-        got = np.stack(_increasing_triples(base), 1).tolist()
-        assert got == [list(c) for c in itertools.combinations(base.tolist(), 3)]
+        for r in (1, 2, 3):
+            got = np.stack(_increasing_tuples(base, r), 1).tolist()
+            assert got == [list(c) for c in itertools.combinations(base.tolist(), r)]
 
 
 # ---- joint laws ------------------------------------------------------------

@@ -99,6 +99,30 @@ def test_only_special_evaluates_airy():
     assert not {name: names for name, names in found.items() if names}
 
 
+def test_one_fredholm_determinant():
+    # det_window is the one det(I - K): quadrature matrices go through it too
+    def dets(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "det"
+            or isinstance(node, ast.alias) and node.name == "det"
+        ]
+
+    def parse(name):
+        path = ROOT / "src" / "kpzlab" / name
+        return ast.parse(path.read_text(), str(path))
+
+    fredholm = parse("fredholm.py")
+    (det_window,) = (
+        node
+        for node in ast.walk(fredholm)
+        if isinstance(node, ast.FunctionDef) and node.name == "det_window"
+    )
+    assert len(dets(fredholm)) == 1 and dets(fredholm) == dets(det_window)
+    assert dets(parse("continuum.py")) == []
+
+
 def test_public_callables_are_plain_functions_or_classes():
     # bench/tracer.py times only plain functions: a public name bound to a
     # cached, partial or vectorised callable would read 0 s in its layer

@@ -34,7 +34,12 @@ kernel sums over them need no more, and stepping their fixed index, the
 particle label (77 at eps = 0.04), per entry would take that many steps.
 The first-passage walk is run lazily and stops once no live mass can cross
 the data again.  A deeper Fredholm window grows only to the left, so the
-first two of WINDOW_DEPTHS share one kernel build.
+first two of WINDOW_DEPTHS share one kernel build, and it stops at the
+kernel's exact floor: the hitting walk crosses the data only from starts
+y >= y_lo = min (entry(n) + n) over the labels, and the inverse factor of
+label n vanishes at starts y > x + n, so below y_lo - n a row of the
+extended kernel is zero.  Where every floor lies within a rung the window
+is the whole support and the determinant on it is exact.
 """
 
 from __future__ import annotations
@@ -54,15 +59,16 @@ from .special import (
     _exit,
     _integer,
     _poisson_charlier,
+    _schuetz_F,
     gen_binomial,
-    schuetz_F,
 )
 
 N_MAX_DET = 8  # largest determinant size for transition probabilities
 N_MAX_ARRAY_SUM = 4  # interlacing-array sum grows too fast beyond this
 N_MAX_JOINT = 4  # joint one-sided events per determinant
 # window depths below the events: kernel columns decay like 2^z to the left
-# of the data
+# of the data, and rows vanish below each label's exact floor, where a
+# window stops short of its depth
 WINDOW_DEPTHS = (48, 96, 192, 384, 768)
 
 
@@ -258,7 +264,8 @@ def epi_transfer_matrix(
     Entry (iy, iz) is the expectation, over the left walk started at
     y_lo + iy and stopped on first passage above the data curve within n
     steps, of transfer_extended(t, n - m, stop position, z2s[iz]).  Starts
-    at or below entry(n) give exactly zero.
+    below entry(n) + n give exactly zero: from there the walk stays at or
+    below entry(n) + n - 1 - m <= entry(m + 1) at every step m < n.
     """
     _check_time(t)
     z2s = np.asarray(z2s, dtype=int)
@@ -499,7 +506,9 @@ def schuetz_transition(x, y, t: float) -> float:
     """Transition probability from configuration y to x in time t >= 0, as
     the N x N determinant det[F_(i-j)(x_(N+1-i) - y_(N+1-j), t)] of
     index-shifted one-particle kernels.  At N = 1 it is the entry itself,
-    F_0(x - y, t).  Sites must be integral and strictly decreasing."""
+    F_0(x - y, t).  Sites must be integral and strictly decreasing; after
+    that one check the entries come from schuetz_F's memo directly, and
+    _small_det takes the determinant."""
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
@@ -508,11 +517,38 @@ def schuetz_transition(x, y, t: float) -> float:
     if not 1 <= n <= N_MAX_DET:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
     _check_time(t)
-    if n == 1:
-        return schuetz_F(0, xv[0] - yv[0], t)
+    t = float(t)
     ks = range(1, n + 1)
-    mat = [[schuetz_F(i - j, xv[n - i] - yv[n - j], t) for j in ks] for i in ks]
-    return float(np.linalg.det(mat))
+    return _small_det([[_schuetz_F(i - j, xv[n - i] - yv[n - j], t) for j in ks] for i in ks])
+
+
+def _small_det(rows: list[list[float]]) -> float:
+    """Determinant of an N x N matrix of Python floats, N <= N_MAX_DET, by
+    LU with partial pivoting, the algorithm and error bound of LAPACK's
+    getrf, without numpy's fixed cost per call.  The rows are reduced in
+    place.  A column with no nonzero pivot left gives 0.0."""
+    n = len(rows)
+    det = 1.0
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > abs(rows[p][k]):
+                p = i
+        pivot_row = rows[p]
+        pivot = pivot_row[k]
+        if pivot == 0.0:
+            return 0.0
+        if p != k:
+            rows[p] = rows[k]
+            rows[k] = pivot_row
+            det = -det
+        det *= pivot
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= f * pivot_row[j]
+    return det
 
 
 def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
@@ -736,10 +772,18 @@ def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return line[d - lo]
 
 
+def _start_floor(base, ns) -> int:
+    """y_lo = min (entry(n) + n) over labels ns, the lowest start of a
+    first-passage walk that can cross the data (epi_transfer_matrix); it
+    is at or above min entry(n) + 1, since entries strictly decrease."""
+    return min(_entry_int(base, nv) + nv for nv in ns)
+
+
 def _kernel_span(base, ns, grids):
-    """The start points y_lo..y_hi that every block over labels ns sums over."""
-    y_hi = max(int(g[-1]) + nv for nv, g in zip(ns, grids))
-    y_lo = min(_entry_int(base, nv) for nv in ns) + 1
+    """The start points y_lo..y_hi that every block over labels ns sums
+    over; a grid may be empty."""
+    y_lo = _start_floor(base, ns)
+    y_hi = max((int(g[-1]) + nv for nv, g in zip(ns, grids) if len(g)), default=y_lo - 1)
     return min(y_lo, y_hi + 1), y_hi
 
 
@@ -770,11 +814,15 @@ def _kernel_block_matrix(t, base, ns, grids):
     return big
 
 
-def _window_rungs(build):
+def _window_rungs(build, low):
     """depth -> kernel matrix over WINDOW_DEPTHS, from build(depth), which
-    gives the matrix and the site of each row.  A deeper window only adds
-    sites below, so the first rung is the part of the second's build at or
-    above its floor, and that build is held until the second rung takes it."""
+    gives the matrix and the site of each row on a window that reaches
+    depth sites below low, the smallest threshold, or stops at its block's
+    exact floor above that.  A deeper window only adds sites below, so the
+    first rung is the part of the second's build at sites >= low - depth,
+    and that build is held until the second rung takes it.  When every
+    floor lies within the first depth, both rungs are one matrix and the
+    ladder settles with error exactly 0."""
     held = {}
 
     def matrix(depth):
@@ -782,7 +830,7 @@ def _window_rungs(build):
         big, sites = held.pop(size, None) or build(size)
         if depth < size:
             held[size] = big, sites
-            inside = sites >= sites.min() + size - depth
+            inside = sites >= low - depth
             big = big[np.ix_(inside, inside)]
         return big
 
@@ -799,17 +847,30 @@ def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-
     deepens over WINDOW_DEPTHS until the determinant moves by at most tol;
     the value's certificate names the last depth; the first two depths
     share one kernel build.  A TruncationError says the depths ran out.
+
+    Block i's window stops at its exact floor y_lo - n_i, y_lo =
+    _start_floor.  The inverse flow of n_i vanishes at starts y > x + n_i
+    and no block has a nonzero start below y_lo, so rows of block i below
+    the floor are zero, and the one-sided Q^(n_j - n_i), which needs
+    x - y >= n_j - n_i, is zero on the kept columns of later blocks.  The
+    determinant is then the one on the kept sites exactly.  A rung that
+    every floor caps covers the whole support: the next rung builds the
+    same matrix, and the certificate's error 0 at that depth is true, not
+    a ladder artefact.  Floors that cap only deeper rungs shrink them, and
+    the error is the usual last change.  A floor above its threshold
+    leaves an empty block, whose event is certain.
     """
     _check_time(t)
     kept, base, ns, _, tops = _joint_events(init, events)
     if not kept:
         return Certified(1.0)
+    y_lo, low = _start_floor(base, ns), min(tops)
 
     def build(depth):
-        grids = [np.arange(min(tops) - depth, top + 1) for top in tops]
+        grids = [np.arange(max(low - depth, y_lo - nv), top + 1) for nv, top in zip(ns, tops)]
         return _kernel_block_matrix(t, base, ns, grids), np.concatenate(grids)
 
-    matrix = _window_rungs(build)
+    matrix = _window_rungs(build, low)
     return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol, TruncationError)
 
 
@@ -831,15 +892,22 @@ def path_integral_probability(
     keeps columns at or below the largest threshold, and forward powers
     reach only left, so the grid ends there and the first two depths share
     one build.
+
+    The grid stops at the last label's exact floor y_lo - n_last: below it
+    the rows of every term vanish, as in multipoint_probability, and for
+    a kept column a product's sum over an intermediate site at label n_j
+    reaches only sites at or above y_lo - n_j, which is not below that
+    floor.  Capped rungs certify as there.
     """
     _check_time(t)
     kept, base, ns, a_vals, tops = _joint_events(init, events)
     if not kept:
         return Certified(1.0)
     m = len(ns)
+    y_lo, low = _start_floor(base, ns), min(tops)
 
     def build(depth):
-        grid = np.arange(min(tops) - depth, max(tops) + 1)
+        grid = np.arange(max(low - depth, y_lo - ns[-1]), max(tops) + 1)
         size = len(grid)
         kernel = _kernel_block_matrix(t, base, ns, [grid] * m)
         total = np.zeros((size, size))
@@ -855,7 +923,7 @@ def path_integral_probability(
             total += (-1.0) ** (len(chosen) + 1) * term
         return total, grid
 
-    matrix = _window_rungs(build)
+    matrix = _window_rungs(build, low)
     return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol, TruncationError)
 
 

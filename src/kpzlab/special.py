@@ -11,13 +11,16 @@ those residue sums lives in the tests.  All routines are deterministic and
 raise instead of returning silent best-effort values.
 
 schuetz_F checks its arguments and then reads a private memo,
-functools.lru_cache(maxsize=_SCHUETZ_MEMO = 128), of its last entries.  A
-Schuetz determinant summed over configurations asks for each entry
-F_(i-j)(x_i - y_j, t) once per configuration that shares it: the brute
-sums of the benchmark's small exact problems (N <= 3, t <= 2) make 22 090
-calls a round for at most 79 distinct entries per sum.  The bound is well
-below the ~2 090 distinct entries of a whole round, so the hits come from
-reuse inside one sum, never from replaying earlier work.
+functools.lru_cache(maxsize=_SCHUETZ_MEMO = 128), of its last entries.
+exact.schuetz_transition checks its sites and t once per call and then
+reads that memo, _schuetz_F, directly with Python ints and float(t), so
+its N^2 entries pay no check each.  A Schuetz determinant summed over
+configurations asks for each entry F_(i-j)(x_i - y_j, t) once per
+configuration that shares it: the brute sums of the benchmark's small
+exact problems (N <= 3, t <= 2) make 22 090 calls a round for at most 79
+distinct entries per sum.  The bound is well below the ~2 090 distinct
+entries of a whole round, so the hits come from reuse inside one sum,
+never from replaying earlier work.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ Painleve II solve, and the paper's S-product fixed-point kernels against
 the Airy processes after the 1:2:3 rescaling."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,18 +103,37 @@ def test_airy_processes_reject_malformed_points():
                 probability(points)
 
 
+# The last bits of a determinant follow the BLAS thread count, which is
+# fixed when the BLAS loads, so the pinned values come from a fresh process
+# at one thread, as the benchmark runs them.
+_AIRY_BITS = """
+from kpzlab.continuum import airy1_probability, airy2_probability
+two = [(-0.5, -0.25), (0.5, -0.25)]
+four = [(-1.0, -1.5), (0.0, -1.0), (1.0, -1.5), (2.0, 0.0)]
+for probability, points in ((airy2_probability, two), (airy1_probability, two),
+                            (airy2_probability, four)):
+    got = probability(points)
+    print(got.order, float(got).hex())
+"""
+
+
 def test_airy_process_values_to_the_bit():
-    # the last bits follow the BLAS: these are OpenBLAS 0.3.31's at its
-    # default two threads on x86-64, and one thread moves them
-    two = [(-0.5, -0.25), (0.5, -0.25)]
-    four = [(-1.0, -1.5), (0.0, -1.0), (1.0, -1.5), (2.0, 0.0)]
-    for probability, points, order, bits in (
-        (airy2_probability, two, 80, "0x1.d0130a3b9ee90p-1"),
-        (airy1_probability, two, 80, "0x1.0d09b303cb38ep-1"),
-        (airy2_probability, four, 160, "0x1.892a89a59d9efp-2"),
-    ):
-        got = probability(points)
-        assert got.order == order and float(got).hex() == bits
+    # OpenBLAS 0.3.31 at one thread on x86-64
+    import kpzlab
+
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(kpzlab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _AIRY_BITS], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert run.stdout.split("\n")[:-1] == [
+        "80 0x1.d0130a3b9ee95p-1",
+        "80 0x1.0d09b303cb38fp-1",
+        "160 0x1.892a89a59d9e6p-2",
+    ]
 
 
 def test_infinite_level_drops_its_point():

@@ -441,11 +441,14 @@ def test_first_passage_transfer_matches_walk_average():
 
 
 def test_first_passage_transfer_vanishes_below_floor():
+    # from y < entry(n) + n the walk stays at or below entry(m + 1) at every
+    # step m < n, so it never crosses; from entry(n) + n it can
     t, n = 0.9, 4
-    floor = _entry(EXPL, n)
-    for y in range(floor - 3, floor + 1):
+    floor = _entry(EXPL, n) + n
+    for y in range(floor - 8, floor):
         for z2 in (-9, -4, 0):
             assert transfer_epi(EXPL, t, n, y, z2) == 0.0
+    assert transfer_epi(EXPL, t, n, floor, 0) != 0.0
 
 
 def test_first_passage_depth_one_is_indicator():
@@ -1056,6 +1059,41 @@ def test_transition_rejects_non_integral_sites():
     assert gt_pattern_sum((np.int32(1), -1.0), (0, -1), 0.5) == want
 
 
+def test_small_det_matches_lapack():
+    from kpzlab.exact import _small_det
+
+    rng = np.random.default_rng(20)
+    for n in range(1, 9):
+        for _ in range(25):
+            # singular values in [1, 4]: condition number at most 4
+            q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            mat = q1 @ np.diag(rng.uniform(1.0, 4.0, n)) @ q2
+            assert _small_det(mat.tolist()) == pytest.approx(np.linalg.det(mat), rel=1e-12)
+
+
+def test_small_det_zero_pivot_and_singular():
+    from kpzlab.exact import _small_det
+
+    assert _small_det([[0.0, 2.0], [0.0, 3.0]]) == 0.0
+    # column 2 has no pivot left once rows 1 and 2 cancel exactly
+    assert _small_det([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]]) == 0.0
+    assert _small_det([[0.0]]) == 0.0
+
+
+def test_small_det_sign_follows_the_row_swaps():
+    # a permuted diagonal is reduced without rounding: each pivot search
+    # swaps in the one nonzero entry of its column
+    from kpzlab.exact import _small_det
+
+    scale = (2.0, 3.0, 5.0, 7.0)
+    for perm in itertools.permutations(range(4)):
+        rows = [[scale[i] if j == perm[i] else 0.0 for j in range(4)] for i in range(4)]
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(4), 2))
+        assert _small_det(rows) == (-1.0) ** inversions * 210.0
+    assert _small_det([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(-2.0, rel=1e-15)
+
+
 def test_single_particle_transition_is_the_entry():
     for x, y, t in ((3, 0, 0.7), (0, 0, 0.0), (-1, 2, 1.3), (5, -2, 2.0)):
         assert schuetz_transition((x,), (y,), t) == schuetz_F(0, x - y, t)
@@ -1271,8 +1309,10 @@ def test_joint_probability_is_certified(route):
     for tol in (1e-9, 1e-12):
         value = route(1.0, STEP, [(1, -1), (2, -3)], tol=tol)
         assert isinstance(value, Certified) and 0.0 <= value <= 1.0
-        # a depth is certified by the one before it, so never the first
-        assert value.error <= tol and value.order in WINDOW_DEPTHS[1:] and value.seconds > 0
+        # a depth is certified by the one before it, so never the first; the
+        # floors (-2 and -3) lie within the first depth, so both rungs are
+        # the whole support and the change between them is exactly 0
+        assert value.error == 0.0 and value.order == WINDOW_DEPTHS[1] and value.seconds > 0
         values.append(value)
     assert abs(values[0] - values[1]) <= 1e-9
     certain = route(1.0, STEP, [(2, -math.inf)])
@@ -1392,6 +1432,125 @@ def test_window_doubling_exhaustion_raises():
     for route in (multipoint_probability, path_integral_probability):
         with pytest.raises(TruncationError, match="did not settle"):
             route(0.5, data, [(1, 0)], tol=-1.0)
+
+
+# ---- the exact floor of the windows ------------------------------------------
+
+HALF_FLAT = make_initial(kind="periodic", d=2)
+
+
+@pytest.mark.parametrize(
+    "data, label_sets",
+    [
+        (STEP, ([1], [3], [1, 2], [2, 5], [1, 3, 4])),
+        (EXPL, ([1], [4], [1, 2], [2, 5], [1, 3, 5])),
+        (HALF_FLAT, ([1], [3], [1, 2], [2, 5], [1, 3, 4])),
+    ],
+    ids=["step", "explicit", "half-flat"],
+)
+def test_kernel_rows_below_the_exact_floor_vanish(data, label_sets):
+    # the inverse flow of n_i vanishes at starts y > x + n_i and no walk
+    # from below y_lo = min (entry(n) + n) crosses the data, so a row of
+    # block i below y_lo - n_i is zero; the one-sided Q^(n_j - n_i) needs
+    # x - y >= n_j - n_i, which a kept column y >= y_lo - n_j of a later
+    # block j cannot meet.  The row at the floor is not zero.  The floor
+    # lies at or above min entry(n) + 1 - n_i, below which rows vanish too
+    from kpzlab.exact import _kernel_block_matrix
+
+    for t in (0.4, 1.7):
+        for ns in label_sets:
+            y_lo = min(int(data.entry(nv)) + nv for nv in ns)
+            assert y_lo >= min(int(data.entry(nv)) for nv in ns) + 1
+            grid = np.arange(y_lo - ns[-1] - 12, y_lo + 5)
+            size = len(grid)
+            big = _kernel_block_matrix(t, data, ns, [grid] * len(ns))
+            for i, n_i in enumerate(ns):
+                rows = big[i * size : (i + 1) * size][grid < y_lo - n_i]
+                assert len(rows) >= 12
+                for j, n_j in enumerate(ns):
+                    blk = rows[:, j * size : (j + 1) * size]
+                    kept = blk if j <= i else blk[:, grid >= y_lo - n_j]
+                    assert np.all(kept == 0.0), (t, ns, i, j)
+                at_floor = big[i * size + np.searchsorted(grid, y_lo - n_i)]
+                assert np.any(at_floor != 0.0), (t, ns, i)
+
+
+def _uncapped_rung(route, t, data, events, depth=192):
+    """The route's matrix determinant on windows reaching depth sites below
+    the smallest threshold with no floor: every block of the extended
+    kernel, or the path product's signed sum over constraint subsets."""
+    from kpzlab.exact import _kernel_block_matrix, _window_q_power
+
+    ns = [nv for nv, _ in events]
+    tops = [math.floor(av) for _, av in events]
+    low = min(tops) - depth
+    if route is multipoint_probability:
+        grids = [np.arange(low, top + 1) for top in tops]
+        return det_window(_kernel_block_matrix(t, data, ns, grids))
+    grid = np.arange(low, max(tops) + 1)
+    size, m = len(grid), len(ns)
+    kernel = _kernel_block_matrix(t, data, ns, [grid] * m)
+    total = np.zeros((size, size))
+    for r in range(1, m + 1):
+        for chosen in itertools.combinations(range(m), r):
+            term = kernel[(m - 1) * size :, chosen[0] * size : (chosen[0] + 1) * size]
+            for j, nxt in zip(chosen, [ns[c] for c in chosen[1:]] + [ns[-1]]):
+                term = term * (grid <= tops[j])[None, :]
+                if nxt != ns[j]:
+                    term = term @ _window_q_power(nxt - ns[j], grid, grid)
+            total += (-1.0) ** (r + 1) * term
+    return det_window(total)
+
+
+# step events: h(+-1/2) <= -1/2 and h(0) <= -1 at t = 2 eps^(-3/2), as
+# test_scaling.py builds them, at eps = 0.2, 0.1, 0.05 and 0.04.  Every
+# floor lies within the first depth but in the last case, whose floor -65
+# lies between the first two rungs' -49 and -97
+FLOOR_CASES = [
+    (0.9, EXPL, [(2, 2), (4, -2)]),
+    (1.7, EXPL, [(1, 3), (3, -1), (5, -6)]),
+    (3.0, make_initial(kind="explicit", entries=(5, 4, 2, -1, -2, -3, -7)), [(2, 6), (7, -3)]),
+    (2 * 0.2**-1.5, STEP, [(4, 4), (9, -6)]),
+    (2 * 0.2**-1.5, STEP, [(7, -1)]),
+    (2 * 0.1**-1.5, STEP, [(12, 9), (22, -11)]),
+    (2 * 0.1**-1.5, STEP, [(18, -1)]),
+    (2 * 0.05**-1.5, STEP, [(36, 19), (56, -21)]),
+    (2 * 0.05**-1.5, STEP, [(36, 19), (46, 0), (56, -21)]),
+    (2 * 0.04**-1.5, STEP, [(65, -1)]),
+]
+
+
+@pytest.mark.parametrize("route", [multipoint_probability, path_integral_probability])
+@pytest.mark.parametrize(
+    "t, data, events",
+    FLOOR_CASES,
+    ids=["expl-two", "expl-three", "expl7-two", "two-0.2", "one-0.2", "two-0.1", "one-0.1",
+         "two-0.05", "three-0.05", "one-0.04"],
+)
+def test_capped_windows_match_an_uncapped_deep_build(route, t, data, events):
+    got = route(t, data, events)
+    assert abs(got - _uncapped_rung(route, t, data, events)) <= 1e-14
+
+
+def test_floor_inside_the_first_rung_settles_with_error_zero():
+    # every floor lies within 48 sites of the smallest threshold, so both
+    # rungs are the whole support: the same matrix, settled exactly
+    for route in (multipoint_probability, path_integral_probability):
+        for t, data, events in FLOOR_CASES[:-1]:
+            got = route(t, data, events)
+            assert got.error == 0.0 and got.order == WINDOW_DEPTHS[1], (route, events)
+
+
+def test_floor_above_a_threshold_leaves_a_certain_event():
+    # particle 1 of EXPL starts at 3, and for labels (1, 5) the floor of
+    # label 1 is min (entry(n) + n) - 1 = -3: the event X_t(1) > -9 has an
+    # empty block, and the same start points serve the block of label 5
+    t = 0.8
+    for route in (multipoint_probability, path_integral_probability):
+        alone = route(t, EXPL, [(5, -5)])
+        both = route(t, EXPL, [(1, -9), (5, -5)])
+        assert float(both) == float(alone) and both.error == 0.0
+    assert multipoint_probability(t, EXPL, [(1, -9), (5, -12)]) == 1.0
 
 
 # ---- two-route weight bridge ----------------------------------------------

@@ -32,14 +32,14 @@ degree-k column functions amplify its entries far right of the bulk.  The
 transfer matrices are one run over the degree each, accurate per run: the
 kernel sums over them need no more, and stepping their fixed index, the
 particle label (77 at eps = 0.04), per entry would take that many steps.
-The first-passage walk is run lazily and stops once no live mass can cross
-the data again.  A deeper Fredholm window grows only to the left, so the
-first two of WINDOW_DEPTHS share one kernel build, and it stops at the
-kernel's exact floor: the hitting walk crosses the data only from starts
-y >= y_lo = min (entry(n) + n) over the labels, and the inverse factor of
-label n vanishes at starts y > x + n, so below y_lo - n a row of the
-extended kernel is zero.  Where every floor lies within a rung the window
-is the whole support and the determinant on it is exact.
+The first-passage average is one backward sweep over the walk's steps,
+on the positions that can still cross the data.  A deeper Fredholm window
+grows only to the left, so the first two of WINDOW_DEPTHS share one kernel
+build, and it stops at the kernel's exact floor: first-passage rows are
+zero at starts y < y_lo = min (entry(n) + n) over the labels, and the
+inverse factor of label n vanishes at starts y > x + n, so below y_lo - n
+a row of the extended kernel is zero.  Where every floor lies within a
+rung the window is the whole support and the determinant on it is exact.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import numpy as np
 
 from .dpp import LEnsembleSpec, conditional_l_to_k
 from .fredholm import Certified, _settle, det_window
+from .fredholm import ConvergenceError as TruncationError  # the window depths ran out
 from .simulate import InitialData, make_initial
 from .special import (
     _charlier_term,
@@ -70,10 +71,6 @@ N_MAX_JOINT = 4  # joint one-sided events per determinant
 # of the data, and rows vanish below each label's exact floor, where a
 # window stops short of its depth
 WINDOW_DEPTHS = (48, 96, 192, 384, 768)
-
-
-class TruncationError(RuntimeError):
-    """Raised when window or cutoff enlargement fails to stabilize a value."""
 
 
 class WindowError(ValueError):
@@ -133,57 +130,12 @@ def qbar(n: int, y1: int, y2: int) -> Fraction:
     """Polynomial extension of the n-step walk weight.
 
     2^(y1-y2) times the n-step weight is polynomial in y2 on y1 - y2 >= n;
-    this evaluates that degree n-1 extension at any pair, exactly.
+    this evaluates that degree n-1 extension at any pair, exactly.  It
+    exists as a check of the notes' extension identities in the tests.
     """
     if n < 1:
         raise ValueError("the extension needs n >= 1")
     return _pow2(y2 - y1) * gen_binomial(y1 - y2 - 1, n - 1)
-
-
-def hitting_profile(init: InitialData, n: int, y_lo: int, y_hi: int):
-    """First-passage law of the geometric left walk over the data, step by step.
-
-    For every start y in [y_lo, y_hi] the walk B_0 = y, B_1, ... steps
-    strictly left, by j with probability 2^(-j); it is stopped the first
-    time B_m > entry(m+1), m < n.  Yields (m, bs, mass) for each step m
-    that stops mass, in increasing m: mass[iy, ib] is the probability that
-    the walk started at y_lo + iy is stopped at step m in position bs[ib].
-    Steps that stop nothing are skipped, and the walk ends as soon as no
-    live mass can cross the curve again: after step m, with every live walk
-    at or below top, that holds when top - (m' - m) <= entry(m'+1) for
-    every later step m'.
-
-    The position window is exact, not a truncation: a walk at or below
-    entry(n) can never rise above the remaining thresholds, so that mass
-    is dropped with zero error.
-    """
-    if n < 1:
-        raise ValueError("depth must be at least 1")
-    b_lo = _entry_int(init, n) + 1
-    if b_lo > y_hi:
-        return
-    curve = np.array([init.entry(m + 1) for m in range(n)])
-    ys = np.arange(y_lo, y_hi + 1)
-    # live[ib, iy]: mass of the walk from ys[iy] alive at position b_lo + ib
-    live = (np.arange(b_lo, y_hi + 1)[:, None] == ys[None, :]).astype(float)
-    top = y_hi  # no live mass above this position
-    for m in range(n):
-        if m > 0:
-            # one left step: new(b) = (live(b + 1) + new(b + 1)) / 2
-            top -= 1
-            new = np.zeros_like(live)
-            for ib in range(top - b_lo, -1, -1):
-                new[ib] = 0.5 * (live[ib + 1] + new[ib + 1])
-            live = new
-        if curve[m] < top:  # positions cut..top are stopped; cut >= b_lo
-            cut = int(curve[m]) + 1
-            mass = live[cut - b_lo : top - b_lo + 1]
-            if mass.any():
-                yield m, np.arange(cut, top + 1), mass.T.copy()
-            live[cut - b_lo :] = 0.0
-            top = cut - 1
-        if np.all(top - np.arange(1, n - m) <= curve[m + 1 :]):
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +213,54 @@ def epi_transfer_matrix(
 ) -> np.ndarray:
     """First-passage average of the extended transfer kernel.
 
-    Entry (iy, iz) is the expectation, over the left walk started at
-    y_lo + iy and stopped on first passage above the data curve within n
-    steps, of transfer_extended(t, n - m, stop position, z2s[iz]).  Starts
-    below entry(n) + n give exactly zero: from there the walk stays at or
-    below entry(n) + n - 1 - m <= entry(m + 1) at every step m < n.
+    Entry (iy, iz) averages transfer_extended(t, n - m, B_m, z2s[iz]) over
+    the walk from B_0 = y_lo + iy that steps left by j with probability
+    2^(-j) and stops at the first m < n with B_m > entry(m + 1); a walk
+    that never stops gives 0.  It is one backward sweep in m: with V_m the
+    average for a walk alive after step m, and U_m the transfer where step
+    m stops and V_m elsewhere, V_(m-1) = Q U_m.  Q is one left step,
+    (QU)(b) = (U(b-1) + (QU)(b-1)) / 2, taken in log2 doubling passes.  An
+    integer pass fixes the steps and rows: live positions lie at or below
+    a top cut at each stop, and rows below entry(n) + n - m after step m
+    are zero, as entries strictly decrease.  Each stop is one
+    _transfer_extended_matrix run, so rows above entry(1) are its values.
+    Entries are accurate relative to the largest term, not per entry: on
+    half-flat data at t = 50, n = 60, (y, z2) = (0, -10) the walk average
+    is 3.76e-6, and this gives about -1e6 from terms up to 6e21.
     """
     _check_time(t)
+    if n < 1:
+        raise ValueError("depth must be at least 1")
     z2s = np.asarray(z2s, dtype=int)
-    out = np.zeros((y_hi - y_lo + 1, len(z2s)))
-    for m, bs, mass in hitting_profile(init, n, y_lo, y_hi):
-        out += mass @ _transfer_extended_matrix(t, n - m, bs, z2s)
-    return out
+    floor = _entry_int(init, n) + n
+    steps, top = [], y_hi + 1  # (top, cut): step m stops cut..top
+    for m in range(n):
+        top -= 1
+        e = init.entry(m + 1)
+        cut = int(e) + 1 if e < top else top + 1
+        steps.append((top, cut))
+        top = cut - 1
+        if top < floor - m or m == 0 and top < y_lo:
+            break
+    base = min(y_lo, floor)  # row i holds position base - m + i at step m
+    buf = np.zeros((y_hi - base + 1, len(z2s)))
+    for m in range(len(steps) - 1, -1, -1):
+        top, cut = steps[m]
+        bs = np.arange(cut, top + 1)
+        if len(bs):
+            buf[bs - base + m] = _transfer_extended_matrix(t, n - m, bs, z2s)
+        if m:
+            u = buf[floor - base : top - base + m + 1]
+            u *= 0.5
+            for i in range(len(u).bit_length()):
+                k = 1 << i
+                u[k:] += 0.5**k * u[:-k]
+    return buf[y_lo - base :]
 
 
 def transfer_epi(init: InitialData, t: float, n: int, z1: int, z2: int) -> float:
+    """One entry of epi_transfer_matrix.  It exists as a check of the notes'
+    crossing kernel: tests hold it against walk and heat-sum oracles."""
     return float(epi_transfer_matrix(init, t, n, z1, z1, [z2])[0, 0])
 
 
@@ -476,7 +461,8 @@ def phi_closed_form(
     v^(k+1).  The periodic value is the residue of 2 (1-dv)
     (2(1-v))^(x+dn-1) e^(tv) / (v (2^d (1-v)^(d-1) v)^k): with
     M = x + dn - 1 - (d-1)k it is 2^(x+d(n-k)) (E_k(M) - d E_(k-1)(M)),
-    both terms from one run.
+    both terms from one run.  It exists as a check of the notes' closed
+    forms against build_biortho and contour quadrature in the tests.
     """
     _check_time(t)
     if not 0 <= k < n:
@@ -719,6 +705,8 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
     (r = -2t) and log offset -3t,
 
         K = -2^(z2-z1) (-1)^N E_(N-1)(z2 + 2n).
+
+    It exists as a check of the notes' flat kernel on Z in the tests.
     """
     _check_time(t)
     big_n = z1 + 2 * n + 1
@@ -773,9 +761,10 @@ def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _start_floor(base, ns) -> int:
-    """y_lo = min (entry(n) + n) over labels ns, the lowest start of a
-    first-passage walk that can cross the data (epi_transfer_matrix); it
-    is at or above min entry(n) + 1, since entries strictly decrease."""
+    """y_lo = min (entry(n) + n) over labels ns: every label's first-passage
+    rows (epi_transfer_matrix) are zero at starts below it, since a walk
+    from there stays at or below entry(m + 1) at each step m.  It is at or
+    above min entry(n) + 1, since entries strictly decrease."""
     return min(_entry_int(base, nv) + nv for nv in ns)
 
 
@@ -871,7 +860,7 @@ def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-
         return _kernel_block_matrix(t, base, ns, grids), np.concatenate(grids)
 
     matrix = _window_rungs(build, low)
-    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol, TruncationError)
+    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol)
 
 
 def path_integral_probability(
@@ -924,7 +913,7 @@ def path_integral_probability(
         return total, grid
 
     matrix = _window_rungs(build, low)
-    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol, TruncationError)
+    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol)
 
 
 # ---------------------------------------------------------------------------

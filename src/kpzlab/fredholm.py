@@ -31,7 +31,8 @@ ORDER_LADDER = (20, 40, 80, 160)
 
 
 class ConvergenceError(RuntimeError):
-    """Ladder exhausted before the requested tolerance was met."""
+    """A refinement ladder ran out before two successive rungs agreed to
+    tol; `exact` names it TruncationError for its window depths."""
 
 
 class Certified(float):
@@ -55,13 +56,11 @@ class Certified(float):
         return type(self), (float(self), self.error, self.order, self.seconds)
 
 
-def _settle(
-    value_at: Callable[[int], float], rungs, tol: float, error=ConvergenceError
-) -> Certified:
+def _settle(value_at: Callable[[int], float], rungs, tol: float) -> Certified:
     """value_at(rung) up `rungs` until two successive values differ by at
-    most tol; raises `error` once the rungs run out.  It stays private:
-    bench/tracer.py wraps only public functions, so a determinant evaluated
-    in value_at keeps the calling probability as its parent span."""
+    most tol, else ConvergenceError.  It stays private: bench/tracer.py
+    wraps only public functions, so a determinant evaluated in value_at
+    keeps the calling probability as its parent span."""
     start = time.perf_counter()
     values = []
     for rung in rungs:
@@ -70,7 +69,10 @@ def _settle(
             change = abs(values[-1] - values[-2])
             if change <= tol:
                 return Certified(values[-1], change, rung, time.perf_counter() - start)
-    raise error(f"did not settle below {tol} over the rungs {rungs}: last two values {values[-2:]}")
+    raise ConvergenceError(
+        f"did not settle below {tol} over the rungs {rungs}: last two values"
+        f" {values[-2:]}; try a larger tol"
+    )
 
 
 # ------------------------------------------------------------------- domains
@@ -159,8 +161,11 @@ class NystromProblem:
 
 @dataclass(frozen=True)
 class NystromResult:
+    """A Nystrom value, its absolute change from the previous ladder order
+    (None at the first order), and the order."""
+
     value: float
-    delta: float | None  # absolute change from the previous ladder order
+    delta: float | None
     order: int
 
 

@@ -200,6 +200,8 @@ class HeightField:
 
 
 def make_initial(kind: str, *, d: int | None = None, entries: Sequence | None = None) -> InitialData:
+    """InitialData of `kind`: "step", "periodic" with gap d, or "explicit"
+    with the entries X_0(1) > X_0(2) > ... as any sequence."""
     return InitialData(kind, d=d, entries=tuple(entries) if entries is not None else None)
 
 

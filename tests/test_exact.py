@@ -30,13 +30,13 @@ from kpzlab.exact import (
     TruncationError,
     WindowError,
     _increasing_tuples,
+    _transfer_extended_matrix,
     backward_heat_polys,
     bfps_l_verify,
     build_biortho,
     epi_transfer_matrix,
     gt_indicator,
     gt_pattern_sum,
-    hitting_profile,
     kt_kernel,
     kt_step_closed,
     kt_two_periodic_closed,
@@ -57,6 +57,7 @@ from kpzlab.special import _schuetz_F, schuetz_F
 
 STEP = make_initial(kind="step")
 EXPL = make_initial(kind="explicit", entries=(3, 1, -2, -3, -7))
+HALF_FLAT = make_initial(kind="periodic", d=2)
 HALF = Fraction(1, 2)
 
 
@@ -220,47 +221,6 @@ def test_walk_power_convolution_property(a, b, gap):
 
 
 # ---- first passage ---------------------------------------------------------
-
-
-def test_hitting_profile_matches_fraction_walk():
-    n = 4
-    ys = np.arange(-14, 9)
-    got = {}
-    steps = []
-    for m, bs, mass in hitting_profile(EXPL, n, int(ys[0]), int(ys[-1])):
-        assert mass.shape == (len(ys), len(bs)) and mass.any()
-        steps.append(m)
-        for ib, b in enumerate(bs):
-            got[(m, int(b))] = mass[:, ib]
-    assert steps == sorted(set(steps))
-    for iy, y in enumerate(ys):
-        law = left_hit_law(EXPL, n, int(y))
-        for key in set(law) | set(got):
-            want = float(law.get(key, Fraction(0)))
-            have = got[key][iy] if key in got else 0.0
-            assert have == pytest.approx(want, abs=1e-15)
-
-
-def test_hitting_profile_immediate_crossing():
-    n = 3
-    top = _entry(EXPL, 1)
-    ys = np.arange(top + 1, top + 5)
-    steps = list(hitting_profile(EXPL, n, top + 1, top + 4))
-    assert [m for m, _, _ in steps] == [0]
-    _, bs, mass = steps[0]
-    for iy, y in enumerate(ys):
-        for ib, b in enumerate(bs):
-            assert mass[iy, ib] == (1.0 if b == y else 0.0)
-
-
-def test_hitting_profile_stops_when_no_mass_can_cross():
-    # step data: every walk is stopped at step 0 or stays at or below -1,
-    # where it can never rise above entry(m + 1) = -m - 1 again
-    steps = list(hitting_profile(STEP, 400, -300, 50))
-    assert [m for m, _, _ in steps] == [0]
-    _, bs, mass = steps[0]
-    assert bs[0] == 0 and bs[-1] == 50
-    assert mass.sum() == 51.0
 
 
 # ---- transfer flows --------------------------------------------------------
@@ -427,17 +387,58 @@ def test_step_kernel_past_the_double_range_is_a_signed_infinity():
     assert kt_step_closed(1.0, 2, 3, -1, 1100) == -math.inf
 
 
-def test_first_passage_transfer_matches_walk_average():
-    t, n = 0.9, 4
-    for y in range(-12, 9):
-        law = left_hit_law(EXPL, n, y)
-        for z2 in range(-12, 5):
+def _check_walk_average(data, n, ys, z2s):
+    t = 0.9
+    got = epi_transfer_matrix(data, t, n, ys[0], ys[-1], list(z2s))
+    for iy, y in enumerate(ys):
+        law = left_hit_law(data, n, y)
+        for iz, z2 in enumerate(z2s):
             want = sum(
                 float(w) * transfer_extended(t, n - m, b, z2)
                 for (m, b), w in law.items()
             )
-            got = transfer_epi(EXPL, t, n, y, z2)
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+            assert got[iy, iz] == pytest.approx(want, rel=1e-11, abs=1e-13)
+            if iy % 5 == 0 and iz % 5 == 0:
+                assert transfer_epi(data, t, n, y, z2) == pytest.approx(
+                    want, rel=1e-11, abs=1e-13
+                )
+
+
+def test_first_passage_transfer_matches_walk_average():
+    _check_walk_average(EXPL, 4, range(-12, 9), range(-12, 5))
+
+
+def test_first_passage_transfer_matches_walk_average_on_half_flat_data():
+    # half-flat data stops mass at every step from 0 to n - 1.  Past z2 = -4
+    # the terms reach 1e3 and more while the sum stays near 1e-2, so a
+    # double sum of them, this oracle's too, is off by more than the 1e-13
+    # gate there
+    _check_walk_average(HALF_FLAT, 10, range(-12, 9), range(-30, -3))
+
+
+def test_first_passage_transfer_on_step_data_is_one_run():
+    # step data stops every crossing walk at step 0; below 0 = entry(n) + n
+    # no walk crosses, whatever the depth
+    t, n = 2.0, 400
+    z2s = np.arange(-60, 6)
+    got = epi_transfer_matrix(STEP, t, n, -300, 50, z2s)
+    assert np.array_equal(got[300:], _transfer_extended_matrix(t, n, np.arange(0, 51), z2s))
+    assert not got[:300].any()
+
+
+@pytest.mark.parametrize("data", [EXPL, HALF_FLAT], ids=["explicit", "half-flat"])
+def test_first_passage_transfer_above_first_entry_is_the_transfer(data):
+    t, n = 1.7, 4
+    c = _entry(data, 1)
+    z2s = np.arange(-14, 3)
+    got = epi_transfer_matrix(data, t, n, c - 3, c + 6, z2s)
+    assert np.array_equal(got[4:], _transfer_extended_matrix(t, n, np.arange(c + 1, c + 7), z2s))
+
+
+def test_first_passage_transfer_needs_a_step():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            epi_transfer_matrix(EXPL, 0.9, n, -3, 3, [0])
 
 
 def test_first_passage_transfer_vanishes_below_floor():
@@ -1435,8 +1436,6 @@ def test_window_doubling_exhaustion_raises():
 
 
 # ---- the exact floor of the windows ------------------------------------------
-
-HALF_FLAT = make_initial(kind="periodic", d=2)
 
 
 @pytest.mark.parametrize(

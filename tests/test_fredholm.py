@@ -23,6 +23,7 @@ from kpzlab.fredholm import (
     _gauss01,
     _settle,
 )
+from kpzlab.exact import TruncationError
 from kpzlab.special import airy_ai_kernel
 
 
@@ -145,8 +146,13 @@ def test_settle_certifies_the_last_rung():
     assert isinstance(got, Certified)
     assert got == 1.0 + 2.0**-8 and got.error == 2.0**-4 - 2.0**-8
     assert got.order == 8 and got.seconds > 0
-    with pytest.raises(KeyError, match="did not settle"):
-        _settle(lambda k: float(k), (1, 2, 3), tol=0.5, error=KeyError)
+    with pytest.raises(ConvergenceError, match="did not settle.*try a larger tol"):
+        _settle(lambda k: float(k), (1, 2, 3), tol=0.5)
+
+
+def test_one_ladder_error():
+    # exact's window ladder raises the same class under its own name
+    assert TruncationError is ConvergenceError
 
 
 def test_nystrom_ladder_certificate():

@@ -1,6 +1,6 @@
 """pyproject.toml names only files, directories and modules that exist, its
-dependencies import, importing the package stays light, and every kpzlab
-name the benchmark reads exists."""
+dependencies import, importing the package stays light, every kpzlab name
+the benchmark reads exists, and every public name has a docstring."""
 
 import ast
 import importlib.util
@@ -14,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
+LAYERS = ("special", "exact", "fredholm", "simulate", "dpp", "continuum")
 
 
 def test_named_paths_exist():
@@ -127,7 +128,7 @@ def test_public_callables_are_plain_functions_or_classes():
     # bench/tracer.py times only plain functions: a public name bound to a
     # cached, partial or vectorised callable would read 0 s in its layer
     odd = []
-    for layer in ("special", "exact", "fredholm", "simulate", "dpp", "continuum"):
+    for layer in LAYERS:
         module = importlib.import_module(f"kpzlab.{layer}")
         tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
         imported = {
@@ -142,3 +143,20 @@ def test_public_callables_are_plain_functions_or_classes():
             if not (inspect.isfunction(obj) or inspect.isclass(obj)):
                 odd.append(f"{layer}.{name}: {type(obj).__name__}")
     assert not odd, odd
+
+
+def test_public_names_have_their_own_docstrings():
+    # every public function and class a layer defines says what it is; a
+    # dataclass without a docstring gets its signature, which does not count
+    bare = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"kpzlab.{layer}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            if obj.__module__ != module.__name__:
+                continue
+            doc = (obj.__doc__ or "").strip()
+            if not doc or inspect.isclass(obj) and doc.startswith(f"{name}("):
+                bare.append(f"{layer}.{name}")
+    assert not bare, bare

@@ -29,11 +29,12 @@ Psi^n_k(x) = 2^(-s) E_p(k), which is also F_(-k) of the transition
 determinants and the weight of the array sum, is accurate per entry: its
 one evaluator special._charlier_term steps the shorter index, and the
 degree-k column functions amplify its entries far right of the bulk.  The
-transfer matrices are one run over the degree each, accurate per run: the
+transfer matrices come from runs over the degree, accurate per run: the
 kernel sums over them need no more, and stepping their fixed index, the
 particle label (77 at eps = 0.04), per entry would take that many steps.
 The first-passage average is one backward sweep over the walk's steps,
-on the positions that can still cross the data.  A deeper Fredholm window
+on the positions that can still cross the data, and one run serves all
+its stops, each reading its own degree.  A deeper Fredholm window
 grows only to the left, so the first two of WINDOW_DEPTHS share one kernel
 build, and it stops at the kernel's exact floor: first-passage rows are
 zero at starts y < y_lo = min (entry(n) + n) over the labels, and the
@@ -222,8 +223,13 @@ def epi_transfer_matrix(
     (QU)(b) = (U(b-1) + (QU)(b-1)) / 2, taken in log2 doubling passes.  An
     integer pass fixes the steps and rows: live positions lie at or below
     a top cut at each stop, and rows below entry(n) + n - m after step m
-    are zero, as entries strictly decrease.  Each stop is one
-    _transfer_extended_matrix run, so rows above entry(1) are its values.
+    are zero, as entries strictly decrease.  Stop m needs the
+    _transfer_extended_matrix block of degree n - 1 - m, and every stop
+    reads its block from one Charlier run over the union of their spans
+    in a, which hands out each degree as the sweep rises to it.  The
+    recurrence works on each a alone and renormalises by exact powers of
+    2, so the blocks keep the bits of a run per stop, and rows above
+    entry(1) are the transfer's values.
     Entries are accurate relative to the largest term, not per entry: on
     half-flat data at t = 50, n = 60, (y, z2) = (0, -10) the walk average
     is 3.76e-6, and this gives about -1e6 from terms up to 6e21.
@@ -244,11 +250,21 @@ def epi_transfer_matrix(
             break
     base = min(y_lo, floor)  # row i holds position base - m + i at step m
     buf = np.zeros((y_hi - base + 1, len(z2s)))
+    stops = [m for m, (top, cut) in enumerate(steps) if top >= cut]
+    if not stops or not len(z2s):
+        return buf[y_lo - base :]
+    # stop m reads degree n - 1 - m at a = z2 - b + n - 1 - m; one run over
+    # the union of these spans hands out the degrees as the sweep rises
+    lo = min(int(z2s.min()) - steps[m][0] + n - 1 - m for m in stops)
+    hi = max(int(z2s.max()) - steps[m][1] + n - 1 - m for m in stops)
+    span = np.arange(lo, hi + 1)
+    degrees = [n - 1 - m for m in reversed(stops)]
+    rows = _poisson_charlier(degrees[-1], span, t, 0.5, exp2=span, rows=degrees)
     for m in range(len(steps) - 1, -1, -1):
         top, cut = steps[m]
-        bs = np.arange(cut, top + 1)
-        if len(bs):
-            buf[bs - base + m] = _transfer_extended_matrix(t, n - m, bs, z2s)
+        if top >= cut:
+            bs = np.arange(cut, top + 1)
+            buf[bs - base + m] = next(rows)[z2s - bs[:, None] + (n - 1 - m - lo)]
         if m:
             u = buf[floor - base : top - base + m + 1]
             u *= 0.5
@@ -468,12 +484,13 @@ def phi_closed_form(
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     if kind == "step":
-        return _poisson_charlier(k, x + n, t, log_scale=t, exp2=x + n - k)[-1]
+        return _poisson_charlier(k, x + n, t, log_scale=t, exp2=x + n - k, rows=(k,))[0]
     if kind != "periodic":
         raise ValueError(f"unknown closed-form family: {kind!r}")
     if d is None or d < 2:
         raise ValueError("periodic data needs a gap d >= 2")
-    run = _poisson_charlier(k, x + d * n - 1 - (d - 1) * k, t, log_scale=t, exp2=x + d * (n - k))
+    big_m, exp2 = x + d * n - 1 - (d - 1) * k, x + d * (n - k)
+    run = _poisson_charlier(k, big_m, t, log_scale=t, exp2=exp2, rows=range(max(k - 1, 0), k + 1))
     return run[-1] - d * run[-2] if k else run[-1]
 
 
@@ -712,7 +729,8 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
     big_n = z1 + 2 * n + 1
     if big_n < 1:
         return 0.0
-    val = _poisson_charlier(big_n - 1, z2 + 2 * n, 2.0 * t, -1.0, -3.0 * t, z2 - z1)[-1]
+    deg = big_n - 1
+    (val,) = _poisson_charlier(deg, z2 + 2 * n, 2.0 * t, -1.0, -3.0 * t, z2 - z1, (deg,))
     return val if big_n % 2 else -val
 
 

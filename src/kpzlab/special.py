@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ _AIRY_CUT = 10.0
 
 # ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < 2^20
 _LN2_HI, _LN2_LO = 0.693147180369123816490, 1.90821492927058770002e-10
-_RESCALE = 2.0**500  # _poisson_charlier renormalises its rows outside [1/this, this]
+_RESCALE = 2.0**500  # _poisson_charlier keeps its running pairs within [1/this, this]
 _SPLIT = 300.0  # below this |s|, e^s times such a row stays normal and needs no split
 _SERIES_EPS = 2.0**-56  # schuetz_F stops a positive series once its tail is below this
 _SCHUETZ_MEMO = 128  # entries schuetz_F's memo keeps; see the module docstring
@@ -71,8 +72,8 @@ def gen_binomial(m, j: int):
 
 
 def _poisson_charlier(
-    m: int, x, t: float, c: float = 1.0, log_scale=0.0, exp2=0
-) -> np.ndarray | list[float]:
+    m: int, x, t: float, c: float = 1.0, log_scale=0.0, exp2=0, rows=None
+) -> np.ndarray | list[float] | Iterator[np.ndarray]:
     """Poisson-weighted Charlier polynomials E_j(x) for j = 0..m, times 2^exp2.
 
     E_j(x) = e^(s - r) r^j / j! * C_j(x; t), with r = c t, s = log_scale and
@@ -84,11 +85,16 @@ def _poisson_charlier(
 
         (j + 1) / c * E_(j+1) = (j + t - x) E_j - r E_(j-1),
 
-    vectorised over x.  For an array x the run keeps only its running pair
-    and returns the top row E_m(x), of shape x.shape; for a Python or numpy
-    scalar x it returns the degree table, a list of m + 1 plain floats.  Its
-    round-off is relative to the largest entry of the run, that is
-    norm-wise, where the direct sums lose the size of their largest term.
+    vectorised over x.  rows, rising degrees no larger than m, are the rows
+    the caller reads, and only those leave the run.  For a Python or numpy
+    scalar x the run returns them as a list of plain floats, by default all
+    m + 1.  For an array x the run keeps only its running pair; by default
+    it returns the top row E_m(x), of shape x.shape, and with rows it
+    returns an iterator that hands out each of those rows as the run
+    reaches its degree, so that one run serves a caller that reads several
+    degrees in turn and holds one row at a time.  Its round-off is
+    relative to the largest entry of the run, that is norm-wise, where the
+    direct sums lose the size of their largest term.
     It is not relative entrywise: right of the Poisson bulk the run picks
     up the recurrence's slowly decaying second solution at round-off level,
     so _poisson_charlier(60, 3, 0.5) gives 1.2e-22 at j = 40, where the
@@ -100,39 +106,90 @@ def _poisson_charlier(
     rides beside the values: e^(s - r) = 2^k e^f, with k = 0 while
     |s - r| < _SPLIT and 0 <= f < ln 2 past it, and each entry carries an
     exact power of 2, the sum of exp2 (an integer, or one per entry of x,
-    as log_scale may be), k and the renormalisations of its running pair
-    into [2^-500, 2^500].  Both exits multiply by e^f and apply the power
-    with ldexp (the array exit is _exit), so a row is 0 or +-inf only where
-    its value is outside the double range.  It is private so that a traced
-    benchmark run charges its time to the kernel that called it.
+    as log_scale may be), k and the renormalisations of its running pair.
+    A scalar run renormalises its pair whenever it leaves [2^-500, 2^500],
+    a test that costs no more than a bound would.  An array run tests no
+    entry: with a_j = c (j + t - x) / (j + 1) and b_j = c r / (j + 1), one
+    step raises a pair's maximum by at most max(1, max|a_j| + |b_j|) and
+    lowers it by at most max(1, (max|a_j| + 1) / |b_j|), and max|a_j| needs
+    only the smallest and largest x.  The run multiplies these factors up
+    in two floats and, once either product passes _RESCALE = 2^500,
+    renormalises every pair by the power of 2 that puts its maximum in
+    [1/2, 1) and starts both products again; at t = 0, where b_j = 0, that
+    is every step.  So a pair's maximum stays within 2^+-501, and one
+    step's factor and the exit's e^f or e^(s - r) (within 2^+-433) fit in
+    the headroom of 2^522 left below the edges 2^+-1022 of the normal
+    doubles.  A renormalisation multiplies by an exact power of 2, so where
+    it falls changes no bit of a row, and rows taken at several degrees of
+    one run are those of a run per degree.  Both exits multiply by e^f and
+    apply the power with ldexp (the array exit is _exit), so a row is 0 or
+    +-inf only where its value is outside the double range.  It is private
+    so that a traced benchmark run charges its time to the kernel that
+    called it.
     """
     s = log_scale - c * t
     if isinstance(x, (int, float, np.number)):
         k = 0 if -_SPLIT < s < _SPLIT else math.floor(s / _LN2_HI)
         x, r, prev, cur, e = float(x), c * t, 0.0, 1.0, exp2 + k
-        rows, exps = [cur], [e]
+        vals, exps = [cur], [e]
         for j in range(m):
             prev, cur = cur, ((j + t - x) * cur - r * prev) * (c / (j + 1))
             big = max(abs(prev), abs(cur))
             if big > _RESCALE or 0.0 < big < 1.0 / _RESCALE:
                 f = math.frexp(big)[1]
                 prev, cur, e = math.ldexp(prev, -f), math.ldexp(cur, -f), e + f
-            rows.append(cur)
+            vals.append(cur)
             exps.append(e)
         g = math.exp(s - k * _LN2_HI - k * _LN2_LO) if k else math.exp(s)
         try:
-            return [math.ldexp(v * g, e) if e else v * g for v, e in zip(rows, exps)]
+            if rows is None:
+                return [math.ldexp(v * g, e) if e else v * g for v, e in zip(vals, exps)]
+            return [math.ldexp(vals[d] * g, exps[d]) for d in rows]
         except OverflowError:  # a row past the double range: numpy's ldexp gives it as inf
-            return _exit(np.array(rows), np.array(exps), g).tolist()
-    x, r, k = np.asarray(x, dtype=float), c * t, s / _LN2_HI // 1 * (abs(s) >= _SPLIT)
+            out = _exit(np.array(vals), np.array(exps), g)
+            return (out if rows is None else out[list(rows)]).tolist()
+    x = np.asarray(x, dtype=float)
+    if rows is None:
+        return next(_array_rows(m, x, t, c, s, exp2, (m,)))
+    return _array_rows(m, x, t, c, s, exp2, rows)
+
+
+def _array_rows(m, x, t, c, s, exp2, rows):
+    """The array branch of _poisson_charlier: yields its rows at the rising
+    degrees rows, each on reaching it, for s = log_scale - c t."""
+    r, k = c * t, s / _LN2_HI // 1 * (abs(s) >= _SPLIT)
     prev, cur, e = np.zeros(x.shape), np.ones(x.shape), np.full(x.shape, exp2 + k, dtype=int)
+    g = np.exp(s - k * _LN2_HI - k * _LN2_LO)
+    want = iter(rows)
+    d = next(want, None)
+    if d == 0:
+        yield _exit(cur, e, g)
+        d = next(want, None)
+    if d is None:
+        return
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    # (j + 1) max|a_j| = |c| (|j + t - mid| + half), and (j + 1) |b_j| = cr
+    mid, half, ac, cr = (lo + hi) / 2.0, (hi - lo) / 2.0, abs(c), abs(c * r)
+    up = down = 1.0  # bounds on how far each pair's maximum has moved
     for j in range(m):
-        prev, cur = cur, ((j + t - x) * cur - r * prev) * (c / (j + 1))
-        size = abs(cur)  # prev was checked on the step before
-        if size.max() > _RESCALE or size.min() < 1.0 / _RESCALE:
-            f = np.frexp(np.maximum(abs(prev), size))[1]
+        # ((j + t - x) cur - r prev) c / (j + 1), reusing prev's buffer
+        nxt = (j + t - x) * cur
+        prev *= r
+        nxt -= prev
+        nxt *= c / (j + 1)
+        prev, cur = cur, nxt
+        q = ac * (abs(j + t - mid) + half)
+        if q + cr > j + 1:
+            up *= (q + cr) / (j + 1)
+        if q + j + 1 > cr:
+            down = down * ((q + j + 1) / cr) if cr else math.inf
+        if up > _RESCALE or down > _RESCALE:
+            f = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
             prev, cur, e = np.ldexp(prev, -f), np.ldexp(cur, -f), e + f
-    return _exit(cur, e, np.exp(s - k * _LN2_HI - k * _LN2_LO))
+            up = down = 1.0
+        if j + 1 == d:
+            yield _exit(cur, e, g)
+            d = next(want, None)
 
 
 def _exit(v, e, g=1.0):
@@ -160,8 +217,8 @@ def _charlier_term(p, k: int, t: float):
             return 0.0
         if 0 <= k < p and t > 0.0:
             move = (p - k) * math.log(t) + math.lgamma(k + 1) - math.lgamma(p + 1)
-            return _poisson_charlier(k, p, t, log_scale=move)[-1]
-        return _poisson_charlier(p, k, t)[-1]
+            return _poisson_charlier(k, p, t, log_scale=move, rows=(k,))[0]
+        return _poisson_charlier(p, k, t, rows=(p,))[0]
     top = k if k >= 0 and t > 0.0 else int(p.max(initial=0))
     run = np.array(_poisson_charlier(max(top, 0), k, t))
     out = np.where(p >= 0, run.take(p, mode="clip"), 0.0)

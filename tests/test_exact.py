@@ -10,7 +10,10 @@ for the joint laws.  Nothing below reuses the code path it checks.
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -461,6 +464,89 @@ def test_first_passage_depth_one_is_indicator():
             assert transfer_epi(EXPL, t, 1, y, z2) == pytest.approx(
                 want, abs=1e-15
             )
+
+
+def _epi_per_stop(init, t, n, y_lo, y_hi, z2s):
+    """epi_transfer_matrix's backward sweep with one _transfer_extended_matrix
+    run per stopping step, the form the one run over all stops replaced."""
+    z2s = np.asarray(z2s, dtype=int)
+    floor = _entry(init, n) + n
+    steps, top = [], y_hi + 1
+    for m in range(n):
+        top -= 1
+        e = init.entry(m + 1)
+        cut = int(e) + 1 if e < top else top + 1
+        steps.append((top, cut))
+        top = cut - 1
+        if top < floor - m or m == 0 and top < y_lo:
+            break
+    base = min(y_lo, floor)
+    buf = np.zeros((y_hi - base + 1, len(z2s)))
+    for m in range(len(steps) - 1, -1, -1):
+        top, cut = steps[m]
+        bs = np.arange(cut, top + 1)
+        if len(bs):
+            buf[bs - base + m] = _transfer_extended_matrix(t, n - m, bs, z2s)
+        if m:
+            u = buf[floor - base : top - base + m + 1]
+            u *= 0.5
+            for i in range(len(u).bit_length()):
+                k = 1 << i
+                u[k:] += 0.5**k * u[:-k]
+    return buf[y_lo - base :]
+
+
+def test_first_passage_one_run_keeps_every_bit():
+    # every stop reads its degree from one Charlier run over the union of
+    # the stops' spans; each entry is the same recurrence on its own x, so
+    # it keeps the bits of a run per stop, windows below the floor included
+    rng = np.random.default_rng(22)
+    gaps = [tuple(rng.integers(1, 6, 90).tolist()) for _ in range(3)]
+    datas = [STEP, HALF_FLAT, make_initial("periodic", d=3)]
+    for g in gaps:
+        datas.append(make_initial("explicit", entries=tuple((2 - np.cumsum((0,) + g)).tolist())))
+    for data in datas:
+        for t in (0.0, 0.3, 5.0, 50.0, 300.0):
+            for n in sorted({1, 2, *rng.integers(3, 81, 3).tolist()}):
+                floor = _entry(data, n) + n
+                y_lo = floor - int(rng.integers(0, 12))
+                y_hi = max(y_lo, _entry(data, 1)) + int(rng.integers(0, 12))
+                z2s = np.arange(-int(rng.integers(0, 2 * n + 40)), int(rng.integers(1, 20)))
+                got = epi_transfer_matrix(data, t, n, y_lo, y_hi, z2s)
+                want = _epi_per_stop(data, t, n, y_lo, y_hi, z2s)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# The last bits of a determinant follow the BLAS thread count, which is
+# fixed when the BLAS loads, so the pinned values come from a fresh process
+# at one thread, as the benchmark runs them.  The events are h(0) <= -1 on
+# half-flat data (anchor X_0^(-1)(-1) = 2) at eps = 0.05, 0.02 and 0.01.
+_HALF_FLAT_BITS = """
+from kpzlab.exact import multipoint_probability
+from kpzlab.simulate import make_initial
+for eps, event in ((0.05, (48, -1)), (0.02, (182, -1)), (0.01, (506, -1))):
+    p = multipoint_probability(2.0 * eps**-1.5, make_initial("periodic", d=2), [event])
+    print(float(p).hex())
+"""
+
+
+def test_half_flat_one_points_to_the_bit():
+    # OpenBLAS 0.3.31 at one thread on x86-64
+    import kpzlab
+
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(kpzlab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _HALF_FLAT_BITS], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert run.stdout.split() == [
+        "0x1.039fd478c8647p-1",
+        "0x1.b68297c68636bp-2",
+        "0x1.0c5070f12dd8ep-1",
+    ]
 
 
 # ---- crossing kernel -------------------------------------------------------

@@ -12,6 +12,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
 LAYERS = ("special", "exact", "fredholm", "simulate", "dpp", "continuum")
@@ -122,6 +124,24 @@ def test_one_fredholm_determinant():
     )
     assert len(dets(fredholm)) == 1 and dets(fredholm) == dets(det_window)
     assert dets(parse("continuum.py")) == []
+
+
+def test_one_charlier_run_per_first_passage_transfer(monkeypatch):
+    # half-flat data stops walks at every step; all stops read their rows
+    # from one array run, not one run each
+    from kpzlab import exact
+    from kpzlab.simulate import make_initial
+
+    runs = []
+    charlier = exact._poisson_charlier
+
+    def counted(m, x, *args, **kwargs):
+        runs.append(isinstance(x, np.ndarray))
+        return charlier(m, x, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "_poisson_charlier", counted)
+    exact.epi_transfer_matrix(make_initial("periodic", d=2), 50.0, 60, -70, 5, range(-40, 5))
+    assert runs == [True]
 
 
 def test_public_callables_are_plain_functions_or_classes():

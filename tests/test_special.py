@@ -289,7 +289,70 @@ def test_poisson_charlier_scalar_exit_past_the_offset_range():
     high = _poisson_charlier(40, 2, 0.5, 1.0, 720.0)
     low = _poisson_charlier(40, -400, 0.5, 1.0, -760.0)
     assert math.isinf(high[0]) and math.isfinite(high[40]) and high[40] != 0.0
+    assert _poisson_charlier(40, 2, 0.5, 1.0, 720.0, rows=(0, 40)) == [high[0], high[40]]
     assert low[0] == 0.0 and low[40] > 1e-300
+
+
+def _checked_charlier_row(m, x, t, c, log_scale, exp2):
+    """E_m over an array x by the recurrence that tests every entry's
+    scale on every step and renormalises outside [2^-500, 2^500]: the
+    loop that _poisson_charlier's bound replaced, kept as its reference."""
+    s, ln2_hi, ln2_lo = log_scale - c * t, 0.693147180369123816490, 1.90821492927058770002e-10
+    x, r, k = np.asarray(x, dtype=float), c * t, s / ln2_hi // 1 * (abs(s) >= 300.0)
+    prev, cur, e = np.zeros(x.shape), np.ones(x.shape), np.full(x.shape, exp2 + k, dtype=int)
+    for j in range(m):
+        prev, cur = cur, ((j + t - x) * cur - r * prev) * (c / (j + 1))
+        size = abs(cur)
+        if size.size and (size.max() > 2.0**500 or size.min() < 2.0**-500):
+            f = np.frexp(np.maximum(abs(prev), size))[1]
+            prev, cur, e = np.ldexp(prev, -f), np.ldexp(cur, -f), e + f
+    with np.errstate(over="ignore"):
+        return np.ldexp(cur * np.exp(s - k * ln2_hi - k * ln2_lo), e)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.3, 2.0, 50.0, 500.0, 5657.0])
+def test_poisson_charlier_scale_bound_keeps_every_bit(t):
+    # renormalising on a bound, not on a test of every entry, moves each
+    # entry by exact powers of 2 only: every row keeps its bits, 0 and
+    # +-inf past the double range included, and rows handed out at several
+    # degrees of one run are those of a run per degree
+    rng = np.random.default_rng(int(t * 1000) + 1)
+    outside = 0
+    for c in (1.0, 0.5, -1.0):
+        for _ in range(3):
+            m = int(rng.integers(1, 401))
+            lo = int(rng.integers(-2 * int(t) - 60, 2 * int(t) + 60))
+            xs = np.arange(lo, lo + int(rng.integers(1, 120)))
+            log_scale = float(rng.uniform(-100.0, 100.0))
+            exp2 = rng.integers(-1300, 1300, xs.shape)
+            want = _checked_charlier_row(m, xs, t, c, log_scale, exp2)
+            assert _same_bits(_poisson_charlier(m, xs, t, c, log_scale, exp2), want)
+            outside += int((~np.isfinite(want) | (want == 0.0)).sum())
+            degrees = sorted({0, m, *rng.integers(0, m + 1, 4).tolist()})
+            rows = list(_poisson_charlier(m, xs, t, c, log_scale, exp2, degrees))
+            assert len(rows) == len(degrees)
+            for d, row in zip(degrees, rows):
+                assert _same_bits(row, _poisson_charlier(d, xs, t, c, log_scale, exp2))
+            column = _poisson_charlier(m, lo, t, c, log_scale, 7)
+            picked = _poisson_charlier(m, lo, t, c, log_scale, 7, degrees)
+            assert _same_bits(picked, [column[d] for d in degrees])
+        empty = np.arange(0)
+        assert _poisson_charlier(40, empty, t, c).shape == (0,)
+        rows = _poisson_charlier(40, empty, t, c, rows=(3, 40))
+        assert [row.shape for row in rows] == [(0,), (0,)]
+    assert outside
+    if t == 0.0:
+        # (-1/2)^j C(x, j) falls by more than the double range on the way
+        # to degree 1500, and exp2 lifts the top row back into it
+        xs = np.arange(-3, 4)
+        want = _checked_charlier_row(1500, xs, t, 0.5, 0.0, 1400)
+        assert _same_bits(_poisson_charlier(1500, xs, t, 0.5, 0.0, 1400), want)
+        assert np.isfinite(want).all() and want[:3].all()
 
 
 def test_schuetz_F_frozen():

@@ -669,20 +669,18 @@ def kt_kernel(
 ) -> float:
     """Conjugated space-time correlation kernel entry.
 
-    Entry (0, 1) of the two-index kernel block matrix on the one-site grids
-    x1 and x2.  An infinite prefix of the data is removed by relabeling;
-    both particle labels must point past it.
+    The 1 x 1 block of _kernel_blocks with row (n_i, [x1]) and column
+    (n_j, [x2]): entry (0, 1) of the two-label all x all build, to the bit.
+    Labels and sites must be integers.  An infinite prefix of the data is
+    removed by relabeling; both particle labels must point past it.
     """
     _check_time(t)
     base, shift = _strip_leading_inf(init)
-    ni, nj = n_i - shift, n_j - shift
+    ni, nj = _integer(n_i, "n_i") - shift, _integer(n_j, "n_j") - shift
     if min(ni, nj) < 1:
         raise ValueError("labels must point past the infinite prefix")
-    gi, gj = np.array([x1]), np.array([x2])
-    y_lo, y_hi = _kernel_span(base, [ni, nj], [gi, gj])
-    left = _transfer_inverse_matrix(t, ni, np.arange(y_lo, y_hi + 1), gi)
-    right = epi_transfer_matrix(base, t, nj, y_lo, y_hi, gj)
-    return float(_kernel_block(left, right, ni, gi, nj, gj)[0, 0])
+    row, col = (ni, np.array([_integer(x1, "x1")])), (nj, np.array([_integer(x2, "x2")]))
+    return float(_kernel_blocks(t, base, [row], [col])[0, 0])
 
 
 def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
@@ -742,7 +740,7 @@ def _joint_events(init: InitialData, events):
     """Validated events with the -inf thresholds dropped, and the data with
     its infinite prefix stripped: (kept, base, ns, a_vals, tops), with ns
     the kept labels relabeled onto base and tops the integer thresholds."""
-    evs = [(int(nv), float(av)) for nv, av in events]
+    evs = [(_integer(nv, "labels"), float(av)) for nv, av in events]
     if not evs:
         raise ValueError("need at least one (label, threshold) event")
     if len(evs) > N_MAX_JOINT:
@@ -752,7 +750,7 @@ def _joint_events(init: InitialData, events):
         raise ValueError("labels start at 1")
     if any(ns[i] >= ns[i + 1] for i in range(len(ns) - 1)):
         raise ValueError("labels must be strictly increasing")
-    if any(av == math.inf for _, av in evs):
+    if any(av == math.inf or math.isnan(av) for _, av in evs):
         raise ValueError("thresholds must be real or -inf")
     kept = [(nv, av) for nv, av in evs if av != -math.inf]
     base, shift = _strip_leading_inf(init)
@@ -786,39 +784,30 @@ def _start_floor(base, ns) -> int:
     return min(_entry_int(base, nv) + nv for nv in ns)
 
 
-def _kernel_span(base, ns, grids):
-    """The start points y_lo..y_hi that every block over labels ns sums
-    over; a grid may be empty."""
-    y_lo = _start_floor(base, ns)
-    y_hi = max((int(g[-1]) + nv for nv, g in zip(ns, grids) if len(g)), default=y_lo - 1)
-    return min(y_lo, y_hi + 1), y_hi
-
-
-def _kernel_block(left, right, n_i, grid_i, n_j, grid_j):
-    """Kernel block (i, j) from the inverse flow of n_i and the first-passage
-    walk of n_j over shared start points, less Q^(n_j - n_i) if n_i < n_j."""
-    blk = left.T @ right
-    if n_i < n_j:
-        blk = blk - _window_q_power(n_j - n_i, grid_i, grid_j)
-    return blk
-
-
-def _kernel_block_matrix(t, base, ns, grids):
-    """Stacked kernel blocks over per-index grids, sharing start-point sums."""
-    sizes = [len(g) for g in grids]
-    y_lo, y_hi = _kernel_span(base, ns, grids)
+def _kernel_blocks(t, base, rows, cols):
+    """The extended-kernel blocks K(n_i, g_i; n_j, g_j) for the (label,
+    grid) pairs on rows and cols, stacked.  Every block sums over one start
+    span: y_lo = _start_floor over all the labels, up to the largest grid
+    end plus its label; a grid may be empty.  Block (i, j) is the inverse
+    flow of n_i against the first-passage walk of n_j, less Q^(n_j - n_i)
+    if n_i < n_j; each row pair takes one inverse flow and each column
+    pair one first-passage transfer."""
+    pairs = [*rows, *cols]
+    y_lo = _start_floor(base, [nv for nv, _ in pairs])
+    y_hi = max((int(g[-1]) + nv for nv, g in pairs if len(g)), default=y_lo - 1)
+    y_lo = min(y_lo, y_hi + 1)
     ys = np.arange(y_lo, y_hi + 1)
-    lefts = [_transfer_inverse_matrix(t, nv, ys, g) for nv, g in zip(ns, grids)]
-    rights = [epi_transfer_matrix(base, t, nv, y_lo, y_hi, g) for nv, g in zip(ns, grids)]
-    total = sum(sizes)
-    big = np.zeros((total, total))
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    for i in range(len(ns)):
-        for j in range(len(ns)):
-            big[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = _kernel_block(
-                lefts[i], rights[j], ns[i], grids[i], ns[j], grids[j]
-            )
-    return big
+    lefts = [_transfer_inverse_matrix(t, ni, ys, gi) for ni, gi in rows]
+    rights = [epi_transfer_matrix(base, t, nj, y_lo, y_hi, gj) for nj, gj in cols]
+
+    def block(ni, gi, left, nj, gj, right):
+        blk = left.T @ right
+        return blk - _window_q_power(nj - ni, gi, gj) if ni < nj else blk
+
+    return np.concatenate([
+        np.concatenate([block(*r, left, *c, right) for c, right in zip(cols, rights)], axis=1)
+        for r, left in zip(rows, lefts)
+    ])
 
 
 def _window_rungs(build, low):
@@ -875,7 +864,8 @@ def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-
 
     def build(depth):
         grids = [np.arange(max(low - depth, y_lo - nv), top + 1) for nv, top in zip(ns, tops)]
-        return _kernel_block_matrix(t, base, ns, grids), np.concatenate(grids)
+        pairs = list(zip(ns, grids))
+        return _kernel_blocks(t, base, pairs, pairs), np.concatenate(grids)
 
     matrix = _window_rungs(build, low)
     return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol)
@@ -889,16 +879,23 @@ def path_integral_probability(
     the last label, with walk powers and one-sided projections carrying
     the earlier constraints.
 
-    The route reads the extended-kernel blocks that multipoint_probability
-    builds; what it checks on its own is the identity.  Each projector
-    complement is expanded, so the determinant's matrix is a signed sum
-    over constraint subsets.  A subset's term starts from the kernel block
-    (last label, its first label), which is the kernel at the first label
-    moved to the last by the inverse walk power, and alternates one-sided
-    projections with forward walk powers up to the last label.  Every term
-    keeps columns at or below the largest threshold, and forward powers
-    reach only left, so the grid ends there and the first two depths share
-    one build.
+    The route reads the extended-kernel blocks K(n_m, n_s) of the last
+    label against each label, from _kernel_blocks as multipoint_probability
+    builds them; what it checks on its own is the identity.  With
+    chi_s = 1{x <= a_s} and its complement chib_s = 1 - chi_s, the
+    determinant's matrix is the product
+
+        sum_s K(n_m, n_s) chi_s Q^(n_(s+1) - n_s) chib_(s+1) ... Q^(n_m - n_(m-1)) chib_m,
+
+    accumulated left to right as acc <- (acc + K(n_m, n_s) chi_s)
+    Q^(n_(s+1) - n_s) chib_(s+1), with K(n_m, n_m) chi_m added last.
+    Expanding each complement chib = 1 - chi gives the signed sum over
+    constraint subsets that the identity states, grouped by each subset's
+    first label s; walk powers compose, Q^a Q^b = Q^(a+b), on the grid,
+    since a sum over an intermediate site stays between its two ends.
+    Every term keeps columns at or below the largest threshold, and
+    forward powers reach only left, so the grid ends there and the first
+    two depths share one build.
 
     The grid stops at the last label's exact floor y_lo - n_last: below it
     the rows of every term vanish, as in multipoint_probability, and for
@@ -910,25 +907,18 @@ def path_integral_probability(
     kept, base, ns, a_vals, tops = _joint_events(init, events)
     if not kept:
         return Certified(1.0)
-    m = len(ns)
     y_lo, low = _start_floor(base, ns), min(tops)
 
     def build(depth):
         grid = np.arange(max(low - depth, y_lo - ns[-1]), max(tops) + 1)
-        size = len(grid)
-        kernel = _kernel_block_matrix(t, base, ns, [grid] * m)
-        total = np.zeros((size, size))
-        for bits in range(1, 1 << m):
-            chosen = [j for j in range(m) if bits >> j & 1]
-            lead = chosen[0]
-            term = kernel[(m - 1) * size :, lead * size : (lead + 1) * size]
-            for pos, j in enumerate(chosen):
-                term = term * (grid <= a_vals[j])[None, :]
-                nxt = ns[chosen[pos + 1]] if pos + 1 < len(chosen) else ns[-1]
-                if nxt != ns[j]:
-                    term = term @ _window_q_power(nxt - ns[j], grid, grid)
-            total += (-1.0) ** (len(chosen) + 1) * term
-        return total, grid
+        row = _kernel_blocks(t, base, [(ns[-1], grid)], [(nv, grid) for nv in ns])
+        below = [grid <= av for av in a_vals]
+        acc = 0.0
+        for s, blk in enumerate(np.hsplit(row, len(ns))):
+            if s:
+                acc = (acc @ _window_q_power(ns[s] - ns[s - 1], grid, grid)) * ~below[s]
+            acc = acc + blk * below[s]
+        return acc, grid
 
     matrix = _window_rungs(build, low)
     return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol)
@@ -982,7 +972,8 @@ def bfps_l_verify(
     grid = np.arange(max(e2 - 12, lo + 8), min(e1 + 12, hi - 8) + 1)
     at = [dpp.index[(1, x)] for x in grid.tolist()]
     got = dpp.kernel[np.ix_(at, at)]
-    want = np.ldexp(_kernel_block_matrix(t, init, [1], [grid]), grid[:, None] - grid[None, :])
+    want = _kernel_blocks(t, init, [(1, grid)], [(1, grid)])
+    want = np.ldexp(want, grid[:, None] - grid[None, :])
     max_dev = float(np.abs(got - want).max())
 
     rng = np.random.default_rng(7)

@@ -114,17 +114,15 @@ def _gauss01(order: int):
 # ---------------------------------------------------------------- finite part
 
 
-def det_window(kernel_matrix: np.ndarray) -> float | complex:
-    """det(I - K) on a finite window, LU with partial pivoting.  A product
-    of pivots past the double range gives inf or nan, without a warning:
-    the caller knows what such a window means."""
+def det_window(kernel_matrix: np.ndarray) -> float:
+    """det(I - K) on a finite real window, LU with partial pivoting.  A
+    product of pivots past the double range gives inf or nan, without a
+    warning: the caller knows what such a window means."""
     k = np.asarray(kernel_matrix)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("kernel window must be square")
-    a = np.eye(k.shape[0], dtype=k.dtype) - k
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.linalg.det(a)
-    return complex(out) if np.iscomplexobj(k) else float(out)
+        return float(np.linalg.det(np.eye(k.shape[0]) - k))
 
 
 def _quadrature_det(block: Callable, domains, order: int) -> float:

@@ -955,11 +955,11 @@ def test_kernel_cross_block_consistency():
 
 
 def test_one_time_kernel_is_projection():
-    from kpzlab.exact import _kernel_block_matrix
+    from kpzlab.exact import _kernel_blocks
 
     t = 0.9
     grid = np.arange(-40, 21)
-    kernel = _kernel_block_matrix(t, STEP, [3], [grid])
+    kernel = _kernel_blocks(t, STEP, [(3, grid)], [(3, grid)])
     prod = kernel @ kernel
     sel = np.s_[8:-10, 8:-10]
     dev = np.abs(prod - kernel)[sel] / np.maximum(1.0, np.abs(kernel))[sel]
@@ -969,12 +969,12 @@ def test_one_time_kernel_is_projection():
 
 
 def test_kernel_label_reversal():
-    from kpzlab.exact import _kernel_block_matrix, _window_q_power
+    from kpzlab.exact import _kernel_blocks, _window_q_power
 
     t = 0.9
     grid = np.arange(-40, 21)
-    k3 = _kernel_block_matrix(t, STEP, [3], [grid])
-    k2 = _kernel_block_matrix(t, STEP, [2], [grid])
+    k3 = _kernel_blocks(t, STEP, [(3, grid)], [(3, grid)])
+    k2 = _kernel_blocks(t, STEP, [(2, grid)], [(2, grid)])
     q_inv = np.array([[float(q_weight(-1, int(a), int(b))) for b in grid] for a in grid])
     moved = _window_q_power(1, grid, grid) @ k3 @ q_inv
     sel = np.s_[8:-10, 8:-10]
@@ -1013,17 +1013,17 @@ def test_window_q_power_is_the_dense_formula_to_the_bit():
 
 
 def test_kt_kernel_is_block_matrix_entry():
-    # kt_kernel builds only the (0, 1) block of the two-label matrix, with
-    # the same start points, so the entry agrees to the bit
-    from kpzlab.exact import _kernel_block_matrix
+    # kt_kernel builds only the (0, 1) block of the two-label all x all
+    # build, with the same start points, so the entry agrees to the bit
+    from kpzlab.exact import _kernel_blocks
 
     for init in (STEP, EXPL):
         for t in (0.3, 0.7, 2.0):
             for ni in range(1, 5):
                 for nj in range(1, 5):
                     for x1, x2 in KERNEL_X:
-                        grids = [np.array([x1]), np.array([x2])]
-                        full = _kernel_block_matrix(t, init, [ni, nj], grids)
+                        pairs = [(ni, np.array([x1])), (nj, np.array([x2]))]
+                        full = _kernel_blocks(t, init, pairs, pairs)
                         assert kt_kernel(t, init, ni, nj, x1, x2) == full[0, 1]
 
 
@@ -1100,6 +1100,17 @@ def test_kernel_rejects_bad_labels():
     fuzzy = make_initial(kind="explicit", entries=(math.inf, math.inf, 0, -2))
     with pytest.raises(ValueError):
         kt_kernel(0.5, fuzzy, 2, 3, 0, 0)
+
+
+def test_kernel_rejects_non_integral_labels_and_sites():
+    # a fractional label reached ldexp as a TypeError, a fractional site
+    # an array index as an IndexError
+    for args, name in (((1.5, 2, 0, 0), "n_i"), ((1, 2.5, 0, 0), "n_j"),
+                       ((1, 2, 0.5, 0), "x1"), ((1, 2, 0, -0.5), "x2")):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            kt_kernel(1.0, STEP, *args)
+    want = kt_kernel(1.0, STEP, 1, 2, 0, -1)
+    assert kt_kernel(1.0, STEP, 1.0, np.int64(2), np.float64(0.0), -1) == want
 
 
 # ---- transition determinants -----------------------------------------------
@@ -1391,6 +1402,17 @@ def test_joint_trivial_and_invalid_events():
 
 
 @pytest.mark.parametrize("route", [multipoint_probability, path_integral_probability])
+def test_joint_rejects_fractional_labels_and_nan_thresholds(route):
+    # int() truncated a label 1.5 to label 1's value, and a NaN threshold
+    # reached int() as numpy's bare conversion error
+    with pytest.raises(ValueError, match=r"^labels must be an integer"):
+        route(1.0, STEP, [(1.5, 0)])
+    with pytest.raises(ValueError, match=r"^thresholds must be real or -inf"):
+        route(1.0, STEP, [(1, 0), (2, math.nan)])
+    assert route(1.0, STEP, [(np.int64(1), 0), (2.0, -2)]) == route(1.0, STEP, [(1, 0), (2, -2)])
+
+
+@pytest.mark.parametrize("route", [multipoint_probability, path_integral_probability])
 def test_joint_probability_is_certified(route):
     values = []
     for tol in (1e-9, 1e-12):
@@ -1478,7 +1500,7 @@ def test_first_two_rungs_share_one_build(monkeypatch, route, t, data, events):
     from kpzlab import exact
 
     kernels, dets, builds = [], [], []
-    build = exact._kernel_block_matrix
+    build = exact._kernel_blocks
 
     def recorded_det(kernel):
         kernels.append(kernel)
@@ -1490,7 +1512,7 @@ def test_first_two_rungs_share_one_build(monkeypatch, route, t, data, events):
         return build(*args)
 
     monkeypatch.setattr(exact, "det_window", recorded_det)
-    monkeypatch.setattr(exact, "_kernel_block_matrix", counted_build)
+    monkeypatch.setattr(exact, "_kernel_blocks", counted_build)
     value = route(t, data, events)
     rungs = WINDOW_DEPTHS.index(value.order) + 1
     assert len(dets) == rungs and float(value) == dets[-1]
@@ -1540,7 +1562,7 @@ def test_kernel_rows_below_the_exact_floor_vanish(data, label_sets):
     # x - y >= n_j - n_i, which a kept column y >= y_lo - n_j of a later
     # block j cannot meet.  The row at the floor is not zero.  The floor
     # lies at or above min entry(n) + 1 - n_i, below which rows vanish too
-    from kpzlab.exact import _kernel_block_matrix
+    from kpzlab.exact import _kernel_blocks
 
     for t in (0.4, 1.7):
         for ns in label_sets:
@@ -1548,7 +1570,8 @@ def test_kernel_rows_below_the_exact_floor_vanish(data, label_sets):
             assert y_lo >= min(int(data.entry(nv)) for nv in ns) + 1
             grid = np.arange(y_lo - ns[-1] - 12, y_lo + 5)
             size = len(grid)
-            big = _kernel_block_matrix(t, data, ns, [grid] * len(ns))
+            pairs = [(nv, grid) for nv in ns]
+            big = _kernel_blocks(t, data, pairs, pairs)
             for i, n_i in enumerate(ns):
                 rows = big[i * size : (i + 1) * size][grid < y_lo - n_i]
                 assert len(rows) >= 12
@@ -1563,18 +1586,20 @@ def test_kernel_rows_below_the_exact_floor_vanish(data, label_sets):
 def _uncapped_rung(route, t, data, events, depth=192):
     """The route's matrix determinant on windows reaching depth sites below
     the smallest threshold with no floor: every block of the extended
-    kernel, or the path product's signed sum over constraint subsets."""
-    from kpzlab.exact import _kernel_block_matrix, _window_q_power
+    kernel, or the path product expanded as its signed sum over constraint
+    subsets, the route's independent reference."""
+    from kpzlab.exact import _kernel_blocks, _window_q_power
 
     ns = [nv for nv, _ in events]
     tops = [math.floor(av) for _, av in events]
     low = min(tops) - depth
     if route is multipoint_probability:
-        grids = [np.arange(low, top + 1) for top in tops]
-        return det_window(_kernel_block_matrix(t, data, ns, grids))
+        pairs = [(nv, np.arange(low, top + 1)) for nv, top in zip(ns, tops)]
+        return det_window(_kernel_blocks(t, data, pairs, pairs))
     grid = np.arange(low, max(tops) + 1)
     size, m = len(grid), len(ns)
-    kernel = _kernel_block_matrix(t, data, ns, [grid] * m)
+    pairs = [(nv, grid) for nv in ns]
+    kernel = _kernel_blocks(t, data, pairs, pairs)
     total = np.zeros((size, size))
     for r in range(1, m + 1):
         for chosen in itertools.combinations(range(m), r):
@@ -1588,9 +1613,10 @@ def _uncapped_rung(route, t, data, events, depth=192):
 
 
 # step events: h(+-1/2) <= -1/2 and h(0) <= -1 at t = 2 eps^(-3/2), as
-# test_scaling.py builds them, at eps = 0.2, 0.1, 0.05 and 0.04.  Every
-# floor lies within the first depth but in the last case, whose floor -65
-# lies between the first two rungs' -49 and -97
+# test_scaling.py builds them, at eps = 0.2, 0.1, 0.05 and 0.04, and the
+# four-point h(+-1/4) <= -1/2, h(+-3/4) <= -1/2 at eps = 0.05, which takes
+# every subset size.  Every floor lies within the first depth but in the
+# last case, whose floor -65 lies between the first two rungs' -49 and -97
 FLOOR_CASES = [
     (0.9, EXPL, [(2, 2), (4, -2)]),
     (1.7, EXPL, [(1, 3), (3, -1), (5, -6)]),
@@ -1601,6 +1627,7 @@ FLOOR_CASES = [
     (2 * 0.1**-1.5, STEP, [(18, -1)]),
     (2 * 0.05**-1.5, STEP, [(36, 19), (56, -21)]),
     (2 * 0.05**-1.5, STEP, [(36, 19), (46, 0), (56, -21)]),
+    (2 * 0.05**-1.5, STEP, [(31, 29), (41, 9), (51, -11), (61, -31)]),
     (2 * 0.04**-1.5, STEP, [(65, -1)]),
 ]
 
@@ -1610,11 +1637,42 @@ FLOOR_CASES = [
     "t, data, events",
     FLOOR_CASES,
     ids=["expl-two", "expl-three", "expl7-two", "two-0.2", "one-0.2", "two-0.1", "one-0.1",
-         "two-0.05", "three-0.05", "one-0.04"],
+         "two-0.05", "three-0.05", "four-0.05", "one-0.04"],
 )
 def test_capped_windows_match_an_uncapped_deep_build(route, t, data, events):
     got = route(t, data, events)
     assert abs(got - _uncapped_rung(route, t, data, events)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        [(36, 19), (56, -21)],
+        [(36, 19), (46, 0), (56, -21)],
+        [(31, 29), (41, 9), (51, -11), (61, -31)],
+    ],
+    ids=["two-0.05", "three-0.05", "four-0.05"],
+)
+def test_path_route_takes_one_inverse_flow_per_build(monkeypatch, events):
+    # the path product reads only the last label's row of blocks, so one
+    # build takes the last label's inverse flow alone, at any label count
+    from kpzlab import exact
+
+    builds, flows = [], []
+    build, flow = exact._kernel_blocks, exact._transfer_inverse_matrix
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def counted_flow(*args):
+        flows.append(args[1])
+        return flow(*args)
+
+    monkeypatch.setattr(exact, "_kernel_blocks", counted_build)
+    monkeypatch.setattr(exact, "_transfer_inverse_matrix", counted_flow)
+    path_integral_probability(2 * 0.05**-1.5, STEP, events)
+    assert len(builds) == 1 and flows == [events[-1][0]]
 
 
 def test_floor_inside_the_first_rung_settles_with_error_zero():

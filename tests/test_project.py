@@ -126,6 +126,23 @@ def test_one_fredholm_determinant():
     assert dets(parse("continuum.py")) == []
 
 
+def test_one_extended_kernel_assembly():
+    # _kernel_blocks builds every extended-kernel block: no other function
+    # in exact.py takes an inverse flow or a first-passage transfer, but the
+    # public 1 x 1 wrappers of each
+    path = ROOT / "src" / "kpzlab" / "exact.py"
+    tree = ast.parse(path.read_text(), str(path))
+    callers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"_transfer_inverse_matrix", "epi_transfer_matrix"}
+    }
+    assert callers == {"_kernel_blocks", "transfer_inverse", "transfer_epi"}
+
+
 def test_one_charlier_run_per_first_passage_transfer(monkeypatch):
     # half-flat data stops walks at every step; all stops read their rows
     # from one array run, not one run each

@@ -14,8 +14,8 @@ distributions of A_2 and A_1 as Fredholm determinants of the closed-form
 extended kernels (Bornemann, arXiv:0804.2543), on fredholm's quadrature
 determinant and order ladder, as `Certified` floats.  F_GUE(s) and
 F_GOE(2s) are their one-point cases.  Ai and Ai' come from special's one
-Airy evaluator: cephes up to 10 and K_(1/3), K_(2/3) through kve above, so
-that an argument past 10 costs a tenth of scipy's complex route.
+Airy evaluator: scipy's airy up to 2 and one Chebyshev series in 1/zeta
+each for Ai and Ai' above, so that no argument past 2 pays for Bi.
 `s_kernel` takes Ai scaled by e^((2/3) a^(3/2)) and folds that factor into
 its own exponent, so that no overflowing exponential ever meets an
 underflowing Ai.

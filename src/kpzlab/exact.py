@@ -157,6 +157,7 @@ def psi_residue(
     a positive series against the binomial tail of (1-w)^k.
     """
     _check_time(t)
+    n, k, x = _integer(n, "n"), _integer(k, "k"), _integer(x, "x")
     if k >= n:
         raise ValueError("need k < n")
     s = x - _entry_int(init, n - k)
@@ -168,12 +169,14 @@ def transfer_inverse(t: float, n: int, z1: int, z2: int) -> float:
     """Adjoint of the backward half-heat flow composed with n inverse walk
     steps.  Vanishes for z1 - z2 > n and decays like 2^(z1-z2) leftwards."""
     _check_time(t)
+    n, z1, z2 = _integer(n, "n"), _integer(z1, "z1"), _integer(z2, "z2")
     return float(_transfer_inverse_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
 
 def transfer_extended(t: float, n: int, z1: int, z2: int) -> float:
     """Polynomial extension of n walk steps composed with the half-heat flow."""
     _check_time(t)
+    n, z1, z2 = _integer(n, "n"), _integer(z1, "z1"), _integer(z2, "z2")
     return float(_transfer_extended_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
 
@@ -277,6 +280,7 @@ def epi_transfer_matrix(
 def transfer_epi(init: InitialData, t: float, n: int, z1: int, z2: int) -> float:
     """One entry of epi_transfer_matrix.  It exists as a check of the notes'
     crossing kernel: tests hold it against walk and heat-sum oracles."""
+    n, z1, z2 = _integer(n, "n"), _integer(z1, "z1"), _integer(z2, "z2")
     return float(epi_transfer_matrix(init, t, n, z1, z1, [z2])[0, 0])
 
 
@@ -481,6 +485,7 @@ def phi_closed_form(
     forms against build_biortho and contour quadrature in the tests.
     """
     _check_time(t)
+    n, k, x = _integer(n, "n"), _integer(k, "k"), _integer(x, "x")
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     if kind == "step":
@@ -489,6 +494,7 @@ def phi_closed_form(
         raise ValueError(f"unknown closed-form family: {kind!r}")
     if d is None or d < 2:
         raise ValueError("periodic data needs a gap d >= 2")
+    d = _integer(d, "d")
     big_m, exp2 = x + d * n - 1 - (d - 1) * k, x + d * (n - k)
     run = _poisson_charlier(k, big_m, t, log_scale=t, exp2=exp2, rows=range(max(k - 1, 0), k + 1))
     return run[-1] - d * run[-2] if k else run[-1]
@@ -698,6 +704,8 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
     log offset, and one run at degree n_j - 1 over m.
     """
     _check_time(t)
+    n_i, n_j = _integer(n_i, "n_i"), _integer(n_j, "n_j")
+    z1, z2 = _integer(z1, "z1"), _integer(z2, "z2")
     if min(n_i, n_j) < 1:
         raise ValueError("labels start at 1")
     term1 = -float(q_weight(n_j - n_i, z1, z2)) if n_i < n_j else 0.0
@@ -724,6 +732,7 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
     It exists as a check of the notes' flat kernel on Z in the tests.
     """
     _check_time(t)
+    n, z1, z2 = _integer(n, "n"), _integer(z1, "z1"), _integer(z2, "z2")
     big_n = z1 + 2 * n + 1
     if big_n < 1:
         return 0.0

@@ -6,6 +6,9 @@ recurrence evaluates every alternating residue sum of the exact layer, the
 F family's n >= 1 members are positive Laurent series, and `_airy` is the
 one Airy evaluator: `airy_ai_kernel` and every kernel of `continuum` take Ai
 and Ai' from it, and no other module imports an Airy or Bessel function.
+Up to 2 its values are scipy's airy; past 2, where cephes would also sum
+Bi's series, they come from one Chebyshev series in 1/zeta each for Ai and
+Ai', whose coefficients are literals here (_AIRY_SERIES).
 No library path integrates on a contour: the circle quadrature that checks
 those residue sums lives in the tests.  All routines are deterministic and
 raise instead of returning silent best-effort values.
@@ -31,12 +34,46 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import airy, gammaln, kve
+from scipy.special import airy, gammaln
 
 AIRY_RANGE = 30.0
-# Past this scipy's airy leaves cephes for the complex AMOS routine, which
-# also computes Bi and costs 1 us a point; K_nu through kve costs 0.1 us
-_AIRY_CUT = 10.0
+# Up to this _airy returns scipy's airy; past it, the Chebyshev series below
+_AIRY_CUT = 2.0
+_AIRY_S = 0.75 / math.sqrt(2.0)  # 1/zeta at the cut, zeta = (2/3) x^(3/2)
+_HALF_INV_SQRT_PI = 0.5 / math.sqrt(math.pi)
+# Rows k = 0..24: the Chebyshev coefficients (g_k, h_k) of the factors
+# g(s) = 2 sqrt(pi) x^(1/4) e^zeta Ai(x) and h(s) = -2 sqrt(pi) x^(-1/4)
+# e^zeta Ai'(x), whose asymptotic series in s = 1/zeta are DLMF 9.7.5-6,
+# over s in [0, _AIRY_S] mapped to [-1, 1].  They are the interpolant at 40
+# Chebyshev-Gauss nodes of mpmath's airyai at 40 digits, cut before the
+# first |c_k| <= 2e-18 (k = 25); tests/test_special.py rebuilds them.
+_AIRY_SERIES = np.array([
+    (0.9844053049171552, 1.0223917438953567),
+    (-0.014792784850104199, 0.021419543172417697),
+    (0.0007327177465426715, -0.0008929320864098833),
+    (-6.12595423417825e-05, 7.04386560665416e-05),
+    (6.83476697557269e-06, -7.629019563020457e-06),
+    (-9.237229735403982e-07, 1.0124594126717678e-06),
+    (1.436225340438052e-07, -1.5547836430438127e-07),
+    (-2.489319422322096e-08, 2.670534777173515e-08),
+    (4.709793440054328e-09, -5.017799973983537e-09),
+    (-9.583863708112733e-10, 1.015476324864757e-09),
+    (2.0745855483677591e-10, -2.1883687800953883e-10),
+    (-4.737267332192277e-11, 4.97854884096185e-11),
+    (1.1336099808224236e-11, -1.1876037266305446e-11),
+    (-2.827706782319351e-12, 2.9543896474165515e-12),
+    (7.320712095125598e-13, -7.630714992633907e-13),
+    (-1.9599793911089723e-13, 2.038758045182824e-13),
+    (5.4101162570683925e-14, -5.617262461082948e-14),
+    (-1.5356466802223836e-14, 1.5918346754340464e-14),
+    (4.472340393300025e-15, -4.629150125159948e-15),
+    (-1.3338094674756681e-15, 1.3787341769318453e-15),
+    (4.066582046456231e-16, -4.198446246812051e-16),
+    (-1.2655832256452886e-16, 1.3051699130322139e-16),
+    (4.0151263340158635e-17, -4.136490559976157e-17),
+    (-1.2969972135960766e-17, 1.3349430157944544e-17),
+    (4.261349907412013e-18, -4.382198906894981e-18),
+])
 
 # ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < 2^20
 _LN2_HI, _LN2_LO = 0.693147180369123816490, 1.90821492927058770002e-10
@@ -314,15 +351,19 @@ def _airy(x, scaled: bool = False, derivative: bool = False):
     """Ai(x), and Ai'(x) with derivative=True, elementwise, times
     e^zeta with zeta = (2/3) max(x, 0)^(3/2) when scaled, as airye does.
 
-    Up to _AIRY_CUT the values are cephes' (scipy's airy); above it
+    Up to _AIRY_CUT = 2 the values are scipy's airy (cephes); above it
 
-        Ai(x) = sqrt(x/3) / pi K_(1/3)(zeta),  Ai'(x) = -x / (pi sqrt 3) K_(2/3)(zeta),
+        Ai(x) = e^(-zeta) g(1/zeta) / (2 sqrt(pi) x^(1/4)),
+        Ai'(x) = -x^(1/4) e^(-zeta) h(1/zeta) / (2 sqrt(pi)),
 
-    from kve, which carries the same factor e^zeta.  The scaled values are
-    within 5e-14 relative of mpmath on (0, 400] and the unscaled ones within
-    1e-13 on (10, 30], where Ai itself is below 1.2e-10; below -10 scipy's
-    airy is unchanged.  Private, so that a traced benchmark run counts each
-    Ai once, in the public function that asked for it.
+    with g and h, the factors whose asymptotic series are DLMF 9.7.5-6,
+    each one Chebyshev series in 1/zeta (_AIRY_SERIES), summed by _clenshaw;
+    scaled drops the e^(-zeta).  So no Bi is computed past 2.  The scaled
+    values are within 2e-15 relative of mpmath on (2, 1e8] and within 5e-14
+    on (0, 400]; unscaled ones past 2 carry e^(-zeta)'s rounding, within
+    1e-13 relative on (10, 30], where Ai itself is below 1.2e-10.  Ai(+inf)
+    and Ai'(+inf) are 0.0.  Private, so that a traced benchmark run counts
+    each Ai once, in the public function that asked for it.
     """
     x = np.asarray(x, dtype=float)
     far = x > _AIRY_CUT
@@ -332,18 +373,43 @@ def _airy(x, scaled: bool = False, derivative: bool = False):
     e = np.exp(2.0 / 3.0 * np.maximum(xn, 0.0) ** 1.5) if scaled else 1.0
     ai[~far], aip[~far] = a * e, ap * e
     xf = x[far]
-    zeta = 2.0 / 3.0 * xf**1.5
-    e = 1.0 if scaled else np.exp(-zeta)
-    ai[far] = np.sqrt(xf / 3.0) / math.pi * kve(1.0 / 3.0, zeta) * e
-    if derivative:
-        aip[far] = -xf / (math.pi * math.sqrt(3.0)) * kve(2.0 / 3.0, zeta) * e
+    if xf.size:
+        # one power, as for the scaled values up to 2: the Airy_2 ladder at
+        # spacing 6 sits at its noise floor, and it settles below 1e-12 with
+        # this rounding of zeta but not with 2 (x sqrt(x)) / 3
+        zeta = 2.0 / 3.0 * xf**1.5
+        fourth = np.sqrt(np.sqrt(xf))  # x^(1/4)
+        # 1/zeta on [0, 1/zeta(2)] mapped to [-1, 1]
+        gh = _clenshaw(_AIRY_SERIES[:, : 1 + derivative], 2.0 / (_AIRY_S * zeta) - 1.0)
+        e = _HALF_INV_SQRT_PI if scaled else _HALF_INV_SQRT_PI * np.exp(-zeta)
+        ai[far] = gh[0] * e / fourth
+        if derivative:
+            with np.errstate(invalid="ignore"):  # inf * e^(-inf) at x = inf
+                aip[far] = -gh[1] * e * fourth
+            if not scaled:
+                aip[x == np.inf] = 0.0
     return (ai, aip) if derivative else ai
 
 
+def _clenshaw(coef, t):
+    """sum_k coef[k, i] T_k(t) as row i, for each column i of coef, by
+    Clenshaw's recurrence b_k = coef[k] + 2t b_(k+1) - b_(k+2), in place."""
+    c = coef[:, :, None]
+    b1, b2 = np.repeat(c[-1], t.size, axis=1), np.zeros((c.shape[1], t.size))
+    t2, step = 2.0 * t, np.empty_like(b1)
+    for ck in c[-2:0:-1]:
+        np.multiply(t2, b1, out=step)
+        step -= b2
+        step += ck
+        b1, b2, step = step, b1, b2
+    return t * b1 - b2 + c[0]
+
+
 def airy_ai_kernel(z) -> np.ndarray:
-    """Vectorized Ai for lambda-quadrature kernels, from _airy: cephes'
-    values up to 10, within 1e-13 relative of mpmath on (10, 30], and 0.0
-    beyond +30 (|Ai| < 3e-48 there); arguments below -30 or NaN raise."""
+    """Vectorized Ai for lambda-quadrature kernels, from _airy: scipy's
+    values up to 2, the Chebyshev series past it, within 1e-13 relative of
+    mpmath on (10, 30], and 0.0 beyond +30 (|Ai| < 3e-48 there); arguments
+    below -30 or NaN raise."""
     arr = np.asarray(z, dtype=float)
     if arr.size and not float(arr.min()) >= -AIRY_RANGE:
         raise ValueError(f"airy_ai_kernel supports arguments >= {-AIRY_RANGE}, got {arr.min()}")

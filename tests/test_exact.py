@@ -1113,6 +1113,53 @@ def test_kernel_rejects_non_integral_labels_and_sites():
     assert kt_kernel(1.0, STEP, 1.0, np.int64(2), np.float64(0.0), -1) == want
 
 
+# each entry point of exact given one fractional label or site, as (name,
+# function, args, kwargs).  Unchecked, these raised a TypeError from ldexp or
+# range or an IndexError from an array index, or returned a value for the
+# truncated argument
+NON_INTEGRAL = [
+    ("n", transfer_inverse, (1.0, 1.5, 0, 0), {}),
+    ("z1", transfer_inverse, (1.0, 1, 0.5, 0), {}),
+    ("z2", transfer_inverse, (1.0, 1, 0, -0.5), {}),
+    ("n", transfer_extended, (1.0, 1.5, 0, 0), {}),
+    ("z2", transfer_extended, (1.0, 1, 0, 0.5), {}),
+    ("n", transfer_epi, (STEP, 1.0, 1.5, 0, 0), {}),
+    ("z1", transfer_epi, (STEP, 1.0, 2, 0.5, 0), {}),
+    ("z2", transfer_epi, (STEP, 1.0, 2, 0, 0.5), {}),
+    ("n_i", kt_step_closed, (1.0, 1.5, 2, 0, 0), {}),
+    ("n_j", kt_step_closed, (1.0, 2, 1.5, 0, 0), {}),
+    ("z1", kt_step_closed, (1.0, 2, 2, 0.5, 0), {}),
+    ("z2", kt_step_closed, (1.0, 2, 2, 0, 0.5), {}),
+    ("n", kt_two_periodic_closed, (1.0, 1.5, 0, 0), {}),
+    ("z1", kt_two_periodic_closed, (1.0, 1, 0.5, 0), {}),
+    ("z2", kt_two_periodic_closed, (1.0, 1, 0, 0.5), {}),
+    ("n", psi_residue, (STEP, 1.0, 2.5, 0, 0), {}),
+    ("k", psi_residue, (STEP, 1.0, 2, 0.5, 0), {}),
+    ("x", psi_residue, (STEP, 1.0, 2, 0, 0.5), {}),
+    ("n", phi_closed_form, ("step", 2.5, 0, 0, 1.0), {}),
+    ("k", phi_closed_form, ("step", 2, 0.5, 0, 1.0), {}),
+    ("x", phi_closed_form, ("step", 2, 0, 0.5, 1.0), {}),
+    ("x", phi_closed_form, ("periodic", 2, 1, 0.5, 1.0), {"d": 2}),
+    ("d", phi_closed_form, ("periodic", 2, 0, 0, 1.0), {"d": 2.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, func, args, kwargs", NON_INTEGRAL,
+    ids=[f"{func.__name__}-{name}" for name, func, _, _ in NON_INTEGRAL],
+)
+def test_entry_points_reject_non_integral_labels_and_sites(name, func, args, kwargs):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        func(*args, **kwargs)
+
+
+def test_integral_floats_are_accepted_as_labels_and_sites():
+    assert transfer_inverse(1.0, 2.0, np.int64(1), 0.0) == transfer_inverse(1.0, 2, 1, 0)
+    assert kt_step_closed(1.0, 2.0, 3.0, -1.0, 0.0) == kt_step_closed(1.0, 2, 3, -1, 0)
+    want = phi_closed_form("periodic", 3, 1, 0, 1.0, d=2)
+    assert phi_closed_form("periodic", 3.0, 1, 0, 1.0, d=2.0) == want
+
+
 # ---- transition determinants -----------------------------------------------
 
 

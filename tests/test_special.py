@@ -17,7 +17,10 @@ import pytest
 from scipy.special import airy
 
 from contour import ContourSpec, circle_quadrature
+from kpzlab import special
 from kpzlab.special import (
+    _AIRY_S,
+    _AIRY_SERIES,
     QuadratureError,
     _airy,
     _charlier_term,
@@ -87,8 +90,10 @@ def test_airy_matches_mpmath_on_dense_grid():
     assert np.abs(airy_ai_kernel(zs) - want).max() <= 1e-12
 
 
-# arguments on both sides of the evaluator's switch from cephes to kve at 10
-AIRY_TAIL = [9.0, 9.999999, 10.0, 10.000001, 10.5, 12.25, 15.0, 17.3, 20.0, 24.9, 29.99, 30.0]
+# arguments on both sides of the evaluator's switch from scipy's airy to the
+# Chebyshev series at 2, and on both sides of 10, where the error gates change
+AIRY_TAIL = [1.999999, 2.0, 2.000001, 9.0, 9.999999, 10.0, 10.000001, 10.5, 12.25, 15.0, 17.3,
+             20.0, 24.9, 29.99, 30.0]
 
 
 def test_airy_ai_kernel_relative_accuracy_past_ten():
@@ -110,10 +115,77 @@ def test_scaled_airy_relative_accuracy():
             e = mpmath.exp(2 * x**1.5 / 3)
             assert abs(a / float(mpmath.airyai(x) * e) - 1.0) <= 5e-14, z
             assert abs(ap / float(mpmath.airyai(x, derivative=1) * e) - 1.0) <= 5e-14, z
-    # unscaled, and left of 0 where there is no factor, the values are scipy's
-    assert np.array_equal(_airy(zs[zs <= 10.0]), airy(zs[zs <= 10.0])[0])
+    # unscaled up to the cut, and left of 0 where there is no factor, the
+    # values are scipy's
+    assert np.array_equal(_airy(zs[zs <= 2.0]), airy(zs[zs <= 2.0])[0])
     left = np.linspace(-30.0, 0.0, 31)
     assert np.array_equal(_airy(left, scaled=True), airy(left)[0])
+
+
+def _airy_factors(s):
+    """g(s) and h(s) of _AIRY_SERIES from mpmath, at s = 1/zeta."""
+    x = (3 / (2 * s)) ** (mpmath.mpf(2) / 3)
+    c = 2 * mpmath.sqrt(mpmath.pi) * mpmath.exp(1 / s)
+    return c * x**0.25 * mpmath.airyai(x), -c * mpmath.airyai(x, derivative=1) / x**0.25
+
+
+def test_airy_series_literals_rebuild_from_mpmath():
+    # the Chebyshev interpolant of g and h at 40 Chebyshev-Gauss nodes on
+    # s in [0, 1/zeta(2)], from mpmath at 40 digits, cut before the first
+    # coefficient at or below 2e-18
+    n = 40
+    with mpmath.workdps(40):
+        angles = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+        s_max = 3 / (4 * mpmath.sqrt(2))
+        vals = [_airy_factors(s_max * (mpmath.cos(a) + 1) / 2) for a in angles]
+        want = np.array([
+            [float(mpmath.fsum(v[i] * mpmath.cos(k * a) for v, a in zip(vals, angles)) * 2 / n)
+             for i in (0, 1)]
+            for k in range(n)
+        ])
+        want[0] /= 2
+    assert float(s_max) == _AIRY_S
+    assert len(_AIRY_SERIES) == 25
+    assert np.abs(_AIRY_SERIES - want[:25]).max() <= 1e-17
+    assert np.abs(want[24]).min() > 2e-18 and np.abs(want[25]).max() <= 2e-18
+
+
+def test_scaled_airy_past_the_cut_within_2e_15():
+    # 25 times tighter than test_scaled_airy_relative_accuracy, up to 1e8.
+    # At 2 itself the values are scipy's, and its Ai'(2) is 4.7e-15 off.
+    zs = np.geomspace(2.0, 1e8, 200)[1:]
+    ai, aip = _airy(zs, scaled=True, derivative=True)
+    with mpmath.workdps(40):
+        for z, a, ap in zip(zs, ai, aip):
+            x = mpmath.mpf(z)
+            e = mpmath.exp(2 * x**1.5 / 3)
+            assert abs(a / float(mpmath.airyai(x) * e) - 1.0) <= 2e-15, z
+            assert abs(ap / float(mpmath.airyai(x, derivative=1) * e) - 1.0) <= 2e-15, z
+
+
+def test_airy_asks_scipy_nothing_past_the_cut(monkeypatch):
+    seen = []
+
+    def recording_airy(x):
+        seen.append(np.max(x, initial=-np.inf))
+        return airy(x)
+
+    monkeypatch.setattr(special, "airy", recording_airy)
+    zs = np.concatenate([np.linspace(-30.0, 40.0, 701), [2.0, 2.000001, 1e8, math.inf]])
+    for scaled in (False, True):
+        for derivative in (False, True):
+            _airy(zs, scaled=scaled, derivative=derivative)
+            _airy(2.5, scaled=scaled, derivative=derivative)
+    airy_ai_kernel(zs[zs <= 30.0])
+    assert seen and max(seen) <= 2.0
+
+
+def test_airy_at_plus_infinity():
+    assert _airy(math.inf) == 0.0
+    ai, aip = _airy(np.array([math.inf, 1e3]), derivative=True)
+    assert ai.tolist() == [0.0, 0.0] and aip.tolist() == [0.0, 0.0]
+    ai, aip = _airy(math.inf, scaled=True, derivative=True)
+    assert ai == 0.0 and aip == -math.inf  # Ai' e^zeta ~ -x^(1/4) / (2 sqrt(pi))
 
 
 def test_airy_against_contour_representation():

@@ -99,6 +99,9 @@ class LEnsembleSpec:
         n = len(self.space)
         if self.L.shape != (n, n):
             raise ValueError("L shape does not match space")
+        self._index = {p: i for i, p in enumerate(self.space)}
+        if len(self._index) < n:
+            raise ValueError("space repeats a point, so it does not define an L-ensemble")
         zset = set(self.conditioning_subset)
         if not zset <= set(self.space):
             raise ValueError("conditioning subset must lie inside the space")
@@ -121,7 +124,11 @@ class LEnsembleSpec:
         return np.flatnonzero(~self._z_mask)
 
     def index_of(self, p) -> int:
-        return self.space.index(_as_tuple(p))
+        """Position of the point p in the space; ValueError if p is not in it."""
+        try:
+            return self._index[_as_tuple(p)]
+        except KeyError:
+            raise ValueError(f"{p!r} is not a point of the space") from None
 
 
 def dpp_correlation(dpp: FiniteDpp, pts: Sequence) -> float:

@@ -238,9 +238,16 @@ def epi_transfer_matrix(
     is 3.76e-6, and this gives about -1e6 from terms up to 6e21.
     """
     _check_time(t)
+    n, y_lo, y_hi = _integer(n, "n"), _integer(y_lo, "y_lo"), _integer(y_hi, "y_hi")
     if n < 1:
         raise ValueError("depth must be at least 1")
-    z2s = np.asarray(z2s, dtype=int)
+    z2s = np.asarray(z2s)
+    if z2s.dtype.kind not in "iu":  # int() would truncate a fractional target
+        z2s = z2s.astype(float)
+        bad = ~(np.isfinite(z2s) & (z2s == np.trunc(z2s)))
+        if bad.any():
+            raise ValueError(f"each target z2 must be an integer, got {float(z2s[bad][0])!r}")
+    z2s = z2s.astype(int, copy=False)
     floor = _entry_int(init, n) + n
     steps, top = [], y_hi + 1  # (top, cut): step m stops cut..top
     for m in range(n):

@@ -22,12 +22,17 @@ sites left of the window keeps it out except with probability at most
 
 The draws come from a table: one numpy pass mixes every tracked particle's
 counter-based uniforms, (splitmix64(key + k·GOLD) >> 11)·2^-53 for its first
-16 + int(duration) jump numbers k, and a row that runs out is extended by
-the same routine.  The recursion over the table stays in Python, and so
-does the logarithm: it is `math.log`, not `np.log`, whose vectorised
-kernels differ from libm in the last bit on about 0.35 % of draws, so that
-trajectories would change with numpy's build and the host's instruction
-set.
+1 + ceil(duration + sqrt(duration)) jump numbers k, and a row that runs out
+is doubled by the same routine.  An unobstructed particle takes
+1 + Poisson(duration) draws, so the width is their mean plus one standard
+deviation: most rows fit, and the table is not mixed and converted far
+beyond what a run reads.  The seed-free half of a key, mix(label·GOLD +
+salt), is memoised per tracked label range.  Since the draws are
+counter-based, neither choice changes a trajectory.  The recursion over the
+table stays in Python, and so does the logarithm: it is `math.log`, not
+`np.log`, whose vectorised kernels differ from libm in the last bit on about
+0.35 % of draws, so that trajectories would change with numpy's build and
+the host's instruction set.
 """
 
 from __future__ import annotations
@@ -46,22 +51,44 @@ from scipy.special import pdtrc
 HAVE_NUMBA = False
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_LABEL_SALT = np.uint64(0x7F4A7C15)
+# uint64 constants as 0-d arrays, which ufuncs take without converting a
+# numpy scalar on every call
+_GOLD, _MIX1, _MIX2, _LABEL_SALT, _S11, _S27, _S30, _S31 = (
+    np.array(v, dtype=np.uint64)
+    for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x7F4A7C15, 11, 27, 30, 31)
+)
 _TWO_NEG53 = 2.0**-53
 
 TRUNCATION_RISK = 2.0**-60  # per-run chance that the light cone is too short
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array, wrapping mod 2^64."""
-    with np.errstate(over="ignore"):
-        z = z + _GOLD
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer over a uint64 array.  Array arithmetic on uint64
+    wraps mod 2^64 without a warning; numpy scalars would warn, so callers
+    pass arrays, of one element if need be."""
+    z = z + _GOLD
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
+
+
+def _keys(seed: int, label_mix: np.ndarray) -> np.ndarray:
+    """Stream keys mix(mix(seed) ^ label_mix) for labels already mixed."""
+    return _mix(_mix(np.array([int(seed) & _MASK], dtype=np.uint64)) ^ label_mix)
+
+
+def _mix_labels(labels: np.ndarray) -> np.ndarray:
+    """mix(label·GOLD + SALT), the seed-free half of each stream key."""
+    return _mix(labels.astype(np.uint64) * _GOLD + _LABEL_SALT)
+
+
+@functools.lru_cache(maxsize=64)
+def _label_range_mix(first: int, count: int) -> np.ndarray:
+    """`_mix_labels` over labels first .. first + count - 1, read-only: every
+    run over the same tracked range shares it, whatever its seed."""
+    mixed = _mix_labels(np.arange(first, first + count))
+    mixed.flags.writeable = False
+    return mixed
 
 
 def stream_base(seed: int, label: int | np.ndarray) -> int | np.ndarray:
@@ -70,20 +97,16 @@ def stream_base(seed: int, label: int | np.ndarray) -> int | np.ndarray:
     `label` is one label, for which the key is a Python int, or an array of
     labels, for which the keys come back as a uint64 array.
     """
-    labels = np.asarray(label).astype(np.uint64)
-    s = _mix(np.uint64(int(seed) & _MASK))
-    with np.errstate(over="ignore"):
-        keys = _mix(s ^ _mix(labels * _GOLD + _LABEL_SALT))
-    return int(keys) if keys.ndim == 0 else keys
+    labels = np.asarray(label)
+    keys = _keys(seed, _mix_labels(labels.reshape(-1)))
+    return int(keys[0]) if labels.ndim == 0 else keys.reshape(labels.shape)
 
 
 def _uniforms(keys: np.ndarray, start: int, width: int) -> np.ndarray:
     """Draw table u[i, c] = (mix(keys[i] + (start + c)·GOLD) >> 11)·2^-53
     for c < width; the uint64-to-float conversion is exact."""
-    with np.errstate(over="ignore"):
-        steps = np.arange(start, start + width, dtype=np.uint64) * _GOLD
-        z = _mix(keys[:, None] + steps[None, :])
-    return (z >> np.uint64(11)) * _TWO_NEG53
+    steps = np.arange(start, start + width, dtype=np.uint64) * _GOLD
+    return (_mix(keys[:, None] + steps[None, :]) >> _S11) * _TWO_NEG53
 
 
 @dataclass(frozen=True)
@@ -170,7 +193,7 @@ class ParticleState:
         self.positions = np.asarray(self.positions, dtype=np.int64)
         if self.positions.ndim != 1 or self.positions.size == 0:
             raise ValueError("need at least one particle")
-        if np.any(np.diff(self.positions) >= 0):
+        if np.any(self.positions[1:] >= self.positions[:-1]):
             raise ValueError("positions must be strictly decreasing")
         if self.time < 0:
             raise ValueError("time must be nonnegative")
@@ -190,8 +213,7 @@ class HeightField:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.int64)
-        steps = np.diff(self.values)
-        if steps.size and not np.all(np.abs(steps) == 1):
+        if not np.all(np.abs(self.values[1:] - self.values[:-1]) == 1):
             raise ValueError("height increments must be +-1")
 
     @property
@@ -305,15 +327,17 @@ def _last_passage(state, duration, seed):
     while its index is not positive.  The recursion stops at the first jump
     past t0 + duration, or at a jump whose leader term never happens by then.
     w[i,k] = -log(1 - u[i,k]) is the k-th draw of the particle's stream: u
-    is read from the draw table, and the log is taken per draw with
-    `math.log` so that trajectories do not depend on numpy's vector kernels.
+    is read from the draw table, 1 + ceil(duration + sqrt(duration)) columns
+    wide, whose rows double when a particle needs more draws, and the log is
+    taken per draw with `math.log` so that trajectories do not depend on
+    numpy's vector kernels.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
     t0 = state.time
     t_end = t0 + duration
-    keys = stream_base(seed, state.labels)
-    rows = _uniforms(keys, 0, 16 + int(duration)).tolist()
+    keys = _keys(seed, _label_range_mix(state.first_label, state.positions.size))
+    rows = _uniforms(keys, 0, 1 + math.ceil(duration + math.sqrt(duration))).tolist()
     log = math.log
     jumps = []
     lead, ahead = None, None  # jump times and start of the particle ahead

@@ -91,6 +91,19 @@ def test_singular_one_z_plus_l_rejected():
         LEnsembleSpec((0,), np.array([[-1.0]]), (0,))
 
 
+def test_space_with_a_repeated_point_rejected():
+    with pytest.raises(ValueError, match="repeats a point"):
+        LEnsembleSpec(((1, 0), (2, 0), (1, 0)), np.eye(3), ((2, 0),))
+
+
+def test_index_of_reads_positions_and_rejects_missing_points():
+    space = ((1, 0), (2, -1), (2, 3))
+    spec = LEnsembleSpec(space, np.eye(3), space[1:])
+    assert [spec.index_of(list(p)) for p in space] == [0, 1, 2]
+    with pytest.raises(ValueError, match="not a point of the space"):
+        spec.index_of((1, 1))
+
+
 def test_conditional_reduces_to_unconditional():
     spec = random_lensemble(6)
     a = l_to_k(spec)

@@ -444,6 +444,17 @@ def test_first_passage_transfer_needs_a_step():
             epi_transfer_matrix(EXPL, 0.9, n, -3, 3, [0])
 
 
+@pytest.mark.parametrize(
+    "n, y_lo, z2s",
+    [(3, 2, [1.7, 1]), (3, 1.5, [1]), (2.5, 2, [1])],
+    ids=["fractional target", "fractional y_lo", "fractional n"],
+)
+def test_first_passage_transfer_rejects_fractional_arguments(n, y_lo, z2s):
+    # int() would read the target 1.7 as 1; range() refuses a float bound
+    with pytest.raises(ValueError, match="must be an integer"):
+        epi_transfer_matrix(STEP, 1.0, n, y_lo, 2, z2s)
+
+
 def test_first_passage_transfer_vanishes_below_floor():
     # from y < entry(n) + n the walk stays at or below entry(m + 1) at every
     # step m < n, so it never crosses; from entry(n) + n it can

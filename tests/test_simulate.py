@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kpzlab.simulate import (
     rescale_height,
     stream_base,
 )
+from kpzlab.simulate import _keys, _label_range_mix
 
 
 # ---------------------------------------------------------------- initial data
@@ -280,6 +282,9 @@ def _reference_cases():
         yield "continuation", tail, 2.0, seed
     for seed in (2**63, 2**63 + 1, 2**64 - 1, 2**64 + 5, -1, -(2**63)):
         yield "large seed", step, 4.0, seed
+    # label 2 jumps 9 times by t = 4 right behind label 1, so its row runs
+    # past the table's first block while the leader term is in force
+    yield "follower", step, 4.0, 828
 
 
 def test_last_passage_matches_scalar_reference():
@@ -287,17 +292,23 @@ def test_last_passage_matches_scalar_reference():
     # math.log changes about 0.35 % of draws, so over 10^4 draws it fails
     total = 0
     longest = 0
+    follower = 0
     for case, state, duration, seed in _reference_cases():
         want_pos, want_jumps, draws = _last_passage_ref(state, duration, seed)
         total += draws
         longest = max(longest, max(len(own) for own in want_jumps))
+        if case == "follower":
+            follower = len(want_jumps[1])
         out, events = evolve_events(state, duration, seed)
         assert np.array_equal(out.positions, want_pos), (case, seed)
         assert out.time == state.time + duration
         for i, own in enumerate(want_jumps):
             got = events["time"][events["label"] == state.first_label + i]
             assert got.tobytes() == np.array(own, dtype=np.float64).tobytes(), (case, seed, i)
-    assert longest >= 16 + 60  # some row outgrew the first block of the table
+    # some row outgrew the first block of the table, 1 + ceil(t + sqrt(t))
+    # draws wide: the lone particle's at t = 60, and a follower's at t = 4
+    assert longest >= 1 + math.ceil(60 + math.sqrt(60))
+    assert follower > 1 + math.ceil(4 + math.sqrt(4))
     assert total >= 10_000
 
 
@@ -311,6 +322,32 @@ def test_stream_base_over_labels():
         assert all(stream_base(seed, int(lab)) == w for lab, w in zip(labels, want))
         assert type(stream_base(seed, 3)) is int
     assert stream_base(-1, 4) == stream_base(2**64 - 1, 4)
+
+
+def test_label_range_keys_match_the_reference():
+    # the per-range memo of the seed-free label mix, past label 1 too
+    for first, count in ((1, 4), (2, 5), (7, 24), (1000, 3)):
+        for seed in (0, 17, 2**64 - 1):
+            keys = _keys(seed, _label_range_mix(first, count))
+            assert keys.tolist() == [_stream_ref(seed, lab) for lab in range(first, first + count)]
+            assert keys.tolist() == stream_base(seed, np.arange(first, first + count)).tolist()
+
+
+def test_label_range_mix_is_read_only():
+    mixed = _label_range_mix(3, 6)
+    with pytest.raises(ValueError):
+        mixed[0] = 0
+    assert _label_range_mix(3, 6) is mixed
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1, -1])
+def test_large_seeds_raise_no_warning(seed):
+    state = initial_state(make_initial("step"), n_particles=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(state, 2.0, seed)
+        evolve_events(state, 2.0, seed)
+        stream_base(seed, 3)
 
 
 def test_exclusion_and_order_preserved():

@@ -78,6 +78,8 @@ class FiniteDpp:
         if not np.all(self.measure > 0):
             raise ValueError("measure must be strictly positive")
         self.index = {p: i for i, p in enumerate(self.points)}
+        if len(self.index) < n:
+            raise ValueError("point set repeats a point, so it does not define a point process")
 
 
 @dataclass

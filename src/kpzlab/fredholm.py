@@ -58,9 +58,14 @@ class Certified(float):
 
 def _settle(value_at: Callable[[int], float], rungs, tol: float) -> Certified:
     """value_at(rung) up `rungs` until two successive values differ by at
-    most tol, else ConvergenceError.  It stays private: bench/tracer.py
-    wraps only public functions, so a determinant evaluated in value_at
-    keeps the calling probability as its parent span."""
+    most tol, else ConvergenceError.  A NaN or negative tol raises
+    ValueError before the first rung; tol = 0 is valid, since a ladder
+    that reaches an exact value settles with a change of 0.  It stays
+    private: bench/tracer.py wraps only public functions, so a determinant
+    evaluated in value_at keeps the calling probability as its parent
+    span."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     start = time.perf_counter()
     values = []
     for rung in rungs:

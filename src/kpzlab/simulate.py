@@ -46,6 +46,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import pdtrc
 
+from .special import _integer
+
 # The last-passage recursion is the one simulator path and needs no compiler;
 # the flag stays because the benchmark records it with its results.
 HAVE_NUMBA = False
@@ -74,7 +76,8 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 def _keys(seed: int, label_mix: np.ndarray) -> np.ndarray:
     """Stream keys mix(mix(seed) ^ label_mix) for labels already mixed."""
-    return _mix(_mix(np.array([int(seed) & _MASK], dtype=np.uint64)) ^ label_mix)
+    seed = _integer(seed, "seed")
+    return _mix(_mix(np.array([seed & _MASK], dtype=np.uint64)) ^ label_mix)
 
 
 def _mix_labels(labels: np.ndarray) -> np.ndarray:
@@ -116,7 +119,8 @@ class InitialData:
     `kind` is one of step/periodic/explicit.  Step is X_0(k) = -k; periodic
     with gap d >= 2 is X_0(k) = -d(k-1); explicit stores the entries, which
     may include +inf leading entries (those are meaningful to the exact
-    solvers but not simulatable).
+    solvers but not simulatable).  The gap and every finite entry must be
+    integral; an integral float is accepted and kept as given.
     """
 
     kind: str
@@ -127,7 +131,7 @@ class InitialData:
         if self.kind not in ("step", "periodic", "explicit"):
             raise ValueError(f"unknown initial data kind: {self.kind!r}")
         if self.kind == "periodic":
-            if self.d is None or self.d < 2:
+            if self.d is None or _integer(self.d, "gap d") < 2:
                 raise ValueError("periodic data needs an integer gap d >= 2")
         if self.kind == "explicit":
             if not self.entries:
@@ -141,7 +145,7 @@ class InitialData:
                         raise ValueError("+inf entries must lead")
                 else:
                     seen_finite = True
-            finite = [e for e in self.entries if not math.isinf(e)]
+            finite = [_integer(e, "each finite entry") for e in self.entries if not math.isinf(e)]
             if any(finite[i] <= finite[i + 1] for i in range(len(finite) - 1)):
                 raise ValueError("explicit entries must be strictly decreasing")
 
@@ -332,8 +336,8 @@ def _last_passage(state, duration, seed):
     taken per draw with `math.log` so that trajectories do not depend on
     numpy's vector kernels.
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     t0 = state.time
     t_end = t0 + duration
     keys = _keys(seed, _label_range_mix(state.first_label, state.positions.size))

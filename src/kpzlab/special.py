@@ -1,5 +1,5 @@
-"""Scalar special functions: the Poisson-Charlier recurrence, the F family,
-binomials and Airy.
+"""Scalar special functions: the Poisson-Charlier recurrence, the F family
+and Airy.
 
 Everything here is elementary but tolerance-critical: the Poisson-Charlier
 recurrence evaluates every alternating residue sum of the exact layer, the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import airy, gammaln
@@ -88,24 +87,6 @@ class QuadratureError(RuntimeError):
     not finite.  No library path integrates on a contour; this is the error
     of the tests' circle quadrature, and it stays among the library's error
     types for callers that catch them all."""
-
-
-def gen_binomial(m, j: int):
-    """Generalized binomial coefficient m(m-1)...(m-j+1)/j!.
-
-    Exact Fraction for integral m, float otherwise.  j < 0 gives 0.
-    """
-    if j < 0:
-        return Fraction(0) if isinstance(m, (int, np.integer)) else 0.0
-    if isinstance(m, (int, np.integer)):
-        num = Fraction(1)
-        for i in range(j):
-            num *= Fraction(int(m) - i)
-        return num / math.factorial(j)
-    out = 1.0
-    for i in range(j):
-        out *= (m - i) / (i + 1)
-    return out
 
 
 def _poisson_charlier(

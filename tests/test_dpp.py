@@ -96,6 +96,12 @@ def test_space_with_a_repeated_point_rejected():
         LEnsembleSpec(((1, 0), (2, 0), (1, 0)), np.eye(3), ((2, 0),))
 
 
+def test_point_set_with_a_repeated_point_rejected():
+    # the index kept the last copy, so the one-point function at 0 read 0.125
+    with pytest.raises(ValueError, match="repeats a point"):
+        FiniteDpp((0, 1, 0), np.diag([0.5, 0.25, 0.125]), np.ones(3))
+
+
 def test_index_of_reads_positions_and_rejects_missing_points():
     space = ((1, 0), (2, -1), (2, 3))
     spec = LEnsembleSpec(space, np.eye(3), space[1:])

@@ -1,6 +1,7 @@
 """Walk kernels, biorthogonal systems, and joint laws vs independent oracles.
 
-Oracles used here: exact-Fraction dynamic programs for the geometric walks,
+Oracles used here: the biorthogonal system, closed residue forms and walk
+weights of exact_oracles.py, exact-Fraction dynamic programs for the walks,
 scipy matrix exponentials for the half-heat flows, the alternating Poisson
 sums of the transfer kernels summed by mpmath at high precision, direct
 contour quadrature for residue formulas, the forward equation of two
@@ -27,32 +28,34 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 from contour import ContourSpec, circle_quadrature
+from exact_oracles import (
+    BiorthoSystem,
+    _transfer_extended_matrix,
+    backward_heat_polys,
+    build_biortho,
+    kt_two_periodic_closed,
+    phi_closed_form,
+    psi_residue,
+    q_weight,
+    qbar,
+    transfer_epi,
+    transfer_extended,
+    transfer_inverse,
+)
 from kpzlab.exact import (
     WINDOW_DEPTHS,
-    BiorthoSystem,
     TruncationError,
     WindowError,
     _increasing_tuples,
-    _transfer_extended_matrix,
-    backward_heat_polys,
     bfps_l_verify,
-    build_biortho,
     epi_transfer_matrix,
     gt_indicator,
     gt_pattern_sum,
     kt_kernel,
     kt_step_closed,
-    kt_two_periodic_closed,
     multipoint_probability,
     path_integral_probability,
-    phi_closed_form,
-    psi_residue,
-    q_weight,
-    qbar,
     schuetz_transition,
-    transfer_epi,
-    transfer_extended,
-    transfer_inverse,
 )
 from kpzlab.fredholm import Certified, det_window
 from kpzlab.simulate import make_initial
@@ -333,7 +336,7 @@ def test_transfer_matrices_match_mpmath(t):
     # the alternating sums cancel by many orders at large t; the gate is
     # norm-wise per row, since entries far below the row's scale sit on
     # its round-off floor
-    from kpzlab.exact import _transfer_extended_matrix, _transfer_inverse_matrix
+    from kpzlab.exact import _transfer_inverse_matrix
 
     reach = int(2 * t) + 60
     with mpmath.workdps(200):
@@ -369,8 +372,6 @@ def test_transfer_extended_past_the_double_range_of_2_to_the_a(n):
     # eps = 0.005 again.  Entry (b, z2) is 2^a E_(n-1)(a), a = z2 - b + n - 1,
     # and one run over these starts spans more than 2000 binades of 2^a: it
     # must ride with each entry through the run, not be applied after it
-    from kpzlab.exact import _transfer_extended_matrix
-
     t = 2.0 * 0.005**-1.5
     bs, z2s = np.array([-1354, 0]), np.arange(0, -770, -32)
     got = _transfer_extended_matrix(t, n, bs, z2s)
@@ -917,6 +918,18 @@ def test_kernel_matches_step_closed_at_small_t():
         assert abs(got - kt_step_closed(t, 4, 4, 3, 4)) <= 1e-12
 
 
+def test_kernel_step_closed_walk_term_is_the_fraction_to_the_bit():
+    # with n_i + z1 < 0 the kernel is its walk term -Q^s(z1, z2) alone, an
+    # int / int division rounded once; the binomial leaves the double range
+    # near d = 1030, and the dyadic Fraction's float must still be met
+    assert math.comb(1499, 749) > sys.float_info.max
+    ni, z1 = 3, -5
+    for d in [*range(41), 100, 500, 1023, 1024, 1025, 1030, 1100, 1500]:
+        for s in {-2, 0, 1, 2, d // 3, d // 2, d - 1, d, d + 1}:
+            got = kt_step_closed(0.7, ni, ni + s, z1, z1 - d)
+            assert got == (-float(q_weight(s, z1, z1 - d)) if s > 0 else 0.0), (d, s)
+
+
 def test_kernel_step_closed_memory():
     # residue sums need O(n_i + z1) memory, where a 1024 x 1024 node grid
     # over the double contour takes about 60 MB
@@ -1152,6 +1165,8 @@ NON_INTEGRAL = [
     ("x", phi_closed_form, ("step", 2, 0, 0.5, 1.0), {}),
     ("x", phi_closed_form, ("periodic", 2, 1, 0.5, 1.0), {"d": 2}),
     ("d", phi_closed_form, ("periodic", 2, 0, 0, 1.0), {"d": 2.5}),
+    ("pad", gt_pattern_sum, ((1, -1), (0, -2), 0.5), {"pad": 2.5}),
+    ("trials", bfps_l_verify, (TWO, 0.5, (-20, 12)), {"trials": 1.5}),
 ]
 
 
@@ -1581,8 +1596,8 @@ def test_first_two_rungs_share_one_build(monkeypatch, route, t, data, events):
     kernels.clear()
     dets.clear()
     monkeypatch.setattr(exact, "WINDOW_DEPTHS", (WINDOW_DEPTHS[0],) * 2)
-    with pytest.raises(TruncationError, match="did not settle"):
-        route(t, data, events, tol=-1.0)
+    settled = route(t, data, events, tol=0.0)
+    assert len(dets) == 2 and settled.order == WINDOW_DEPTHS[0] and settled.error == 0.0
     assert abs(shared_det - dets[0]) <= 4e-16 * abs(dets[0])
     # the same entries, and no more: the matrices agree per entry
     np.testing.assert_allclose(shared, kernels[0], rtol=1e-13, atol=0)
@@ -1594,11 +1609,26 @@ def test_path_product_trivial_events():
         path_integral_probability(1.0, STEP, [(1, math.inf)])
 
 
-def test_window_doubling_exhaustion_raises():
+def test_window_doubling_exhaustion_raises(monkeypatch):
+    # a determinant that moves by 1 at every depth never settles
+    from kpzlab import exact
+
     data = make_initial(kind="explicit", entries=(0, -2))
     for route in (multipoint_probability, path_integral_probability):
+        values = itertools.count()
+        monkeypatch.setattr(exact, "det_window", lambda matrix: float(next(values)))
         with pytest.raises(TruncationError, match="did not settle"):
-            route(0.5, data, [(1, 0)], tol=-1.0)
+            route(0.5, data, [(1, 0)])
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-3])
+def test_window_ladders_reject_nan_and_negative_tol(tol):
+    # a NaN tol walked all five depths and then advised "try a larger tol";
+    # tol = 0 stays valid, since a floor-capped window settles with error 0
+    for route in (multipoint_probability, path_integral_probability):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            route(1.0, STEP, [(1, 0)], tol=tol)
+        assert route(1.0, STEP, [(1, 0)], tol=0.0).error == 0.0
 
 
 # ---- the exact floor of the windows ------------------------------------------

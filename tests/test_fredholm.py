@@ -133,8 +133,13 @@ def test_ladder_monotone_deltas():
 
 
 def test_ladder_exhaustion_raises():
+    # a kernel with a jump: the Gauss rules converge like 1/order, and the
+    # ladder's last change, about 1e-4, stays above tol
+    def kernel(x, y):
+        return 0.5 * ((x < 1.0) & (y < 1.0))
+
     with pytest.raises(ConvergenceError):
-        nystrom_ladder(lambda x, y: np.exp(-x - y), HalfLineUp(0.0), tol=-1.0)
+        nystrom_ladder(kernel, HalfLineUp(0.0), tol=1e-6)
 
 
 # ------------------------------------------------------------------ certificates
@@ -148,6 +153,18 @@ def test_settle_certifies_the_last_rung():
     assert got.order == 8 and got.seconds > 0
     with pytest.raises(ConvergenceError, match="did not settle.*try a larger tol"):
         _settle(lambda k: float(k), (1, 2, 3), tol=0.5)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-3])
+def test_settle_rejects_nan_and_negative_tol_before_the_first_rung(tol):
+    # a NaN tol walked every rung and then advised "try a larger tol"
+    calls = []
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        _settle(calls.append, (1, 2, 3), tol)
+    assert calls == []
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        nystrom_ladder(lambda x, y: np.exp(-x - y), HalfLineUp(0.0), tol=tol)
+    assert _settle(lambda k: 0.5, (1, 2), 0.0) == 0.5
 
 
 def test_one_ladder_error():

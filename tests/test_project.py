@@ -128,8 +128,8 @@ def test_one_fredholm_determinant():
 
 def test_one_extended_kernel_assembly():
     # _kernel_blocks builds every extended-kernel block: no other function
-    # in exact.py takes an inverse flow or a first-passage transfer, but the
-    # public 1 x 1 wrappers of each
+    # in exact.py takes an inverse flow or a first-passage transfer (the
+    # 1 x 1 entries that check them live in tests/exact_oracles.py)
     path = ROOT / "src" / "kpzlab" / "exact.py"
     tree = ast.parse(path.read_text(), str(path))
     callers = {
@@ -140,7 +140,48 @@ def test_one_extended_kernel_assembly():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id in {"_transfer_inverse_matrix", "epi_transfer_matrix"}
     }
-    assert callers == {"_kernel_blocks", "transfer_inverse", "transfer_epi"}
+    assert callers == {"_kernel_blocks"}
+
+
+def test_exact_defines_only_what_the_library_calls_or_the_bench_reads():
+    # one evaluation path per object: a public function or class of exact.py
+    # that no library module calls and the benchmark does not read is a
+    # second route, and lives with the tests (tests/exact_oracles.py)
+    def parse(path):
+        return ast.parse(path.read_text(), str(path))
+
+    defined = {
+        node.name
+        for node in parse(ROOT / "src" / "kpzlab" / "exact.py").body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for path in (ROOT / "src" / "kpzlab").glob("*.py")
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    read = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "exact":
+                    read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "kpzlab.exact":
+                read.update(alias.name for alias in node.names)
+    assert defined and not defined - called - read, sorted(defined - called - read)
+
+
+def test_no_library_module_imports_fractions():
+    # exact rational arithmetic is an oracle's tool (tests/exact_oracles.py)
+    found = [
+        path.name
+        for path in sorted((ROOT / "src" / "kpzlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions"
+    ]
+    assert not found, found
 
 
 def test_one_charlier_run_per_first_passage_transfer(monkeypatch):

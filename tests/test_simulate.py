@@ -80,6 +80,29 @@ def test_unknown_kind():
         make_initial("stationary")
 
 
+def test_periodic_gap_must_be_integral():
+    # a gap of 2.5 gave entries 0, -2.5, ..., simulated at 0, -2, -5
+    with pytest.raises(ValueError, match="gap d must be an integer, got 2.5"):
+        make_initial("periodic", d=2.5)
+
+
+def test_explicit_entries_must_be_integral():
+    # the simulator placed an entry of 1.5 at 1
+    with pytest.raises(ValueError, match="entry must be an integer, got 1.5"):
+        make_initial("explicit", entries=(1.5, -2))
+
+
+def test_explicit_entries_must_not_be_nan():
+    # NaN passed every order check, and a one-point on it read 1.0
+    with pytest.raises(ValueError, match="entry must be an integer, got nan"):
+        make_initial("explicit", entries=(math.nan, -2))
+
+
+def test_integral_floats_are_accepted_as_data():
+    assert [make_initial("periodic", d=2.0).entry(k) for k in (1, 2, 3)] == [0, -2, -4]
+    assert make_initial("explicit", entries=(math.inf, 1.0, -3.0)).entries == (math.inf, 1.0, -3.0)
+
+
 def test_light_cone_count():
     init = make_initial("step")
     n = particles_needed(init, z_lo=-5, duration=3.0)
@@ -174,6 +197,24 @@ def test_negative_duration_rejected():
     state = initial_state(make_initial("step"), n_particles=3)
     with pytest.raises(ValueError):
         evolve(state, -1.0, seed=0)
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_duration_must_be_finite(duration):
+    # inf raised a bare OverflowError from math.ceil, NaN a conversion error
+    state = initial_state(make_initial("step"), n_particles=3)
+    for run in (evolve, evolve_events):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            run(state, duration, 1)
+
+
+def test_seed_must_be_an_integer():
+    # a seed of 1.5 ran as seed 1
+    state = initial_state(make_initial("step"), n_particles=3)
+    for run in (evolve, evolve_events):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            run(state, 1.0, 1.5)
+    assert np.array_equal(evolve(state, 1.0, 1.0).positions, evolve(state, 1.0, 1).positions)
 
 
 def test_determinism_same_seed():

@@ -1,6 +1,6 @@
-"""Tests for the F family, Airy, binomials and the Poisson-Charlier
-recurrence, and for the contour quadrature (tests/contour.py) that checks
-residue sums.
+"""Tests for the F family, Airy and the Poisson-Charlier recurrence, and for
+the test helpers that check them: the contour quadrature (tests/contour.py)
+of the residue sums and the generalized binomial (tests/exact_oracles.py).
 
 Expected values were frozen from independent oracles: mpmath for Airy,
 closed-form residue/series identities for the F family.  The recurrence is
@@ -17,6 +17,7 @@ import pytest
 from scipy.special import airy
 
 from contour import ContourSpec, circle_quadrature
+from exact_oracles import gen_binomial
 from kpzlab import special
 from kpzlab.special import (
     _AIRY_S,
@@ -27,7 +28,6 @@ from kpzlab.special import (
     _poisson_charlier,
     _schuetz_F,
     airy_ai_kernel,
-    gen_binomial,
     schuetz_F,
 )
 

@@ -27,7 +27,13 @@ def _as_tuple(p):
 
 def _gauss_jordan(a) -> tuple[np.ndarray | None, np.longdouble]:
     """(a^{-1}, det a) by Gauss-Jordan elimination with partial pivoting in
-    np.longdouble; the inverse is None, and det 0, once a pivot vanishes."""
+    np.longdouble; the inverse is None, and det 0, once a pivot vanishes.
+
+    Each pivot step updates only the rows whose multiplier is nonzero, so
+    it costs one row operation per nonzero below and above the pivot, not
+    one per row: on the block matrices of exact.bfps_l_verify about half
+    of the steps touch a single row.  A zero multiplier would subtract
+    +-0, so skipping it changes no bit of the inverse or the determinant."""
     m = np.array(a, dtype=np.longdouble)
     det = np.longdouble(1)
     swaps = []
@@ -43,10 +49,11 @@ def _gauss_jordan(a) -> tuple[np.ndarray | None, np.longdouble]:
         det *= piv
         col = m[:, k].copy()
         col[k] = 0
+        rows = np.flatnonzero(col)
         m[:, k] = 0
         m[k, k] = 1
         m[k] /= piv
-        m -= np.outer(col, m[k])
+        m[rows] -= np.outer(col[rows], m[k])
     for k in reversed(range(len(swaps))):
         if swaps[k] != k:
             m[:, [k, swaps[k]]] = m[:, [swaps[k], k]]

@@ -45,7 +45,9 @@ rung the window is the whole support and the determinant on it is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .fredholm import Certified, _settle, det_window
 from .fredholm import ConvergenceError as TruncationError  # the window depths ran out
 from .simulate import InitialData, make_initial
 from .special import (
+    _RESCALE,
     _charlier_term,
     _check_time,
     _exit,
@@ -197,8 +200,13 @@ def epi_transfer_matrix(
 
 
 def _weyl_tuple(vec, name: str) -> tuple[int, ...]:
-    out = tuple([_integer(v, name) for v in vec])
-    if not all(a > b for a, b in zip(out, out[1:])):
+    """vec as a strictly decreasing tuple of Python ints; a tuple of ints
+    passes as it is."""
+    if type(vec) is tuple and all(type(v) is int for v in vec):
+        out = vec
+    else:
+        out = tuple([_integer(v, name) for v in vec])
+    if not all(map(operator.gt, out, out[1:])):
         raise ValueError(f"{name} must be strictly decreasing")
     return out
 
@@ -208,8 +216,9 @@ def schuetz_transition(x, y, t: float) -> float:
     the N x N determinant det[F_(i-j)(x_(N+1-i) - y_(N+1-j), t)] of
     index-shifted one-particle kernels.  At N = 1 it is the entry itself,
     F_0(x - y, t).  Sites must be integral and strictly decreasing; after
-    that one check the entries come from schuetz_F's memo directly, and
-    _small_det takes the determinant."""
+    that one check, which a tuple of Python ints passes without a copy,
+    the entries come from schuetz_F's memo directly, and _small_det takes
+    the determinant."""
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
@@ -219,8 +228,11 @@ def schuetz_transition(x, y, t: float) -> float:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
     _check_time(t)
     t = float(t)
-    ks = range(1, n + 1)
-    return _small_det([[_schuetz_F(i - j, xv[n - i] - yv[n - j], t) for j in ks] for i in ks])
+    # with both reversed, entry (i, j) is F_(i-j)(x_(N-i) - y_(N-j)) from 0
+    xr, yr = xv[::-1], yv[::-1]
+    return _small_det([
+        [_schuetz_F(i - j, xi - yj, t) for j, yj in enumerate(yr)] for i, xi in enumerate(xr)
+    ])
 
 
 def _small_det(rows: list[list[float]]) -> float:
@@ -339,24 +351,37 @@ def _array_sum_value(xv, yv, t, lo, hi):
     return total
 
 
-def gt_indicator(levels) -> int:
-    """Product of one-step indicator determinants over a triangular array.
+def gt_indicators(arrays) -> list[int]:
+    """For each triangular array, the product of its one-step indicator
+    determinants: 1 exactly when consecutive rows interlace (the previous
+    row extended by a virtual +infinity entry), else 0.  The empty array
+    gives 1.
 
-    Equals 1 exactly when consecutive rows interlace (the previous row
-    extended by a virtual +infinity entry), else 0.
+    Level m of an array is the m x m matrix [1{a > b}] of the previous row
+    plus +infinity against row m, padded with an identity block to the
+    largest array's size, and one stacked determinant serves every level
+    of the batch.  A level m without m entries raises ValueError naming m.
     """
-    size = len(levels)
-    # level m's matrix, padded with an identity block to the last level's size
-    mats = np.zeros((size, size, size))
-    mats.reshape(size, size * size)[:, :: size + 1] = 1.0
-    prev: list = []
-    for m, raw in enumerate(levels, start=1):
-        row = [float(v) for v in raw]
-        if len(row) != m:
-            raise ValueError(f"level {m} must have {m} entries")
-        mats[m - 1, :m, :m] = [[a > b for b in row] for a in prev + [math.inf]]
-        prev = row
-    return math.prod(map(round, np.linalg.det(mats).tolist()))
+    arrays = [[[float(v) for v in raw] for raw in levels] for levels in arrays]
+    size = max(map(len, arrays), default=0)
+    # per level, the previous row plus +inf and the row, NaN-padded to size:
+    # a NaN compares False, so the comparison is zero outside the m x m block
+    prevs, rows, ms = [], [], []
+    for levels in arrays:
+        prev: list = []
+        for m, row in enumerate(levels, start=1):
+            if len(row) != m:
+                raise ValueError(f"level {m} must have {m} entries")
+            prevs.append(prev + [math.inf] + [math.nan] * (size - m))
+            rows.append(row + [math.nan] * (size - m))
+            ms.append(m)
+            prev = row
+    prevs, rows = (np.array(v, dtype=float).reshape(len(ms), size) for v in (prevs, rows))
+    mats = (prevs[:, :, None] > rows[:, None, :]).astype(float)
+    diag = mats.reshape(len(ms), size * size)[:, :: size + 1]
+    diag += np.arange(size) >= np.array(ms, dtype=int)[:, None]
+    dets = iter(map(round, np.linalg.det(mats).tolist()))
+    return [math.prod(itertools.islice(dets, len(levels))) for levels in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +419,9 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
         K = term1 + 2^(z2-z1) e^t sum_(m=0..M) E_(M-m)(n_i) E_(n_j-1)(n_j+z2-1-m),
 
     and K = term1 for M < 0: one degree run at x = n_i, carrying e^t as its
-    log offset, and one run at degree n_j - 1 over m.
+    log offset, and one run at degree n_j - 1 over m.  A negative exponent
+    z2 - z1 rides in the second run and a positive one is applied after the
+    dot product, so neither overflows the sum before 2^(z2-z1) applies.
     """
     _check_time(t)
     n_i, n_j = _integer(n_i, "n_i"), _integer(n_j, "n_j")
@@ -410,8 +437,10 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
         return term1
     outer = _poisson_charlier(m_top, n_i, t, log_scale=t)[::-1]
     xs = np.arange(n_j + z2 - 1, n_j + z2 - 2 - m_top, -1)
-    inner = _poisson_charlier(n_j - 1, xs, t)
-    return term1 + float(_exit(np.dot(outer, inner), z2 - z1))
+    # a negative 2^(z2-z1) rides in the inner run, so the dot product
+    # cannot overflow before it applies; a positive one applies after it
+    inner = _poisson_charlier(n_j - 1, xs, t, exp2=min(z2 - z1, 0))
+    return term1 + float(_exit(np.dot(outer, inner), max(z2 - z1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +473,34 @@ def _joint_events(init: InitialData, events):
 
 
 def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Float walk power Q^steps, steps >= 1, on a grid, overflow safe for
-    deep windows.  It is Toeplitz: its values are built once along
-    d = x - y and indexed."""
+    """Float walk power Q^steps, steps >= 1, on a grid: C(d - 1, steps - 1)
+    2^-d at d = x - y >= steps, else 0.  It is Toeplitz: its values are
+    built once along d and indexed.
+
+    The binomial is the running product of (d - 1 - i) / (i + 1), and each
+    entry carries its own exact power of 2 beside it, applied with ldexp
+    at the end, so a binomial past the double range (C(1199, 599) ~ 1e359)
+    gives its finite value.  Two Python floats bound how far any entry has
+    risen and how far one with d >= steps, whose partial products are
+    binomials, has fallen; once either passes _RESCALE every entry is
+    renormalised into [1/2, 1).  Where the product stays a normal double
+    the bits are those of the plain product times 2^-d."""
     d = xs[:, None] - ys[None, :]
-    lo = int(d.min(initial=0))
-    ds = np.arange(lo, d.max(initial=0) + 1.0)
+    lo, hi = int(d.min(initial=0)), int(d.max(initial=0))
+    ds = np.arange(lo, hi + 1)
     ok = ds >= steps
-    coeff = np.ones(ds.shape)
+    coeff, exp2 = np.ones(ds.shape), 0
+    low = max(lo, steps) - 1  # the smallest d - 1 with d >= steps
+    up = down = 1.0
     for i in range(steps - 1):
         coeff *= (ds - 1 - i) / (i + 1.0)
-    line = np.where(ok, 2.0 ** np.where(ok, -ds, 0.0) * coeff, 0.0)
-    return line[d - lo]
+        up *= max(1.0, max(abs(lo - 1 - i), abs(hi - 1 - i)) / (i + 1.0))
+        down *= max(1.0, (i + 1.0) / (low - i))
+        if up > _RESCALE or down > _RESCALE:
+            coeff, f = np.frexp(coeff)
+            exp2 += f
+            up = down = 1.0
+    return np.ldexp(np.where(ok, coeff, 0.0), exp2 - ds)[d - lo]
 
 
 def _start_floor(base, ns) -> int:
@@ -620,10 +665,14 @@ def bfps_l_verify(
     through the conditional-ensemble inversion, and compares the level-1
     diagonal block against the first-passage kernel (after unconjugating).
     Ensemble minors are compared with the two-level determinant weights up
-    to one global sign, and the interlacing indicator identity is exercised
-    on random arrays.  Returns a dict of deviation diagnostics.  Raises
-    WindowError, naming a window that works, unless the window covers the
-    sampled sites [entry(2) - 6, entry(1) + 10].
+    to one global sign on 200 random draws of (z11, z21, z22), each drawn by
+    its own rng call and placed in the space by arithmetic, and the
+    interlacing indicator identity is exercised on `trials` random arrays.
+    The indicators of the draws and those of the arrays are one
+    gt_indicators batch each, and the kernel's inversion is dpp's sparse
+    Gauss-Jordan elimination.  Returns a dict of deviation diagnostics.
+    Raises WindowError, naming a window that works, unless the window
+    covers the sampled sites [entry(2) - 6, entry(1) + 10].
     """
     _check_time(t)
     trials = _integer(trials, "trials")
@@ -660,15 +709,14 @@ def bfps_l_verify(
     max_dev = float(np.abs(got - want).max())
 
     rng = np.random.default_rng(7)
-    draws, interlaced = [], []
-    for _ in range(200):
-        z11, z21, z22 = rng.integers(span_lo, span_hi + 1, size=3).tolist()
-        if z21 == z22:
-            continue
-        z21, z22 = sorted((z21, z22))
-        draws.append([0, 1] + sorted(spec.index_of(p) for p in [(1, z11), (2, z21), (2, z22)]))
-        interlaced.append(gt_indicator([(z11,), (z21, z22)]))
-    idx = np.array(draws)
+    # one call a draw: Generator.integers drops its buffered bits at the end
+    # of each call, so one call for all of them would draw other sites
+    draws = [rng.integers(span_lo, span_hi + 1, size=3).tolist() for _ in range(200)]
+    draws = [(z11, *sorted((z21, z22))) for z11, z21, z22 in draws if z21 != z22]
+    interlaced = gt_indicators([[(z11,), (z21, z22)] for z11, z21, z22 in draws])
+    # the positions of the labels, (1, z11), (2, z21) and (2, z22) in space
+    idx = np.array([(0, 1, 2 + z11 - lo, 2 + width + z21 - lo, 2 + width + z22 - lo)
+                    for z11, z21, z22 in draws])
     minor = np.linalg.det(L[idx[:, :, None], idx[:, None, :]])
     # a draw's last two indices are level 2's: the psi rows of z21, z22 from L
     weight = np.where(interlaced, np.linalg.det(L[idx[:, 3:], :2]), 0.0)
@@ -679,13 +727,14 @@ def bfps_l_verify(
     ref = np.where(np.arange(len(weight)) < k, 1.0, sign)  # the draws before it compare unsigned
     max_weight_dev = float(np.abs(minor - ref * weight).max(initial=0.0))
 
-    mism = 0
+    arrays, oks = [], []
     for _ in range(trials):
         size = int(rng.integers(2, 6))
         arr = [sorted(rng.integers(-6, 7, size=m).tolist()) for m in range(1, size + 1)]
         pairs = [(arr[m], arr[m - 1], i) for m in range(1, size) for i in range(m)]
-        ok = all(low[i] < up[i] <= low[i + 1] for low, up, i in pairs)
-        mism += gt_indicator(arr) != ok
+        oks.append(all(low[i] < up[i] <= low[i + 1] for low, up, i in pairs))
+        arrays.append(arr)
+    mism = sum(map(operator.ne, gt_indicators(arrays), oks))
 
     return {
         "max_kernel_dev": max_dev,

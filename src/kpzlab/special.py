@@ -19,11 +19,12 @@ exact.schuetz_transition checks its sites and t once per call and then
 reads that memo, _schuetz_F, directly with Python ints and float(t), so
 its N^2 entries pay no check each.  A Schuetz determinant summed over
 configurations asks for each entry F_(i-j)(x_i - y_j, t) once per
-configuration that shares it: the brute sums of the benchmark's small
-exact problems (N <= 3, t <= 2) make 22 090 calls a round for at most 79
-distinct entries per sum.  The bound is well below the ~2 090 distinct
-entries of a whole round, so the hits come from reuse inside one sum,
-never from replaying earlier work.
+configuration that shares it: the 57 brute sums of the benchmark's small
+exact problems (N <= 3, t <= 2) make 21 468 calls a round (seed 1), 19 888
+memo hits and 1 580 misses, for at most 79 distinct entries per sum, and
+its 82 single determinants add 111 hits and 511 misses.  The bound is well
+below the 2 091 misses of a whole round, so the hits come from reuse inside
+one sum, never from replaying earlier work.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ the notes write the same objects, kept apart so that the library holds one
 evaluation path per object: the geometric walk weights and their polynomial
 extension in exact dyadic Fractions, the biorthogonal system built from the
 backwards-heat polynomials, the closed residue forms for step and periodic
-data, and the 1 x 1 entries of the transfer matrices.
+data, the 1 x 1 entries of the transfer matrices, and the interlacing
+indicator of one array, one determinant call per array.
 """
 
 from __future__ import annotations
@@ -382,3 +383,24 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
     deg = big_n - 1
     (val,) = _poisson_charlier(deg, z2 + 2 * n, 2.0 * t, -1.0, -3.0 * t, z2 - z1, (deg,))
     return val if big_n % 2 else -val
+
+
+def gt_indicator(levels) -> int:
+    """Product of one-step indicator determinants over one triangular array,
+    the one-array reference for exact.gt_indicators.
+
+    Equals 1 exactly when consecutive rows interlace (the previous row
+    extended by a virtual +infinity entry), else 0.
+    """
+    size = len(levels)
+    # level m's matrix, padded with an identity block to the last level's size
+    mats = np.zeros((size, size, size))
+    mats.reshape(size, size * size)[:, :: size + 1] = 1.0
+    prev: list = []
+    for m, raw in enumerate(levels, start=1):
+        row = [float(v) for v in raw]
+        if len(row) != m:
+            raise ValueError(f"level {m} must have {m} entries")
+        mats[m - 1, :m, :m] = [[a > b for b in row] for a in prev + [math.inf]]
+        prev = row
+    return math.prod(map(round, np.linalg.det(mats).tolist()))

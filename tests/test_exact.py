@@ -9,6 +9,7 @@ particles by uniformization, and brute-force sums of transition determinants
 for the joint laws.  Nothing below reuses the code path it checks.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -33,6 +34,7 @@ from exact_oracles import (
     _transfer_extended_matrix,
     backward_heat_polys,
     build_biortho,
+    gt_indicator,
     kt_two_periodic_closed,
     phi_closed_form,
     psi_residue,
@@ -49,7 +51,7 @@ from kpzlab.exact import (
     _increasing_tuples,
     bfps_l_verify,
     epi_transfer_matrix,
-    gt_indicator,
+    gt_indicators,
     gt_pattern_sum,
     kt_kernel,
     kt_step_closed,
@@ -389,6 +391,26 @@ def test_closed_form_column_past_the_double_range_is_a_signed_infinity():
 def test_step_kernel_past_the_double_range_is_a_signed_infinity():
     # -1100 e^-1 * 2^1101 is beyond the largest double
     assert kt_step_closed(1.0, 2, 3, -1, 1100) == -math.inf
+
+
+def test_step_kernel_with_hundreds_of_labels_and_sites_is_finite():
+    # 2^(z2 - z1) = 2^-1200 rides in the closed form's inner run, and the
+    # walk power's C(1199, 599) ~ 1e359 carries its own power of 2
+    closed = kt_step_closed(1.0, 2, 602, 3, -1197)
+    assert math.isfinite(closed) and closed < 0.0
+    kernel = kt_kernel(1.0, STEP, 2, 602, 3, -1197)
+    assert abs(kernel - closed) <= 1e-12 * abs(closed)
+
+
+def test_window_q_power_past_the_double_range_binomial():
+    from kpzlab.exact import _window_q_power
+
+    ds = [1200, 1199, 900, 600]
+    got = _window_q_power(600, np.array(ds + [599]), np.array([0]))[:, 0]
+    for d, value in zip(ds, got):
+        want = math.comb(d - 1, 599) / 2**d
+        assert abs(value - want) <= 1e-13 * want, d
+    assert got[-1] == 0.0
 
 
 def _check_walk_average(data, n, ys, z2s):
@@ -1377,23 +1399,27 @@ def test_array_sum_rejects_bad_input():
         gt_pattern_sum((5, 4, 3, 2, 1), (4, 3, 2, 1, 0), 0.5)
 
 
+def _indicator(levels):
+    return gt_indicators([levels])[0]
+
+
 def test_interlacing_indicator_examples():
-    assert gt_indicator([]) == 1
-    assert gt_indicator([(0,)]) == 1
-    assert gt_indicator([(0,), (-2, 0)]) == 1
-    assert gt_indicator([(0,), (-2, 1)]) == 1
-    assert gt_indicator([(0,), (0, 1)]) == 0
-    assert gt_indicator([(0,), (-2, -1)]) == 0
+    assert _indicator([]) == 1
+    assert _indicator([(0,)]) == 1
+    assert _indicator([(0,), (-2, 0)]) == 1
+    assert _indicator([(0,), (-2, 1)]) == 1
+    assert _indicator([(0,), (0, 1)]) == 0
+    assert _indicator([(0,), (-2, -1)]) == 0
     five = [(0,), (-1, 1), (-2, 0, 2), (-3, -1, 1, 3), (-4, -2, 0, 2, 4)]
-    assert gt_indicator(five) == 1
-    assert gt_indicator(five[:4] + [(-4, -2, 0, 3, 4)]) == 0
-    assert gt_indicator(five[:4] + [(-4, -1, 0, 2, 4)]) == 0
+    assert _indicator(five) == 1
+    assert _indicator(five[:4] + [(-4, -2, 0, 3, 4)]) == 0
+    assert _indicator(five[:4] + [(-4, -1, 0, 2, 4)]) == 0
     with pytest.raises(ValueError, match="level 1"):
-        gt_indicator([(0, 1)])
+        _indicator([(0, 1)])
     with pytest.raises(ValueError, match="level 2"):
-        gt_indicator([(0,), (1,)])
+        _indicator([(0,), (1,)])
     with pytest.raises(ValueError, match="level 4"):
-        gt_indicator(five[:3] + [(-3, -1, 1)])
+        _indicator(five[:3] + [(-3, -1, 1)])
 
 
 @settings(max_examples=120, deadline=None)
@@ -1401,11 +1427,81 @@ def test_interlacing_indicator_examples():
 def test_interlacing_indicator_property(raw):
     levels = (raw[:1], sorted(raw[1:3]), sorted(raw[3:6]), sorted(raw[6:10]))
     # every prefix is checked: four random levels rarely interlace, three often do
-    ok = gt_indicator(levels[:1]) == 1
+    ok = _indicator(levels[:1]) == 1
     for k in range(2, 5):
         prev, row = levels[k - 2], levels[k - 1]
         ok = ok and all(row[i] < p <= row[i + 1] for i, p in enumerate(prev))
-        assert gt_indicator(levels[:k]) == ok
+        assert _indicator(levels[:k]) == ok
+
+
+def test_interlacing_indicators_batch_is_the_one_array_reference():
+    rng = np.random.default_rng(2718)
+    batch = [[]]
+    for size in (0, 1, 2, 3, 4, 5) * 12:
+        # narrow ranges interlace often, wide ones rarely
+        width = int(rng.integers(1, 7))
+        batch.append([sorted(rng.integers(-width, width + 1, size=m).tolist())
+                      for m in range(1, size + 1)])
+    batch += [[(0,), (-1, 1), (-2, 0, 2), (-3, -1, 1, 3), (-4, -2, 0, 2, 4)], [(0,), (-2, 0)]]
+    got = gt_indicators(batch)
+    want = [gt_indicator(levels) for levels in batch]
+    assert got == want
+    assert all(type(v) is int for v in got)
+    assert 0 < sum(got) < len(got)
+    assert gt_indicators([]) == []
+    assert gt_indicators([[], []]) == [1, 1]
+
+
+def test_interlacing_indicators_name_the_malformed_level_inside_a_batch():
+    five = [(0,), (-1, 1), (-2, 0, 2), (-3, -1, 1, 3), (-4, -2, 0, 2, 4)]
+    for bad, level in (([(0, 1)], 1), ([(0,), (1,)], 2), (five[:3] + [(-3, -1, 1)], 4)):
+        for batch in ([bad], [five, bad], [[], five[:2], bad, five]):
+            with pytest.raises(ValueError, match=f"level {level} must have {level} entries"):
+                gt_indicators(batch)
+
+
+# pinned float.hex of both transition routes, the array sum for N = 1..4
+# (pad 8) and the determinant for N = 1..3: a faster site check or entry
+# order must keep every bit
+GT_PINS = {
+    ((2,), (0,), 0.7): "0x1.f255521aad38ap-4",
+    ((-1,), (-1,), 1.3): "0x1.17129308ce281p-2",
+    ((1, -2), (0, -3), 0.5): "0x1.78b5635f681f9p-4",
+    ((3, 0), (1, -1), 1.7): "0x1.9586642ea011ap-4",
+    ((1, -1, -3), (0, -2, -4), 0.9): "0x1.1721bbbb6b91fp-4",
+    ((2, 0, -1), (1, -1, -2), 1.4): "0x1.4e40c885d5d12p-4",
+    ((1, 0, -2, -3), (0, -1, -3, -4), 0.6): "0x1.10006a24fa0e8p-7",
+    ((2, 1, -1, -2), (1, 0, -2, -4), 1.2): "0x1.41556874f4e90p-6",
+}
+SCHUETZ_PINS = {
+    ((1,), (0,), 0.3): "0x1.c728a18842e6bp-3",
+    ((2,), (0,), 0.3): "0x1.111860eb5b576p-5",
+    ((3,), (0,), 0.3): "0x1.b4f3ce455ef1ap-9",
+    ((2, -1), (1, -1), 0.3): "0x1.51309b44d9f76p-3",
+    ((3, 0), (1, -1), 0.3): "0x1.f27567c816678p-8",
+    ((4, 1), (1, -1), 0.3): "0x1.afcc49617c991p-14",
+    ((3, 0, -3), (2, 0, -3), 0.3): "0x1.f397c19a3b757p-4",
+    ((4, 1, -2), (2, 0, -3), 0.3): "0x1.bb1ee428fefe7p-10",
+    ((5, 2, -1), (2, 0, -3), 0.3): "0x1.d1cc6a21c9b73p-19",
+    ((1,), (0,), 2.0): "0x1.152aaa3bf81ccp-2",
+    ((2,), (0,), 2.0): "0x1.152aaa3bf81cdp-2",
+    ((3,), (0,), 2.0): "0x1.718e384ff57b6p-3",
+    ((2, -1), (1, -1), 2.0): "0x1.2c155b8213cf5p-5",
+    ((3, 0), (1, -1), 2.0): "0x1.7b48df16ba00bp-4",
+    ((4, 1), (1, -1), 2.0): "0x1.ca7c62ab6031ap-5",
+    ((3, 0, -3), (2, 0, -3), 2.0): "0x1.44e51f113d4d7p-8",
+    ((4, 1, -2), (2, 0, -3), 2.0): "0x1.9aa50f8f6e86fp-6",
+    ((5, 2, -1), (2, 0, -3), 2.0): "0x1.0dae7e9c2425bp-6",
+}
+
+
+def test_transition_routes_to_the_bit():
+    for (x, y, t), want in GT_PINS.items():
+        assert gt_pattern_sum(x, y, t, pad=8).hex() == want, (x, y, t)
+    for (x, y, t), want in SCHUETZ_PINS.items():
+        assert schuetz_transition(x, y, t).hex() == want, (x, y, t)
+        # the slow path of the site check gives the same entries
+        assert schuetz_transition(list(x), np.array(y), t).hex() == want, (x, y, t)
 
 
 def test_increasing_tuples_in_combinations_order():
@@ -1795,6 +1891,49 @@ def test_weight_bridge_two_particles():
     assert out["max_weight_dev"] < 1e-8
     assert out["indicator_mismatches"] == 0
     assert out["window"] == (-20, 12)
+
+
+def _longdouble_digest(a):
+    """sha256 of a np.longdouble array as the exact double pairs hi + lo."""
+    hi = a.astype(float)
+    lo = (a - hi).astype(float)
+    assert np.array_equal(hi.astype(np.longdouble) + lo, a)
+    return hashlib.sha256(hi.tobytes() + lo.tobytes()).hexdigest()
+
+
+# pinned bfps_l_verify dicts, float.hex, and digests of the conditional
+# kernels they build: skipping zero multipliers in the elimination and
+# batching the indicators must keep every bit
+BFPS_PINS = {
+    ((1, -2), 0.8, (-20, 12)): (
+        ("0x1.82cae02000000p-32", "0x1.0000000000000p+0", "0x0.0p+0"),
+        "2677cf733f0d1ef1d599a3253f469a4305b2d3111c13c00d8afe242c9c5630be",
+    ),
+    ((2, -2), 0.5, (-22, 14)): (
+        ("0x1.e36a000000000p-44", "0x1.0000000000000p+0", "0x0.0p+0"),
+        "00710fa3f77f821e5b9d2b2ac1c6098f5ea224a761503616e0f6c0ca26b10b1d",
+    ),
+}
+
+
+def test_weight_bridge_to_the_bit(monkeypatch):
+    from kpzlab import exact
+    from kpzlab.dpp import conditional_l_to_k
+
+    kernels = []
+
+    def convert(spec):
+        dpp = conditional_l_to_k(spec)
+        kernels.append(dpp.kernel)
+        return dpp
+
+    monkeypatch.setattr(exact, "conditional_l_to_k", convert)
+    keys = ("max_kernel_dev", "weight_sign", "max_weight_dev")
+    for (entries, t, window), (floats, digest) in BFPS_PINS.items():
+        out = bfps_l_verify(make_initial("explicit", entries=entries), t, window, trials=60)
+        assert tuple(out[k].hex() for k in keys) == floats
+        assert out["indicator_mismatches"] == 0 and out["window"] == window
+        assert _longdouble_digest(kernels.pop()) == digest
 
 
 def test_weight_bridge_window_must_cover_checked_sites():

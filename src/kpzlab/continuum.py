@@ -54,11 +54,15 @@ _MAX_SPACING = 8.0
 
 def s_kernel(t: float, x, z) -> np.ndarray:
     """S_{t,x}(z) = t^(-1/3) e^(2x^3/(3t^2) - zx/t) Ai(-t^(-1/3) z + t^(-4/3) x^2)
-    for t > 0, elementwise over broadcast x and z."""
-    if not t > 0:
-        raise ValueError(f"s_kernel needs t > 0, got {t}")
+    for finite t > 0, elementwise over broadcast x and z, whose entries must
+    be finite."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"s_kernel needs a finite t > 0, got {t}")
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    for name, v in (("x", x), ("z", z)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"s_kernel needs finite {name}, got {v[~np.isfinite(v)][0]}")
     c = t ** (-1.0 / 3.0)
     a = -c * z + (c * c * x) ** 2
     exponent = 2.0 * x**3 / (3.0 * t * t) - z * x / t

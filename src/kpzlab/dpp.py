@@ -108,6 +108,12 @@ class LEnsembleSpec:
         n = len(self.space)
         if self.L.shape != (n, n):
             raise ValueError("L shape does not match space")
+        bad = np.argwhere(~np.isfinite(self.L))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"L has a non-finite entry {self.L[i, j]} at ({self.space[i]!r}, {self.space[j]!r})"
+            )
         self._index = {p: i for i, p in enumerate(self.space)}
         if len(self._index) < n:
             raise ValueError("space repeats a point, so it does not define an L-ensemble")

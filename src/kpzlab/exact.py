@@ -200,12 +200,21 @@ def epi_transfer_matrix(
 
 
 def _weyl_tuple(vec, name: str) -> tuple[int, ...]:
-    """vec as a strictly decreasing tuple of Python ints; a tuple of ints
-    passes as it is."""
-    if type(vec) is tuple and all(type(v) is int for v in vec):
-        out = vec
-    else:
-        out = tuple([_integer(v, name) for v in vec])
+    """vec as a strictly decreasing tuple of Python ints.  A tuple of one to
+    three Python ints in that order passes as it is, on one chained test;
+    anything else is converted entry by entry and then checked."""
+    if type(vec) is tuple:
+        if len(vec) == 2:
+            a, b = vec
+            if type(a) is type(b) is int and a > b:
+                return vec
+        elif len(vec) == 3:
+            a, b, c = vec
+            if type(a) is type(b) is type(c) is int and a > b > c:
+                return vec
+        elif len(vec) == 1 and type(vec[0]) is int:
+            return vec
+    out = tuple([_integer(v, name) for v in vec])
     if not all(map(operator.gt, out, out[1:])):
         raise ValueError(f"{name} must be strictly decreasing")
     return out
@@ -215,10 +224,13 @@ def schuetz_transition(x, y, t: float) -> float:
     """Transition probability from configuration y to x in time t >= 0, as
     the N x N determinant det[F_(i-j)(x_(N+1-i) - y_(N+1-j), t)] of
     index-shifted one-particle kernels.  At N = 1 it is the entry itself,
-    F_0(x - y, t).  Sites must be integral and strictly decreasing; after
-    that one check, which a tuple of Python ints passes without a copy,
-    the entries come from schuetz_F's memo directly, and _small_det takes
-    the determinant."""
+    F_0(x - y, t).  Sites must be integral and strictly decreasing, and t
+    finite and nonnegative; a tuple of Python ints and a Python float pass
+    these checks without a copy.  The entries are then read from schuetz_F's
+    memo directly, row by row, and _small_det takes the determinant: a call
+    costs its N^2 memo reads and one small LU.  Up to N = 3 the rows are
+    written out, so they read the same entries in the same order as the
+    general N."""
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
@@ -226,21 +238,81 @@ def schuetz_transition(x, y, t: float) -> float:
         raise ValueError("configurations must have equal size")
     if not 1 <= n <= N_MAX_DET:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
-    _check_time(t)
-    t = float(t)
-    # with both reversed, entry (i, j) is F_(i-j)(x_(N-i) - y_(N-j)) from 0
-    xr, yr = xv[::-1], yv[::-1]
-    return _small_det([
-        [_schuetz_F(i - j, xi - yj, t) for j, yj in enumerate(yr)] for i, xi in enumerate(xr)
-    ])
+    if type(t) is not float or not 0.0 <= t < math.inf:
+        _check_time(t)
+        t = float(t)
+    F = _schuetz_F
+    # entry (i, j) from 0 is F_(i-j)(x_(N-i) - y_(N-j))
+    if n == 1:
+        rows = [[F(0, xv[0] - yv[0], t)]]
+    elif n == 2:
+        (x1, x2), (y1, y2) = xv, yv
+        rows = [[F(0, x2 - y2, t), F(-1, x2 - y1, t)], [F(1, x1 - y2, t), F(0, x1 - y1, t)]]
+    elif n == 3:
+        (x1, x2, x3), (y1, y2, y3) = xv, yv
+        rows = [
+            [F(0, x3 - y3, t), F(-1, x3 - y2, t), F(-2, x3 - y1, t)],
+            [F(1, x2 - y3, t), F(0, x2 - y2, t), F(-1, x2 - y1, t)],
+            [F(2, x1 - y3, t), F(1, x1 - y2, t), F(0, x1 - y1, t)],
+        ]
+    else:
+        xr, yr = xv[::-1], yv[::-1]
+        rows = [[F(i - j, xi - yj, t) for j, yj in enumerate(yr)] for i, xi in enumerate(xr)]
+    return _small_det(rows)
 
 
 def _small_det(rows: list[list[float]]) -> float:
     """Determinant of an N x N matrix of Python floats, N <= N_MAX_DET, by
     LU with partial pivoting, the algorithm and error bound of LAPACK's
-    getrf, without numpy's fixed cost per call.  The rows are reduced in
-    place.  A column with no nonzero pivot left gives 0.0."""
+    getrf, without numpy's fixed cost per call.  A column with no nonzero
+    pivot left gives +0.0.  The loop reduces the rows in place; for
+    N <= 3 the same steps are written out on local names and leave the rows
+    as they are: the first largest |entry| pivots, each multiplier is
+    row[k] / pivot and each update row[j] - f * pivot_row[j], and the
+    product of the pivots is taken in order, with the sign of the row swaps
+    applied last, which rounds the same since rounding is symmetric in
+    sign.  The bits are those of the loop for every input."""
     n = len(rows)
+    if n == 1:
+        (a,), = rows
+        return a if a else 0.0  # a -0.0 pivot gives +0.0, as in the loop
+    if n == 2:
+        (a, b), (c, d) = rows
+        if abs(c) > abs(a):
+            u = b - a / c * d
+            return 0.0 if u == 0.0 else -(c * u)
+        if a == 0.0:
+            return 0.0
+        u = d - c / a * b
+        return 0.0 if u == 0.0 else a * u
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        odd = False
+        if abs(b0) > abs(a0):
+            if abs(c0) > abs(b0):
+                a0, a1, a2, c0, c1, c2 = c0, c1, c2, a0, a1, a2
+            else:
+                a0, a1, a2, b0, b1, b2 = b0, b1, b2, a0, a1, a2
+            odd = True
+        elif abs(c0) > abs(a0):
+            a0, a1, a2, c0, c1, c2 = c0, c1, c2, a0, a1, a2
+            odd = True
+        if a0 == 0.0:
+            return 0.0
+        f = b0 / a0
+        b1, b2 = b1 - f * a1, b2 - f * a2
+        f = c0 / a0
+        c1, c2 = c1 - f * a1, c2 - f * a2
+        if abs(c1) > abs(b1):
+            b1, b2, c1, c2 = c1, c2, b1, b2
+            odd = not odd
+        if b1 == 0.0:
+            return 0.0
+        c2 = c2 - c1 / b1 * b2
+        if c2 == 0.0:
+            return 0.0
+        det = a0 * b1 * c2
+        return -det if odd else det
     det = 1.0
     for k in range(n):
         p = k
@@ -360,28 +432,32 @@ def gt_indicators(arrays) -> list[int]:
     Level m of an array is the m x m matrix [1{a > b}] of the previous row
     plus +infinity against row m, padded with an identity block to the
     largest array's size, and one stacked determinant serves every level
-    of the batch.  A level m without m entries raises ValueError naming m.
+    of the batch.  The levels' entries go into one NaN-padded float array
+    in a single pass, and each level's previous row is the array row above
+    it.  A level m without m entries raises ValueError naming m.
     """
-    arrays = [[[float(v) for v in raw] for raw in levels] for levels in arrays]
-    size = max(map(len, arrays), default=0)
-    # per level, the previous row plus +inf and the row, NaN-padded to size:
+    arrays = [list(levels) for levels in arrays]
+    counts = [len(levels) for levels in arrays]
+    ms = [m for count in counts for m in range(1, count + 1)]
+    lens = [len(row) for levels in arrays for row in levels]
+    if lens != ms:
+        m = next(m for m, k in zip(ms, lens) if k != m)
+        raise ValueError(f"level {m} must have {m} entries")
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(arrays))
+    ms = np.array(ms, dtype=int)
+    size = max(counts, default=0)
+    # per level, the row and the previous row plus +inf, NaN-padded to size:
     # a NaN compares False, so the comparison is zero outside the m x m block
-    prevs, rows, ms = [], [], []
-    for levels in arrays:
-        prev: list = []
-        for m, row in enumerate(levels, start=1):
-            if len(row) != m:
-                raise ValueError(f"level {m} must have {m} entries")
-            prevs.append(prev + [math.inf] + [math.nan] * (size - m))
-            rows.append(row + [math.nan] * (size - m))
-            ms.append(m)
-            prev = row
-    prevs, rows = (np.array(v, dtype=float).reshape(len(ms), size) for v in (prevs, rows))
+    rows = np.full((len(ms), size), math.nan)
+    rows[np.arange(size) < ms[:, None]] = np.fromiter(entries, float, count=sum(lens))
+    # a level's previous row is the row above it; a first level has none
+    prevs = np.where((ms > 1)[:, None], np.roll(rows, 1, axis=0), math.nan)
+    prevs[np.arange(len(ms)), ms - 1] = math.inf
     mats = (prevs[:, :, None] > rows[:, None, :]).astype(float)
     diag = mats.reshape(len(ms), size * size)[:, :: size + 1]
-    diag += np.arange(size) >= np.array(ms, dtype=int)[:, None]
+    diag += np.arange(size) >= ms[:, None]
     dets = iter(map(round, np.linalg.det(mats).tolist()))
-    return [math.prod(itertools.islice(dets, len(levels))) for levels in arrays]
+    return [math.prod(itertools.islice(dets, count)) for count in counts]
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,17 @@ raise instead of returning silent best-effort values.
 schuetz_F checks its arguments and then reads a private memo,
 functools.lru_cache(maxsize=_SCHUETZ_MEMO = 128), of its last entries.
 exact.schuetz_transition checks its sites and t once per call and then
-reads that memo, _schuetz_F, directly with Python ints and float(t), so
-its N^2 entries pay no check each.  A Schuetz determinant summed over
-configurations asks for each entry F_(i-j)(x_i - y_j, t) once per
-configuration that shares it: the 57 brute sums of the benchmark's small
-exact problems (N <= 3, t <= 2) make 21 468 calls a round (seed 1), 19 888
-memo hits and 1 580 misses, for at most 79 distinct entries per sum, and
-its 82 single determinants add 111 hits and 511 misses.  The bound is well
-below the 2 091 misses of a whole round, so the hits come from reuse inside
-one sum, never from replaying earlier work.
+reads that memo, _schuetz_F, directly with Python ints and a float, row by
+row, so its N^2 entries pay no check each; they are the only two readers.
+A Schuetz determinant summed over configurations asks for each entry
+F_(i-j)(x_i - y_j, t) once per configuration that shares it: the 57 brute
+sums of the benchmark's small exact problems (N <= 3, t <= 2) make 4 069
+determinant calls a round (seed 1; 756, 1 821 and 1 492 at N = 1, 2, 3)
+and 21 468 memo reads, 19 888 hits and 1 580 misses, for at most 79
+distinct entries per sum, and its 82 single determinants (N = 2 to 4) add
+111 hits and 511 misses.  The bound is well below the 2 091 misses of a
+whole round, so the hits come from reuse inside one sum, never from
+replaying earlier work.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ the notes write the same objects, kept apart so that the library holds one
 evaluation path per object: the geometric walk weights and their polynomial
 extension in exact dyadic Fractions, the biorthogonal system built from the
 backwards-heat polynomials, the closed residue forms for step and periodic
-data, the 1 x 1 entries of the transfer matrices, and the interlacing
-indicator of one array, one determinant call per array.
+data, the 1 x 1 entries of the transfer matrices, the interlacing
+indicator of one array, one determinant call per array, and the transition
+determinant with its matrix built by a nested comprehension and reduced by
+the general LU loop at every size.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ import numpy as np
 from kpzlab.exact import N_MAX_DET, WindowError, _entry_int, _leading_inf
 from kpzlab.exact import _transfer_inverse_matrix, epi_transfer_matrix
 from kpzlab.simulate import InitialData
-from kpzlab.special import _charlier_term, _check_time, _integer, _poisson_charlier
+from kpzlab.special import _charlier_term, _check_time, _integer, _poisson_charlier, schuetz_F
 
 
 def gen_binomial(m, j: int):
@@ -404,3 +407,62 @@ def gt_indicator(levels) -> int:
         mats[m - 1, :m, :m] = [[a > b for b in row] for a in prev + [math.inf]]
         prev = row
     return math.prod(map(round, np.linalg.det(mats).tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The transition determinant by the general loop at every size.
+
+
+def _weyl_tuple(vec, name: str) -> tuple[int, ...]:
+    out = tuple([_integer(v, name) for v in vec])
+    if not all(map(operator.gt, out, out[1:])):
+        raise ValueError(f"{name} must be strictly decreasing")
+    return out
+
+
+def schuetz_transition(x, y, t: float) -> float:
+    """The reference for exact.schuetz_transition's bits and errors: the
+    same checks in the same order, the N x N matrix
+    [F_(i-j)(x_(N-i) - y_(N-j), t)] from a nested comprehension over the
+    reversed configurations, and small_det_loop at every N."""
+    xv = _weyl_tuple(x, "x")
+    yv = _weyl_tuple(y, "y")
+    n = len(xv)
+    if len(yv) != n:
+        raise ValueError("configurations must have equal size")
+    if not 1 <= n <= N_MAX_DET:
+        raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
+    _check_time(t)
+    t = float(t)
+    xr, yr = xv[::-1], yv[::-1]
+    return small_det_loop([
+        [schuetz_F(i - j, xi - yj, t) for j, yj in enumerate(yr)] for i, xi in enumerate(xr)
+    ])
+
+
+def small_det_loop(rows: list[list[float]]) -> float:
+    """Determinant by LU with partial pivoting, the loop of getrf at every
+    N: the first largest |entry| of a column pivots, rows are reduced in
+    place, and a column with no nonzero pivot left gives +0.0."""
+    n = len(rows)
+    det = 1.0
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > abs(rows[p][k]):
+                p = i
+        pivot_row = rows[p]
+        pivot = pivot_row[k]
+        if pivot == 0.0:
+            return 0.0
+        if p != k:
+            rows[p] = rows[k]
+            rows[k] = pivot_row
+            det = -det
+        det *= pivot
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= f * pivot_row[j]
+    return det

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ def test_s_kernel_needs_positive_time():
     for t in (0.0, -1.0):
         with pytest.raises(ValueError):
             s_kernel(t, 0.0, 0.0)
+
+
+def test_s_kernel_rejects_non_finite_arguments():
+    # t = inf returned 0.0 and x = nan returned nan, with no error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (math.inf, math.nan, np.float64(math.inf)):
+            with pytest.raises(ValueError, match="finite t > 0"):
+                s_kernel(t, 0.5, 1.0)
+        for x, z, name in ((math.nan, 1.0, "x"), ([0.0, math.inf], 1.0, "x"),
+                           (0.5, np.array([[0.0], [-math.inf]]), "z"), (1.0, math.nan, "z")):
+            with pytest.raises(ValueError, match=f"finite {name}"):
+                s_kernel(1.0, x, z)
 
 
 def test_airy_kernel_matches_lambda_integral():

@@ -1,6 +1,8 @@
 """Determinantal-measure algebra vs exhaustive enumeration."""
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,18 @@ def test_l_to_k_random_vs_enumeration():
 def test_singular_one_z_plus_l_rejected():
     with pytest.raises(ValueError):
         LEnsembleSpec((0,), np.array([[-1.0]]), (0,))
+
+
+def test_non_finite_l_rejected_by_entry():
+    # a NaN reached slogdet ("invalid value" warning, then a bare
+    # LinAlgError); +inf was reported as a singular 1_Z + L
+    for bad in (math.nan, math.inf, -math.inf):
+        L = 0.1 * np.eye(3)
+        L[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^L has a non-finite entry {bad} at \('c', 'b'\)$"):
+                LEnsembleSpec(("a", "b", "c"), L, ("a", "b"))
 
 
 def test_space_with_a_repeated_point_rejected():

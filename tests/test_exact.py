@@ -12,6 +12,7 @@ for the joint laws.  Nothing below reuses the code path it checks.
 import hashlib
 import itertools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -40,6 +41,8 @@ from exact_oracles import (
     psi_residue,
     q_weight,
     qbar,
+    schuetz_transition as schuetz_reference,
+    small_det_loop,
     transfer_epi,
     transfer_extended,
     transfer_inverse,
@@ -1266,12 +1269,22 @@ def test_small_det_matches_lapack():
 
 
 def test_small_det_zero_pivot_and_singular():
+    # a column with no nonzero pivot gives +0.0, never -0.0
     from kpzlab.exact import _small_det
 
-    assert _small_det([[0.0, 2.0], [0.0, 3.0]]) == 0.0
+    plus_zero = (0.0).hex()
+    assert _small_det([[0.0, 2.0], [0.0, 3.0]]).hex() == plus_zero
+    # the second pivot cancels to 0 after a row swap, where -(pivot * 0)
+    # would be -0.0
+    assert _small_det([[1.0, 2.0], [2.0, 4.0]]).hex() == plus_zero
+    assert _small_det([[-1.0, 2.0], [-2.0, 4.0]]).hex() == plus_zero
     # column 2 has no pivot left once rows 1 and 2 cancel exactly
-    assert _small_det([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]]) == 0.0
-    assert _small_det([[0.0]]) == 0.0
+    assert _small_det([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]]).hex() == plus_zero
+    assert _small_det([[1.0, 2.0, 3.0], [-2.0, -4.0, 5.0], [1.0, 2.0, -1.0]]).hex() == plus_zero
+    assert _small_det([[0.0]]).hex() == plus_zero
+    assert _small_det([[-0.0]]).hex() == plus_zero
+    four = [[0.0, 1.0, 2.0, 3.0], [0.0, 4.0, 5.0, 6.0], [-0.0, 7.0, 8.0, 9.0], [0.0, 1.0, 1.0, 1.0]]
+    assert _small_det(four).hex() == plus_zero
 
 
 def test_small_det_sign_follows_the_row_swaps():
@@ -1285,6 +1298,133 @@ def test_small_det_sign_follows_the_row_swaps():
         inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(4), 2))
         assert _small_det(rows) == (-1.0) ** inversions * 210.0
     assert _small_det([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(-2.0, rel=1e-15)
+
+
+def test_small_det_straight_line_is_the_loop_to_the_bit():
+    # N <= 3 runs written-out steps; they must pivot, reduce and multiply
+    # exactly as the loop does, signed zeros, ties, underflow, inf and nan
+    # included
+    from kpzlab.exact import _small_det
+
+    def same(rows):
+        want = small_det_loop([list(r) for r in rows])
+        got = _small_det([list(r) for r in rows])
+        assert type(got) is float and got.hex() == want.hex(), rows
+
+    small = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+    for a in small:
+        same([[a]])
+    for entries in itertools.product(small, repeat=4):
+        same([entries[:2], entries[2:]])
+    rng = np.random.default_rng(4242)
+    for _ in range(3000):
+        # many ties and exact cancellations
+        entries = rng.choice((-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0), 9).tolist()
+        same([entries[:3], entries[3:6], entries[6:]])
+    specials = (math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308)
+    for n in (1, 2, 3):
+        for scale in (1.0, 2.0**-540, 2.0**-1070, 2.0**500, 2.0**1000):
+            for _ in range(300):
+                mat = rng.standard_normal((n, n)) * scale
+                # rounded entries tie in magnitude and cancel more often
+                if rng.random() < 0.5:
+                    mat = np.round(mat / scale * 2.0) * scale
+                same(mat.tolist())
+        for _ in range(300):
+            mat = rng.standard_normal((n, n))
+            mat.flat[rng.integers(n * n)] = specials[rng.integers(len(specials))]
+            same(mat.tolist())
+
+
+def test_transition_is_the_reference_to_the_bit():
+    # every configuration within displacements 0..6 of y for N = 1..3, with
+    # the exact zeros at t = 0, against the comprehension and the general
+    # LU loop; the memo is cleared between the two routes so that each
+    # computes its entries itself in turn
+    checked = zeros = 0
+    ys = ((0,), (-3,), (0, -1), (2, -1), (0, -1, -2), (3, 1, -2), (1, -1, -4))
+    for y in ys:
+        for moves in itertools.product(range(7), repeat=len(y)):
+            x = tuple(yi + m for yi, m in zip(y, moves))
+            if not all(map(operator.gt, x, x[1:])):
+                continue
+            for t in (0.0, 0.3, 1.0, 2.0, 40.0):
+                _schuetz_F.cache_clear()
+                got = schuetz_transition(x, y, t)
+                _schuetz_F.cache_clear()
+                want = schuetz_reference(x, y, t)
+                assert type(got) is float and got.hex() == want.hex(), (x, y, t)
+                checked += 1
+                zeros += got == 0.0
+    assert checked > 2000 and zeros > 100
+    # the slow paths of the checks give the same bits
+    for x, y, t in (((4,), (1,), 0.7), ((3, 0), (1, -1), 2.0), ((5, 2, -1), (2, 0, -3), 0.3)):
+        want = schuetz_reference(x, y, t).hex()
+        variants = (
+            (list(x), list(y), t),
+            (np.array(x), tuple(np.int64(v) for v in y), t),
+            (tuple(float(v) for v in x), np.array(y, dtype=float), t),
+            (x, y, np.float64(t)),
+            (x, y, int(t) if t == int(t) else t),
+        )
+        for args in variants:
+            assert schuetz_transition(*args).hex() == want, args
+
+
+def test_transition_reads_its_entries_row_by_row(monkeypatch):
+    # the memo sees entry (i, j) = F_(i-j)(x_(N-i) - y_(N-j)) in row-major
+    # order at every N, so a sum over configurations hits and misses it as
+    # the comprehension did
+    from kpzlab import exact
+
+    reads = []
+
+    def recorded(n, x, t):
+        reads.append((n, x, t))
+        return _schuetz_F(n, x, t)
+
+    monkeypatch.setattr(exact, "_schuetz_F", recorded)
+    for x, y in (((4,), (1,)), ((3, 0), (1, -1)), ((5, 2, -1), (2, 0, -3)), ((6, 4, 1, 0), (3, 2, 0, -2))):
+        reads.clear()
+        schuetz_transition(x, y, 0.7)
+        xr, yr = x[::-1], y[::-1]
+        n = len(x)
+        assert reads == [(i - j, xr[i] - yr[j], 0.7) for i in range(n) for j in range(n)]
+        assert all(type(a) is int and type(b) is int for a, b, _ in reads)
+
+
+def test_transition_errors_are_the_reference_errors():
+    bad = (
+        ((0, 1), (2, 0), 0.5),  # x not decreasing
+        ((1, 1), (2, 0), 0.5),
+        ((3, 3, 1), (2, 1, 0), 0.5),
+        ((1, 0), (2, 2), 0.5),  # y not decreasing
+        ((1, 0, -1), (0, 1, -3), 0.5),
+        ((4, 2, 1, 0), (3, 2, 1, 1), 0.5),
+        ((1.5, -0.5), (0, -1), 0.5),  # not integral
+        ((1, -1), (0, np.float64(-1.5)), 0.5),
+        ((math.inf, 0), (0, -1), 0.5),
+        ((math.nan,), (0,), 0.5),
+        ((True, 0.5), (0, -1), 0.5),
+        ((1, 0), (2, 0, -1), 0.5),  # sizes
+        ((), (), 0.5),
+        (tuple(range(9, 0, -1)), tuple(range(8, -1, -1)), 0.5),
+        ((1, 0), (2, 0), -0.1),  # times
+        ((1, 0), (2, 0), -1e-300),
+        ((1, 0), (2, 0), math.nan),
+        ((1, 0), (2, 0), math.inf),
+        ((1,), (0,), np.float64(-2.0)),
+        ((1, 0, -1), (1, 0, -1), -math.inf),
+        ((1,), (0,), "0.5"),
+        ((1, 2), (0, -1), math.nan),  # the sites fail first
+        ((1, 0), (0,), -1.0),
+    )
+    for x, y, t in bad:
+        with pytest.raises((TypeError, ValueError)) as got:
+            schuetz_transition(x, y, t)
+        with pytest.raises((TypeError, ValueError)) as want:
+            schuetz_reference(x, y, t)
+        assert (got.type, str(got.value)) == (want.type, str(want.value)), (x, y, t)
 
 
 def test_single_particle_transition_is_the_entry():

@@ -143,6 +143,25 @@ def test_one_extended_kernel_assembly():
     assert callers == {"_kernel_blocks"}
 
 
+def test_one_path_to_the_transition_determinant():
+    # schuetz_transition is the one caller of _small_det, and schuetz_F's
+    # memo is read only by schuetz_F, which checks its arguments, and by
+    # schuetz_transition, which checks them once per determinant
+    private = {"_small_det", "_schuetz_F"}
+    readers = {name: set() for name in private}
+    for path in sorted((ROOT / "src" / "kpzlab").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in private:
+                    readers[name].add(where)
+    assert readers == {
+        "_small_det": {"exact.schuetz_transition"},
+        "_schuetz_F": {"special.schuetz_F", "exact.schuetz_transition"},
+    }
+
+
 def test_exact_defines_only_what_the_library_calls_or_the_bench_reads():
     # one evaluation path per object: a public function or class of exact.py
     # that no library module calls and the benchmark does not read is a

@@ -1,15 +1,16 @@
 """Exactly solvable TASEP, determinantal point processes, and the KPZ fixed point.
 
 The package is organized bottom-up: `special` (Poisson-Charlier
-recurrence, F family, Airy), `dpp` (finite determinantal measures),
-`simulate` (continuous-time TASEP), `exact` (transition probabilities,
-the first-passage kernel, multipoint formulas), `fredholm` (determinant engines,
-and the one refinement loop with its `Certified` result) and `continuum`
-(the KPZ fixed point's S_{t,x} kernel and the Airy_1 and Airy_2 processes).
-Every probability that settles on a ladder comes back as a `Certified`
-float.  No library path integrates on a contour; the circle quadrature that
-checks the residue sums lives with the tests, and so do the biorthogonal and
-closed-form routes that check the kernel (tests/exact_oracles.py).
+recurrence, F family, Airy), `dpp` (the correlation kernel of a conditional
+L-ensemble), `simulate` (continuous-time TASEP), `exact` (transition
+probabilities, the first-passage kernel, multipoint formulas), `fredholm`
+(determinant engines, and the one refinement loop with its `Certified`
+result) and `continuum` (the KPZ fixed point's S_{t,x} kernel and the
+Airy_1 and Airy_2 processes).  Every probability that settles on a ladder
+comes back as a `Certified` float.  No library path integrates on a
+contour.  The routes that only check the library live with the tests: the
+circle quadrature, the biorthogonal and closed-form kernels
+(tests/exact_oracles.py) and the enumerated L-ensembles (tests/dpp_oracles.py).
 """
 
 __version__ = "0.1.0"

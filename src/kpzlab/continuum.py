@@ -27,7 +27,8 @@ import itertools
 import math
 
 import numpy as np
-from .fredholm import ORDER_LADDER, Certified, HalfLineUp, _gauss01, _quadrature_det, _settle
+from .fredholm import ORDER_LADDER, Certified, ConvergenceError, HalfLineUp
+from .fredholm import _gauss01, _quadrature_det, _settle
 from .special import _airy
 
 # The ladder stops once two successive orders agree to this.  The orders
@@ -50,6 +51,13 @@ _LAMBDA, _LAMBDA_WEIGHTS = (16.0 * a for a in _gauss01(96))
 # top of the lambda rule.
 _MAX_EXPONENT = 18.0
 _MAX_SPACING = 8.0
+
+# A level past this drops its point: P(A_2(x) > b) ~ e^(-(4/3) b^(3/2)) and
+# P(A_1(x) > b) ~ e^(-(2/3) (2b)^(3/2)) are below 2^-1074 ~ e^(-744) there
+_LEVEL_CUT = 128.0
+# At levels -1 both processes settle at spacing 0.2 and not at 0.1: closer
+# points have a heat kernel narrower than the ladder resolves
+_NARROW_GAP = 0.15
 
 
 def s_kernel(t: float, x, z) -> np.ndarray:
@@ -88,10 +96,9 @@ def _heat(gap: float, u, v):
     return np.exp(-((u - v) ** 2) / (4.0 * gap)) / math.sqrt(4.0 * math.pi * gap)
 
 
-def _probability(points, block) -> Certified:
-    """det(I - K) on the direct sum of L^2(b_k, inf) for 1 to 4 points
-    (x_k, b_k), with block (k, l) of K given by block(x_l - x_k, u, v).  A
-    level b_k = +inf drops its point."""
+def _kept_points(points) -> list[tuple[float, float]]:
+    """1 to 4 points (x_k, b_k) as checked floats, less those with a level
+    past _LEVEL_CUT, +inf included, whose dropping moves no value."""
     if not 1 <= len(points) <= 4:
         raise ValueError(f"need between 1 and 4 points, got {len(points)}")
     xs = [float(x) for x, _ in points]
@@ -103,13 +110,37 @@ def _probability(points, block) -> Certified:
         raise ValueError(f"points need distinct x, got {xs}")
     if any(math.isnan(b) or b == -math.inf for b in levels):
         raise ValueError(f"levels must be real or +inf, got {levels}")
-    kept = [x for x, b in zip(xs, levels) if b != math.inf]
-    domains = [HalfLineUp(b) for b in levels if b != math.inf]
+    return [(x, b) for x, b in zip(xs, levels) if b <= _LEVEL_CUT]
+
+
+def _probability(name: str, kept, block) -> Certified:
+    """det(I - K) on the direct sum of L^2(b_k, inf) for the kept points
+    (x_k, b_k), with block (k, l) of K given by block(x_l - x_k, u, v).  The
+    caller sets no tol or order, so a ladder that does not settle names the
+    points and the cause."""
+    domains = [HalfLineUp(b) for _, b in kept]
+    values = []
 
     def kernel(i, j, u, v):
-        return block(kept[j] - kept[i], u, v)
+        return block(kept[j][0] - kept[i][0], u, v)
 
-    return _settle(lambda order: _quadrature_det(kernel, domains, order), ORDER_LADDER, _TOL)
+    def value_at(order):
+        values.append(_quadrature_det(kernel, domains, order))
+        return values[-1]
+
+    try:
+        return _settle(value_at, ORDER_LADDER, _TOL)
+    except ConvergenceError:
+        gap, p, q = min(((abs(q[0] - p[0]), p, q) for p, q in itertools.combinations(kept, 2)),
+                        default=(math.inf, None, None))
+        cause = (f"the points {p} and {q} lie {gap:.3g} apart, where the heat kernel of e^(d D^2)"
+                 f" is a Gaussian of width sqrt(2d) = {math.sqrt(2.0 * gap):.3g}" if gap < _NARROW_GAP
+                 else f"the level {min(b for _, b in kept)} takes the Airy factors to negative"
+                 " arguments, where they oscillate")
+        raise ConvergenceError(
+            f"{name} at the points {kept} did not settle to {_TOL} over the orders {ORDER_LADDER}"
+            f" (last two values {values[-2:]}): {cause}, finer than {ORDER_LADDER[-1]} nodes resolve"
+        ) from None
 
 
 def _cancelling_exponent(d: float, b_i: float, b_j: float) -> float:
@@ -140,12 +171,13 @@ def airy2_probability(points) -> Certified:
     The extended Airy kernel from x to y = x + d is the Airy kernel at
     d = 0 and int_0^inf e^(lam d) Ai(u + lam) Ai(v + lam) dlam otherwise,
     minus its integral over the whole line when d > 0.  That subtraction
-    cancels (see _MAX_EXPONENT), so a ValueError refuses two finite-level
-    points whose kernel would lose more than about 1e-9, or that lie more
-    than 8 apart.
+    cancels (see _MAX_EXPONENT), so a ValueError refuses two kept points
+    whose kernel would lose more than about 1e-9, or that lie more than 8
+    apart.  A level past 128, +inf included, drops its point; points closer
+    than about 0.1 raise ConvergenceError (see _NARROW_GAP).
     """
-    finite = [(float(x), float(b)) for x, b in points if math.isfinite(float(b))]
-    for (xi, bi), (xj, bj) in itertools.combinations(finite, 2):
+    kept = _kept_points(points)
+    for (xi, bi), (xj, bj) in itertools.combinations(kept, 2):
         d = abs(xj - xi)
         if d > _MAX_SPACING or (d > 0.0 and _cancelling_exponent(d, bi, bj) > _MAX_EXPONENT):
             raise ValueError(
@@ -154,7 +186,7 @@ def airy2_probability(points) -> Certified:
                 "more than 1e-9 (or, past spacing 8, overflow); such points need "
                 "the -int_(-inf)^0 form of the kernel, which is not built here"
             )
-    return _probability(points, _airy2_block)
+    return _probability("P(A_2(x_k) <= b_k)", kept, _airy2_block)
 
 
 def _airy1_block(gap: float, u, v):
@@ -168,6 +200,7 @@ def airy1_probability(points) -> Certified:
 
     The extended Airy_1 kernel from x to x + d is
     Ai(u + v + d^2) e^(d(u + v) + 2d^3/3) = S_{1,d}(-(u + v)), minus the
-    heat kernel of e^(d D^2) when d > 0.
+    heat kernel of e^(d D^2) when d > 0.  Levels are as for Airy_2, and
+    levels at or below about -10 also raise ConvergenceError.
     """
-    return _probability(points, _airy1_block)
+    return _probability("P(A_1(x_k) <= b_k)", _kept_points(points), _airy1_block)

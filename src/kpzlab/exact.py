@@ -34,13 +34,9 @@ kernel sums over them need no more, and stepping their fixed index, the
 particle label (77 at eps = 0.04), per entry would take that many steps.
 The first-passage average is one backward sweep over the walk's steps,
 on the positions that can still cross the data, and one run serves all
-its stops, each reading its own degree.  A deeper Fredholm window
-grows only to the left, so the first two of WINDOW_DEPTHS share one kernel
-build, and it stops at the kernel's exact floor: first-passage rows are
-zero at starts y < y_lo = min (entry(n) + n) over the labels, and the
-inverse factor of label n vanishes at starts y > x + n, so below y_lo - n
-a row of the extended kernel is zero.  Where every floor lies within a
-rung the window is the whole support and the determinant on it is exact.
+its stops, each reading its own degree.  The Fredholm windows, their
+exact floors and the clamps of far thresholds follow one rule, stated in
+multipoint_probability and shared by both routes.
 """
 
 from __future__ import annotations
@@ -50,14 +46,17 @@ import math
 import operator
 
 import numpy as np
+from scipy.special import pdtrc
 
 from .dpp import LEnsembleSpec, conditional_l_to_k
 from .fredholm import Certified, _settle, det_window
 from .fredholm import ConvergenceError as TruncationError  # the window depths ran out
-from .simulate import InitialData, make_initial
+from .simulate import InitialData, jump_bound, make_initial
 from .special import (
     _RESCALE,
+    _SCHUETZ_T_MAX,
     _charlier_term,
+    _check_schuetz_time,
     _check_time,
     _exit,
     _integer,
@@ -225,12 +224,12 @@ def schuetz_transition(x, y, t: float) -> float:
     the N x N determinant det[F_(i-j)(x_(N+1-i) - y_(N+1-j), t)] of
     index-shifted one-particle kernels.  At N = 1 it is the entry itself,
     F_0(x - y, t).  Sites must be integral and strictly decreasing, and t
-    finite and nonnegative; a tuple of Python ints and a Python float pass
-    these checks without a copy.  The entries are then read from schuetz_F's
-    memo directly, row by row, and _small_det takes the determinant: a call
-    costs its N^2 memo reads and one small LU.  Up to N = 3 the rows are
-    written out, so they read the same entries in the same order as the
-    general N."""
+    in [0, 2^16], as for special.schuetz_F; a tuple of Python ints and a
+    Python float pass these checks without a copy.  The entries are then
+    read from schuetz_F's memo directly, row by row, and _small_det takes
+    the determinant: a call costs its N^2 memo reads and one small LU.  Up
+    to N = 3 the rows are written out, so they read the same entries in the
+    same order as the general N."""
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
@@ -238,8 +237,8 @@ def schuetz_transition(x, y, t: float) -> float:
         raise ValueError("configurations must have equal size")
     if not 1 <= n <= N_MAX_DET:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
-    if type(t) is not float or not 0.0 <= t < math.inf:
-        _check_time(t)
+    if type(t) is not float or not 0.0 <= t <= _SCHUETZ_T_MAX:
+        _check_schuetz_time(t)
         t = float(t)
     F = _schuetz_F
     # entry (i, j) from 0 is F_(i-j)(x_(N-i) - y_(N-j))
@@ -525,8 +524,8 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
 
 def _joint_events(init: InitialData, events):
     """Validated events with the -inf thresholds dropped, and the data with
-    its infinite prefix stripped: (kept, base, ns, a_vals, tops), with ns
-    the kept labels relabeled onto base and tops the integer thresholds."""
+    its infinite prefix stripped: (kept, base, ns, tops), with ns the kept
+    labels relabeled onto base and tops their thresholds rounded down."""
     evs = [(_integer(nv, "labels"), float(av)) for nv, av in events]
     if not evs:
         raise ValueError("need at least one (label, threshold) event")
@@ -544,8 +543,7 @@ def _joint_events(init: InitialData, events):
     ns = [nv - shift for nv, _ in kept]
     if any(nv < 1 for nv in ns):
         raise ValueError("labels must point past the infinite prefix")
-    a_vals = [av for _, av in kept]
-    return kept, base, ns, a_vals, [int(math.floor(av)) for av in a_vals]
+    return kept, base, ns, [math.floor(av) for _, av in kept]
 
 
 def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -613,27 +611,70 @@ def _kernel_blocks(t, base, rows, cols):
     ])
 
 
-def _window_rungs(build, low):
-    """depth -> kernel matrix over WINDOW_DEPTHS, from build(depth), which
-    gives the matrix and the site of each row on a window that reaches
-    depth sites below low, the smallest threshold, or stops at its block's
-    exact floor above that.  A deeper window only adds sites below, so the
-    first rung is the part of the second's build at sites >= low - depth,
-    and that build is held until the second rung takes it.  When every
-    floor lies within the first depth, both rungs are one matrix and the
-    ladder settles with error exactly 0."""
-    held = {}
+def _joint_probability(t, init, events, tol, window) -> Certified:
+    """The window ladder of both routes, by the rule multipoint_probability
+    states; window(t, base, ns, tops, y_lo, low, depth) gives the matrix and
+    the site of each row on the rung of that depth."""
+    _check_time(t)
+    kept, base, ns, tops = _joint_events(init, events)
+    if not kept:
+        return Certified(1.0)
+    y_lo = _start_floor(base, ns)
+    floor, reach = y_lo - ns[-1], jump_bound(t)
+    entries = [_entry_int(base, nv) for nv in ns]
+    tops = [min(max(top, floor - 1), e + reach) for top, e in zip(tops, entries)]
+    low = min(tops)
+    held, missed, bounds = {}, [], []
 
-    def matrix(depth):
+    def det_at(depth):
+        # a deeper window only adds sites below, so the first rung is the
+        # part of the second's build at sites >= low - depth, held for it
         size = max(depth, WINDOW_DEPTHS[1])
-        big, sites = held.pop(size, None) or build(size)
+        big, sites = held.pop(size, None) or window(t, base, ns, tops, y_lo, low, size)
         if depth < size:
             held[size] = big, sites
             inside = sites >= low - depth
             big = big[np.ix_(inside, inside)]
-        return big
+        value = det_window(big)
+        if low - depth > floor:  # short of the floors: does it reach the particles?
+            if not bounds:  # P(X_t(n) > a) <= P(Poisson(t) > a - entry(n))
+                bounds.extend(pdtrc(a - e, t) if a >= e else 1.0 for a, e in zip(tops, entries))
+            if value > min(bounds) + tol:  # no, it is more than tol off: NaN is within no tol
+                missed.append(depth)
+                return math.nan
+        return value
 
-    return matrix
+    try:
+        return _settle(det_at, WINDOW_DEPTHS, tol)
+    except TruncationError as err:
+        if not missed:
+            raise
+        label, threshold = kept[bounds.index(min(bounds))]
+        raise TruncationError(
+            f"threshold {threshold!r} of label {label} at t = {t!r}: the depths {tuple(missed)} "
+            f"miss the particles, their determinants more than tol above the bound "
+            f"{min(bounds):.3g} that the particle's own jumps put on the event; {err}"
+        ) from err
+
+
+def _extended_window(t, base, ns, tops, y_lo, low, depth):
+    """multipoint_probability's rung: the projected extended kernel."""
+    grids = [np.arange(max(low - depth, y_lo - nv), top + 1) for nv, top in zip(ns, tops)]
+    pairs = list(zip(ns, grids))
+    return _kernel_blocks(t, base, pairs, pairs), np.concatenate(grids)
+
+
+def _path_window(t, base, ns, tops, y_lo, low, depth):
+    """path_integral_probability's rung: the path product on one grid."""
+    grid = np.arange(max(low - depth, y_lo - ns[-1]), max(tops) + 1)
+    row = _kernel_blocks(t, base, [(ns[-1], grid)], [(nv, grid) for nv in ns])
+    below = [grid <= top for top in tops]
+    acc = 0.0
+    for s, blk in enumerate(np.hsplit(row, len(ns))):
+        if s:
+            acc = (acc @ _window_q_power(ns[s] - ns[s - 1], grid, grid)) * ~below[s]
+        acc = acc + blk * below[s]
+    return acc, grid
 
 
 def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-9) -> Certified:
@@ -642,36 +683,29 @@ def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-
 
     Events are (label, threshold) pairs with strictly increasing labels.
     Thresholds of -inf impose nothing and are dropped; with none left the
-    probability is exactly 1.  The window below the smallest threshold
-    deepens over WINDOW_DEPTHS until the determinant moves by at most tol;
-    the value's certificate names the last depth; the first two depths
-    share one kernel build.  A TruncationError says the depths ran out.
+    probability is exactly 1.
 
-    Block i's window stops at its exact floor y_lo - n_i, y_lo =
-    _start_floor.  The inverse flow of n_i vanishes at starts y > x + n_i
-    and no block has a nonzero start below y_lo, so rows of block i below
-    the floor are zero, and the one-sided Q^(n_j - n_i), which needs
-    x - y >= n_j - n_i, is zero on the kept columns of later blocks.  The
-    determinant is then the one on the kept sites exactly.  A rung that
-    every floor caps covers the whole support: the next rung builds the
-    same matrix, and the certificate's error 0 at that depth is true, not
-    a ladder artefact.  Floors that cap only deeper rungs shrink them, and
-    the error is the usual last change.  A floor above its threshold
-    leaves an empty block, whose event is certain.
+    The window rule.  Block i holds the sites from max(low - depth,
+    y_lo - n_i) up to its threshold, with low the smallest threshold and
+    y_lo = _start_floor; depth walks WINDOW_DEPTHS until the determinant
+    moves by at most tol, the certificate names the last depth, and the
+    first two depths share one kernel build.  y_lo - n_i is block i's
+    exact floor: the inverse flow of n_i vanishes at starts y > x + n_i and
+    no block has a nonzero start below y_lo, so rows of block i below it
+    are zero, and the one-sided Q^(n_j - n_i), which needs x - y >=
+    n_j - n_i, is zero on the kept columns of later blocks.  A rung that
+    every floor caps is the whole support, and its error 0 is true.  A
+    threshold below its floor leaves an empty block, a certain event, and
+    one below the lowest floor clamps to one site under it.  X_t(n) -
+    entry(n) is at most n's own Poisson(t) clock count, so a threshold
+    past entry(n) + simulate.jump_bound(t) clamps there, moving the value
+    by at most 2^-60, and P(Poisson(t) > a_j - entry(n_j)) bounds the
+    value.  A rung short of the floors more than tol above that bound is
+    more than tol off, as a window right of the particles is: the ladder
+    never compares it, and a TruncationError names the threshold when such
+    rungs left no two to agree.
     """
-    _check_time(t)
-    kept, base, ns, _, tops = _joint_events(init, events)
-    if not kept:
-        return Certified(1.0)
-    y_lo, low = _start_floor(base, ns), min(tops)
-
-    def build(depth):
-        grids = [np.arange(max(low - depth, y_lo - nv), top + 1) for nv, top in zip(ns, tops)]
-        pairs = list(zip(ns, grids))
-        return _kernel_blocks(t, base, pairs, pairs), np.concatenate(grids)
-
-    matrix = _window_rungs(build, low)
-    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol)
+    return _joint_probability(t, init, events, tol, _extended_window)
 
 
 def path_integral_probability(
@@ -704,27 +738,9 @@ def path_integral_probability(
     the rows of every term vanish, as in multipoint_probability, and for
     a kept column a product's sum over an intermediate site at label n_j
     reaches only sites at or above y_lo - n_j, which is not below that
-    floor.  Capped rungs certify as there.
+    floor.  Both routes share the rest of the window rule.
     """
-    _check_time(t)
-    kept, base, ns, a_vals, tops = _joint_events(init, events)
-    if not kept:
-        return Certified(1.0)
-    y_lo, low = _start_floor(base, ns), min(tops)
-
-    def build(depth):
-        grid = np.arange(max(low - depth, y_lo - ns[-1]), max(tops) + 1)
-        row = _kernel_blocks(t, base, [(ns[-1], grid)], [(nv, grid) for nv in ns])
-        below = [grid <= av for av in a_vals]
-        acc = 0.0
-        for s, blk in enumerate(np.hsplit(row, len(ns))):
-            if s:
-                acc = (acc @ _window_q_power(ns[s] - ns[s - 1], grid, grid)) * ~below[s]
-            acc = acc + blk * below[s]
-        return acc, grid
-
-    matrix = _window_rungs(build, low)
-    return _settle(lambda depth: det_window(matrix(depth)), WINDOW_DEPTHS, tol)
+    return _joint_probability(t, init, events, tol, _path_window)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +770,7 @@ def bfps_l_verify(
     trials = _integer(trials, "trials")
     if init.n_finite != 2 or _leading_inf(init):
         raise ValueError("this check is specific to two finite particles")
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = (_integer(w, "each window end") for w in window)
     e1 = _entry_int(init, 1)
     e2 = _entry_int(init, 2)
     span_lo, span_hi = e2 - 6, e1 + 10

@@ -62,6 +62,7 @@ _GOLD, _MIX1, _MIX2, _LABEL_SALT, _S11, _S27, _S30, _S31 = (
 _TWO_NEG53 = 2.0**-53
 
 TRUNCATION_RISK = 2.0**-60  # per-run chance that the light cone is too short
+_MAX_DURATION = 2.0**52  # the longest duration jump_bound takes
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -92,17 +93,6 @@ def _label_range_mix(first: int, count: int) -> np.ndarray:
     mixed = _mix_labels(np.arange(first, first + count))
     mixed.flags.writeable = False
     return mixed
-
-
-def stream_base(seed: int, label: int | np.ndarray) -> int | np.ndarray:
-    """Per-particle stream key; mixing keeps streams decorrelated.
-
-    `label` is one label, for which the key is a Python int, or an array of
-    labels, for which the keys come back as a uint64 array.
-    """
-    labels = np.asarray(label)
-    keys = _keys(seed, _mix_labels(labels.reshape(-1)))
-    return int(keys[0]) if labels.ndim == 0 else keys.reshape(labels.shape)
 
 
 def _uniforms(keys: np.ndarray, start: int, width: int) -> np.ndarray:
@@ -234,20 +224,31 @@ def make_initial(kind: str, *, d: int | None = None, entries: Sequence | None = 
 def jump_bound(duration: float) -> int:
     """The least m with P(Poisson(duration) > m) <= TRUNCATION_RISK.
 
-    m is at least floor(duration), and Bennett's inequality puts it at most
-    duration + 28.8 + 9.2·sqrt(duration), so one `pdtrc` call over that span
-    finds it.  The last 256 durations are memoised.
+    m is at least floor(duration), and Bennett's inequality puts it below
+    floor(duration) + 32 + 10·sqrt(duration), so a bisection of `pdtrc`
+    over that span finds it in about log2(10·sqrt(duration)) calls.  The
+    duration must be at most _MAX_DURATION = 2^52, past which the span's
+    sites are no longer exact doubles.  The last 256 durations are
+    memoised.
     """
-    if not duration >= 0 or math.isinf(duration):
-        raise ValueError("duration must be finite and >= 0")
-    return _jump_bound(duration)
+    if not 0 <= duration <= _MAX_DURATION:
+        raise ValueError(
+            f"duration must be finite, >= 0 and at most 2^52 = {_MAX_DURATION:.0f}, got {duration!r}"
+        )
+    return _jump_bound(float(duration))
 
 
 @functools.lru_cache(maxsize=256)
 def _jump_bound(duration: float) -> int:
     lo = math.floor(duration)
-    tail = pdtrc(np.arange(lo, lo + 32 + int(10 * math.sqrt(duration))), duration)
-    return lo + int(np.argmax(tail <= TRUNCATION_RISK))
+    hi = lo + 32 + int(10 * math.sqrt(duration))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pdtrc(mid, duration) <= TRUNCATION_RISK:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def particles_needed(init: InitialData, z_lo: int, duration: float) -> int:
@@ -290,6 +291,7 @@ def initial_state(
         if z_lo is None or duration is None:
             raise ValueError("need n_particles or (z_lo, duration)")
         n_particles = particles_needed(init, z_lo, duration)
+    n_particles = _integer(n_particles, "n_particles")
     if init.kind == "step":
         pos = -np.arange(1, n_particles + 1)
     else:

@@ -18,15 +18,11 @@ functools.lru_cache(maxsize=_SCHUETZ_MEMO = 128), of its last entries.
 exact.schuetz_transition checks its sites and t once per call and then
 reads that memo, _schuetz_F, directly with Python ints and a float, row by
 row, so its N^2 entries pay no check each; they are the only two readers.
-A Schuetz determinant summed over configurations asks for each entry
-F_(i-j)(x_i - y_j, t) once per configuration that shares it: the 57 brute
-sums of the benchmark's small exact problems (N <= 3, t <= 2) make 4 069
-determinant calls a round (seed 1; 756, 1 821 and 1 492 at N = 1, 2, 3)
-and 21 468 memo reads, 19 888 hits and 1 580 misses, for at most 79
-distinct entries per sum, and its 82 single determinants (N = 2 to 4) add
-111 hits and 511 misses.  The bound is well below the 2 091 misses of a
-whole round, so the hits come from reuse inside one sum, never from
-replaying earlier work.
+A Schuetz determinant summed over configurations reads each entry
+F_(i-j)(x_i - y_j, t) once per configuration that shares it, and a brute
+sum over small problems (N <= 3, t <= 2) reads at most 79 distinct
+entries: the bound keeps every entry of one sum, and hits come from reuse
+inside it, not from replaying earlier work.
 """
 
 from __future__ import annotations
@@ -77,12 +73,14 @@ _AIRY_SERIES = np.array([
     (4.261349907412013e-18, -4.382198906894981e-18),
 ])
 
-# ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < 2^20
-_LN2_HI, _LN2_LO = 0.693147180369123816490, 1.90821492927058770002e-10
+# ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < _K_EXACT
+_LN2_HI, _LN2_LO, _K_EXACT = 0.693147180369123816490, 1.90821492927058770002e-10, 2**20
+_LN2_2_128 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF  # ln 2 times 2^128, rounded
 _RESCALE = 2.0**500  # _poisson_charlier keeps its running pairs within [1/this, this]
 _SPLIT = 300.0  # below this |s|, e^s times such a row stays normal and needs no split
 _SERIES_EPS = 2.0**-56  # schuetz_F stops a positive series once its tail is below this
 _SCHUETZ_MEMO = 128  # entries schuetz_F's memo keeps; see the module docstring
+_SCHUETZ_T_MAX = 2.0**16  # the largest t schuetz_F and schuetz_transition take
 
 
 class QuadratureError(RuntimeError):
@@ -150,7 +148,7 @@ def _poisson_charlier(
     """
     s = log_scale - c * t
     if isinstance(x, (int, float, np.number)):
-        k = 0 if -_SPLIT < s < _SPLIT else math.floor(s / _LN2_HI)
+        k, g = (0, math.exp(s)) if -_SPLIT < s < _SPLIT else _exp_split(float(s))
         x, r, prev, cur, e = float(x), c * t, 0.0, 1.0, exp2 + k
         vals, exps = [cur], [e]
         for j in range(m):
@@ -161,7 +159,6 @@ def _poisson_charlier(
                 prev, cur, e = math.ldexp(prev, -f), math.ldexp(cur, -f), e + f
             vals.append(cur)
             exps.append(e)
-        g = math.exp(s - k * _LN2_HI - k * _LN2_LO) if k else math.exp(s)
         try:
             if rows is None:
                 return [math.ldexp(v * g, e) if e else v * g for v, e in zip(vals, exps)]
@@ -178,9 +175,15 @@ def _poisson_charlier(
 def _array_rows(m, x, t, c, s, exp2, rows):
     """The array branch of _poisson_charlier: yields its rows at the rising
     degrees rows, each on reaching it, for s = log_scale - c t."""
-    r, k = c * t, s / _LN2_HI // 1 * (abs(s) >= _SPLIT)
+    r, q = c * t, s / _LN2_HI
+    lo, hi = (q, q) if isinstance(q, float) else (q.min(), q.max())
+    if 1 - _K_EXACT <= lo and hi < _K_EXACT:  # |k| < _K_EXACT, where k _LN2_HI is exact
+        k = q // 1 * (abs(s) >= _SPLIT)
+        g = np.exp(s - k * _LN2_HI - k * _LN2_LO)
+    else:  # past the exact split: in integers, entry by entry
+        k, g = np.vectorize(_exp_split, otypes=[float, float])(np.broadcast_to(s, x.shape))
+        k = k.clip(-(2.0**62), 2.0**62)  # e^s is 0 or inf there, whatever the run
     prev, cur, e = np.zeros(x.shape), np.ones(x.shape), np.full(x.shape, exp2 + k, dtype=int)
-    g = np.exp(s - k * _LN2_HI - k * _LN2_LO)
     want = iter(rows)
     d = next(want, None)
     if d == 0:
@@ -211,6 +214,19 @@ def _array_rows(m, x, t, c, s, exp2, rows):
         if j + 1 == d:
             yield _exit(cur, e, g)
             d = next(want, None)
+
+
+def _exp_split(s: float) -> tuple[int, float]:
+    """(k, g) with e^s = g 2^k for a finite s: k = floor(s / _LN2_HI) and g
+    from the two-part ln 2 while k _LN2_HI is exact, |k| < _K_EXACT, and
+    past it from one integer division of s 2^128 by ln 2 2^128, which
+    leaves g = e^f with f = s - k ln 2 in [0, ln 2) for every s."""
+    k = math.floor(s / _LN2_HI)
+    if -_K_EXACT < k < _K_EXACT:
+        return k, math.exp(s - k * _LN2_HI - k * _LN2_LO)
+    num, den = s.as_integer_ratio()  # den is 2^q, q <= 33 at |s| >= 2^19
+    k, rem = divmod((num << 128) // den, _LN2_2_128)
+    return k, math.exp(rem / (1 << 128))
 
 
 def _exit(v, e, g=1.0):
@@ -282,11 +298,21 @@ def schuetz_F(n: int, x: int, t: float) -> float:
     Poisson mode, whose weight past j0 = 15 is taken in Loader's
     saddle-point form: e^(-t) never underflows alone, and at large t the
     weight keeps its relative accuracy.  n and x must be integral and t
-    finite and nonnegative; the checked arguments, as Python ints and a
+    in [0, _SCHUETZ_T_MAX]; the checked arguments, as Python ints and a
     float, key the memo of the last _SCHUETZ_MEMO entries.
+
+    At the bound, 2^16, the series of F_(n >= 1) takes about 4 600 terms,
+    and the Poisson weight of F_(n <= 0) near its mode keeps the t log t
+    ulps of its cancelling logarithms, 5e-11 relative (2e-7 at t = 1e8).
     """
-    _check_time(t)
+    _check_schuetz_time(t)
     return _schuetz_F(_integer(n, "n"), _integer(x, "x"), float(t))
+
+
+def _check_schuetz_time(t: float) -> None:
+    _check_time(t)
+    if t > _SCHUETZ_T_MAX:
+        raise ValueError(f"the Schuetz weights take t <= 2^16 = 65536, to 1e-10 relative; got {t!r}")
 
 
 @functools.lru_cache(maxsize=_SCHUETZ_MEMO)

@@ -271,3 +271,42 @@ def test_airy2_spacing_guard_follows_the_levels():
             airy2_probability(points)
     # a dropped point is not checked
     assert airy2_probability([(0.0, -2.0), (9.0, math.inf)]) == airy2_probability([(0.0, -2.0)])
+
+
+# ---- what the ladder cannot resolve ------------------------------------------
+
+
+@pytest.mark.parametrize("probability, name", [(airy2_probability, "A_2"), (airy1_probability, "A_1")])
+def test_close_points_name_the_points_and_the_heat_kernel(probability, name):
+    # these took fredholm's "try a larger tol", but they take no tol
+    from kpzlab.fredholm import ConvergenceError
+
+    for d in (0.1, 0.01, 1e-3, 1e-9):
+        with warnings.catch_warnings(), pytest.raises(ConvergenceError) as err:
+            warnings.simplefilter("error")
+            probability([(0.0, -1.0), (d, -1.0)])
+        msg = str(err.value)
+        assert f"P({name}(x_k) <= b_k) at the points [(0.0, -1.0), ({d!r}, -1.0)]" in msg
+        assert "heat kernel" in msg and "larger tol" not in msg
+
+
+def test_low_airy1_levels_name_the_level():
+    from kpzlab.fredholm import ConvergenceError
+
+    for b in (-10.0, -12.0, -20.0):
+        with warnings.catch_warnings(), pytest.raises(ConvergenceError) as err:
+            warnings.simplefilter("error")
+            airy1_probability([(0.0, b)])
+        msg = str(err.value)
+        assert f"the level {b} takes the Airy factors to negative arguments" in msg
+        assert "larger tol" not in msg
+
+
+def test_levels_past_the_cut_drop_out_without_warnings():
+    # zeta = x^1.5 overflowed past levels of about 1e205, with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probability in (airy1_probability, airy2_probability):
+            for b in (129.0, 1e206, 1e300):
+                assert probability([(0.0, b)]) == 1.0
+                assert probability([(0.0, 0.5), (1.0, b)]) == probability([(0.0, 0.5)])

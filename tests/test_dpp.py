@@ -1,4 +1,5 @@
-"""Determinantal-measure algebra vs exhaustive enumeration."""
+"""The conditional kernel of kpzlab.dpp against exhaustive enumeration
+(tests/dpp_oracles.py)."""
 
 import itertools
 import math
@@ -9,18 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kpzlab.dpp import (
-    FiniteDpp,
-    LEnsembleSpec,
-    conditional_l_to_k,
-    conditional_weight,
+from dpp_oracles import (
     correlation_from_weights,
     dpp_correlation,
     enumerate_weights,
     gap_from_weights,
     gap_probability,
-    l_to_k,
+    index_of,
+    l_over_one_plus_l,
 )
+from kpzlab.dpp import FiniteDpp, LEnsembleSpec, conditional_l_to_k
 
 RNG = np.random.default_rng(20230817)
 
@@ -32,9 +31,10 @@ def random_lensemble(n, z=None, scale=1.0, rng=RNG):
 
 
 def test_dpp_correlation_basics():
+    # a reference measure mu folds into the kernel as K(x, y) mu(y)
     K = np.array([[0.3, 0.1], [0.1, 0.5]])
     mu = np.array([2.0, 1.0])
-    d = FiniteDpp((0, 1), K, mu)
+    d = FiniteDpp((0, 1), K * mu[None, :])
     assert dpp_correlation(d, (0,)) == pytest.approx(0.3 * 2.0)
     assert dpp_correlation(d, (0, 0)) == 0.0
     got = dpp_correlation(d, (0, 1))
@@ -43,7 +43,7 @@ def test_dpp_correlation_basics():
 
 def test_two_point_correlation_matches_enumeration():
     spec = random_lensemble(6)
-    d = l_to_k(spec)
+    d = conditional_l_to_k(spec)
     weights = enumerate_weights(spec)
     for pts in [(0, 3), (1, 5), (2, 4)]:
         want = correlation_from_weights(weights, pts)
@@ -51,19 +51,19 @@ def test_two_point_correlation_matches_enumeration():
 
 
 def test_gap_probability_trivial():
-    d = FiniteDpp((0, 1, 2), np.zeros((3, 3)), np.ones(3))
+    d = FiniteDpp((0, 1, 2), np.zeros((3, 3)))
     assert gap_probability(d, (0, 2)) == pytest.approx(1.0)
     # rank-1 projection onto site 0: the point is almost surely there
     K = np.zeros((3, 3))
     K[0, 0] = 1.0
-    d = FiniteDpp((0, 1, 2), K, np.ones(3))
+    d = FiniteDpp((0, 1, 2), K)
     assert gap_probability(d, (0,)) == pytest.approx(0.0)
     assert gap_probability(d, ()) == 1.0
 
 
 def test_gap_probability_signed_weights():
     spec = random_lensemble(8, scale=0.8)
-    d = l_to_k(spec)
+    d = conditional_l_to_k(spec)
     weights = enumerate_weights(spec)
     for B in [(0,), (1, 4), (2, 3, 7), tuple(range(8))]:
         want = gap_from_weights(weights, B)
@@ -71,15 +71,16 @@ def test_gap_probability_signed_weights():
 
 
 def test_l_to_k_scalars():
+    # with Z the whole space the map is L(1 + L)^(-1)
     spec = LEnsembleSpec((0,), np.array([[1.0]]), (0,))
-    assert l_to_k(spec).kernel[0, 0] == pytest.approx(0.5)
+    assert conditional_l_to_k(spec).kernel[0, 0] == pytest.approx(0.5)
     spec = LEnsembleSpec((0, 1), np.zeros((2, 2)), (0, 1))
-    assert np.allclose(l_to_k(spec).kernel, 0.0)
+    assert np.allclose(conditional_l_to_k(spec).kernel, 0.0)
 
 
 def test_l_to_k_random_vs_enumeration():
     spec = random_lensemble(5)
-    d = l_to_k(spec)
+    d = conditional_l_to_k(spec)
     weights = enumerate_weights(spec)
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
     for r in (1, 2, 3):
@@ -105,6 +106,14 @@ def test_non_finite_l_rejected_by_entry():
                 LEnsembleSpec(("a", "b", "c"), L, ("a", "b"))
 
 
+def test_empty_space_rejected():
+    # np.linalg.cond raised a bare LinAlgError on the 0 x 0 matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="space is empty"):
+            LEnsembleSpec((), np.zeros((0, 0)), ())
+
+
 def test_space_with_a_repeated_point_rejected():
     with pytest.raises(ValueError, match="repeats a point"):
         LEnsembleSpec(((1, 0), (2, 0), (1, 0)), np.eye(3), ((2, 0),))
@@ -113,22 +122,22 @@ def test_space_with_a_repeated_point_rejected():
 def test_point_set_with_a_repeated_point_rejected():
     # the index kept the last copy, so the one-point function at 0 read 0.125
     with pytest.raises(ValueError, match="repeats a point"):
-        FiniteDpp((0, 1, 0), np.diag([0.5, 0.25, 0.125]), np.ones(3))
+        FiniteDpp((0, 1, 0), np.diag([0.5, 0.25, 0.125]))
 
 
 def test_index_of_reads_positions_and_rejects_missing_points():
     space = ((1, 0), (2, -1), (2, 3))
     spec = LEnsembleSpec(space, np.eye(3), space[1:])
-    assert [spec.index_of(list(p)) for p in space] == [0, 1, 2]
+    assert [index_of(spec, list(p)) for p in space] == [0, 1, 2]
     with pytest.raises(ValueError, match="not a point of the space"):
-        spec.index_of((1, 1))
+        index_of(spec, (1, 1))
 
 
 def test_conditional_reduces_to_unconditional():
+    # 1 - (1 + L)^(-1) = L(1 + L)^(-1)
     spec = random_lensemble(6)
-    a = l_to_k(spec)
     b = conditional_l_to_k(spec)
-    assert np.max(np.abs(a.kernel - b.kernel)) <= 1e-13
+    assert np.max(np.abs(l_over_one_plus_l(spec) - b.kernel)) <= 1e-13
 
 
 def test_conditional_weights_sum_to_one():

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from contour import ContourSpec, circle_quadrature
@@ -1867,6 +1868,61 @@ def test_window_ladders_reject_nan_and_negative_tol(tol):
         assert route(1.0, STEP, [(1, 0)], tol=0.0).error == 0.0
 
 
+# ---- thresholds far from the particles ----------------------------------------
+
+
+def _step_one_point(t, a):
+    # X_t(1) = -1 + Poisson(t) on step data
+    return 1.0 if a < -1 else float(pdtrc(math.floor(a) + 1, t))
+
+
+@pytest.mark.parametrize("route", [multipoint_probability, path_integral_probability])
+@pytest.mark.parametrize(
+    "t, extra", [(1.0, (107, 150)), (100.0, (250,)), (1000.0, (1300,))], ids=["t1", "t100", "t1000"]
+)
+def test_far_thresholds_give_the_value_or_name_the_threshold(route, t, extra):
+    # the 48- and 96-site rungs both missed a threshold far right of the
+    # particles, agreed and settled: t = 1 gave 0.99999999917 at a = 107
+    # and 1.0 at a = 150, t = 1000 gave 0.99999999982 at a = 1300, where
+    # the values are below 1e-176 and 4e-20; a = -1e20 failed inside numpy
+    s = math.sqrt(t)
+    for a in (-1e20, -3.0, t - 3 * s, t, t + 6 * s, t + 20 * s + 50, *extra, 1e20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = route(t, STEP, [(1, a)])
+            except TruncationError as err:
+                assert f"threshold {float(a)!r} of label 1" in str(err), (t, a)
+                continue
+        assert abs(got - _step_one_point(t, a)) <= 1e-9, (t, a, float(got))
+
+
+def test_far_thresholds_in_joint_events():
+    # a threshold below the lowest floor leaves its event certain, one far
+    # right of its particle makes the joint event all but impossible
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (multipoint_probability, path_integral_probability):
+            alone = route(5.0, STEP, [(3, -1)])
+            both = route(5.0, STEP, [(1, -1e20), (3, -1)])
+            assert abs(both - alone) <= 1e-12 and both.error <= 1e-9
+            assert abs(route(5.0, STEP, [(1, 0), (2, 1e20)])) <= 1e-12
+            assert abs(route(5.0, EXPL, [(2, 1e20), (4, -1e20)])) <= 1e-12
+
+
+def test_a_rung_right_of_the_particles_is_never_compared(monkeypatch):
+    # at t = 1000 the particle sits near 1000, so the windows below 1300
+    # that stop above 1108 hold none of it; only the deepest rung reaches it
+    from kpzlab import exact
+
+    dets = []
+    det = exact.det_window
+    monkeypatch.setattr(exact, "det_window", lambda k: dets.append(det(k)) or dets[-1])
+    with pytest.raises(TruncationError, match=r"the depths \(48, 96, 192, 384\) miss the particles"):
+        multipoint_probability(1000.0, STEP, [(1, 1300)])
+    assert len(dets) == len(WINDOW_DEPTHS) and min(dets[:2]) > 0.999
+
+
 # ---- the exact floor of the windows ------------------------------------------
 
 
@@ -2074,6 +2130,16 @@ def test_weight_bridge_to_the_bit(monkeypatch):
         assert tuple(out[k].hex() for k in keys) == floats
         assert out["indicator_mismatches"] == 0 and out["window"] == window
         assert _longdouble_digest(kernels.pop()) == digest
+
+
+def test_weight_bridge_window_rejects_fractional_ends():
+    # int() truncated (-10.5, 12) to (-10, 12)
+    data = make_initial(kind="explicit", entries=(1, -2))
+    for window in ((-10.5, 12), (-20, 12.5)):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="each window end must be an integer"):
+            warnings.simplefilter("error")
+            bfps_l_verify(data, 0.8, window=window, trials=5)
+    assert bfps_l_verify(data, 0.8, window=(-20.0, 12.0), trials=5)["window"] == (-20, 12)
 
 
 def test_weight_bridge_window_must_cover_checked_sites():

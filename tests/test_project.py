@@ -13,6 +13,7 @@ import tomllib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
@@ -162,16 +163,18 @@ def test_one_path_to_the_transition_determinant():
     }
 
 
-def test_exact_defines_only_what_the_library_calls_or_the_bench_reads():
-    # one evaluation path per object: a public function or class of exact.py
-    # that no library module calls and the benchmark does not read is a
-    # second route, and lives with the tests (tests/exact_oracles.py)
+@pytest.mark.parametrize("layer", ["exact", "dpp"])
+def test_layer_defines_only_what_the_library_calls_or_the_bench_reads(layer):
+    # one evaluation path per object: a public function or class of the
+    # layer that no library module calls and the benchmark does not read is
+    # a second route, and lives with the tests (tests/exact_oracles.py,
+    # tests/dpp_oracles.py)
     def parse(path):
         return ast.parse(path.read_text(), str(path))
 
     defined = {
         node.name
-        for node in parse(ROOT / "src" / "kpzlab" / "exact.py").body
+        for node in parse(ROOT / "src" / "kpzlab" / f"{layer}.py").body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     called = {
@@ -184,9 +187,9 @@ def test_exact_defines_only_what_the_library_calls_or_the_bench_reads():
     for path in (ROOT / "bench").glob("*.py"):
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id == "exact":
+                if node.value.id == layer:
                     read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module == "kpzlab.exact":
+            elif isinstance(node, ast.ImportFrom) and node.module == f"kpzlab.{layer}":
                 read.update(alias.name for alias in node.names)
     assert defined and not defined - called - read, sorted(defined - called - read)
 

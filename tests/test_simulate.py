@@ -23,9 +23,8 @@ from kpzlab.simulate import (
     make_initial,
     particles_needed,
     rescale_height,
-    stream_base,
 )
-from kpzlab.simulate import _keys, _label_range_mix
+from kpzlab.simulate import _keys, _label_range_mix, _mix_labels
 
 
 # ---------------------------------------------------------------- initial data
@@ -127,6 +126,27 @@ def test_jump_bound_rejects_bad_durations():
     for t in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             jump_bound(t)
+    # 1e300 asked numpy for 10 sqrt(1e300) floats ("Maximum allowed size
+    # exceeded"); past 2^52 the span's sites are not exact doubles
+    for t in (1e300, 1e30):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=r"at most 2\^52 = 4503599627370496"):
+            warnings.simplefilter("error")
+            jump_bound(t)
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0**20 + 0.5, 1e12, 2.0**52])
+def test_jump_bound_bisects_to_the_least_tail_bound(t):
+    m = jump_bound(t)
+    assert pdtrc(m, t) <= TRUNCATION_RISK < pdtrc(m - 1, t)
+
+
+def test_initial_state_rejects_a_fractional_count():
+    # n_particles = 2.5 built three particles
+    for bad in (2.5, math.nan):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="n_particles must be an integer"):
+            warnings.simplefilter("error")
+            initial_state(make_initial("step"), n_particles=bad)
+    assert initial_state(make_initial("periodic", d=2), n_particles=3.0).positions.tolist() == [0, -2, -4]
 
 
 def _first_label_below(init, edge):
@@ -353,16 +373,20 @@ def test_last_passage_matches_scalar_reference():
     assert total >= 10_000
 
 
+def _stream_keys(seed, labels):
+    """The simulator's stream key of each label, as Python ints."""
+    return _keys(seed, _mix_labels(np.asarray(labels).reshape(-1))).tolist()
+
+
 def test_stream_base_over_labels():
     labels = np.arange(1, 60)
     for seed in (0, 17, 2**63 + 3, 2**64 - 1, -5):
-        keys = stream_base(seed, labels)
+        keys = _keys(seed, _mix_labels(labels))
         assert keys.dtype == np.uint64
         want = [_stream_ref(seed, int(lab)) for lab in labels]
         assert keys.tolist() == want
-        assert all(stream_base(seed, int(lab)) == w for lab, w in zip(labels, want))
-        assert type(stream_base(seed, 3)) is int
-    assert stream_base(-1, 4) == stream_base(2**64 - 1, 4)
+        assert all(_stream_keys(seed, int(lab)) == [w] for lab, w in zip(labels, want))
+    assert _stream_keys(-1, 4) == _stream_keys(2**64 - 1, 4)
 
 
 def test_label_range_keys_match_the_reference():
@@ -371,7 +395,7 @@ def test_label_range_keys_match_the_reference():
         for seed in (0, 17, 2**64 - 1):
             keys = _keys(seed, _label_range_mix(first, count))
             assert keys.tolist() == [_stream_ref(seed, lab) for lab in range(first, first + count)]
-            assert keys.tolist() == stream_base(seed, np.arange(first, first + count)).tolist()
+            assert keys.tolist() == _stream_keys(seed, np.arange(first, first + count))
 
 
 def test_label_range_mix_is_read_only():
@@ -388,7 +412,7 @@ def test_large_seeds_raise_no_warning(seed):
         warnings.simplefilter("error")
         evolve(state, 2.0, seed)
         evolve_events(state, 2.0, seed)
-        stream_base(seed, 3)
+        _stream_keys(seed, 3)
 
 
 def test_exclusion_and_order_preserved():
@@ -604,5 +628,5 @@ def test_rescaled_interpolation_is_linear():
 
 
 def test_stream_bases_distinct():
-    seen = {stream_base(s, l) for s in range(20) for l in range(1, 51)}
+    seen = {key for s in range(20) for key in _stream_keys(s, np.arange(1, 51))}
     assert len(seen) == 20 * 50

@@ -8,7 +8,10 @@ checked against the alternating Poisson sums it replaces, summed by mpmath at
 high precision, and F_n for n >= 1 against its contour integral.
 """
 
+import contextlib
 import math
+import signal
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -561,6 +564,93 @@ def test_schuetz_F_relative_accuracy(t):
             for x in xs:
                 want = _mp_schuetz_F(n, x, t)[0]
                 assert abs(schuetz_F(n, x, t) - want) <= 2e-13 * abs(want), (n, x)
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise in the test if the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _mp_schuetz_F_large_t(n, x, t):
+    """F_n(x, t) for n <= 2 from Poisson tails and weights in mpmath: F_1 is
+    P(N >= x) and F_2 is E[(N - x + 1); N >= x] = t P(N >= x - 1) - (x - 1)
+    P(N >= x) for N ~ Poisson(t) and x >= 1; F_(n <= 0) is the residue sum
+    at 0 of -n + 1 terms."""
+    t = mpmath.mpf(t)
+
+    def tail(m):  # P(N >= m)
+        return mpmath.gammainc(m, 0, t, regularized=True) if m > 0 else mpmath.mpf(1)
+
+    if n == 1:
+        return tail(x)
+    if n == 2:
+        return t * tail(x - 1) - (x - 1) * tail(x)
+    k, p = -n, x - n
+    return (-1) ** n * mpmath.exp(-t) * sum(
+        mpmath.binomial(k, i) * (-1) ** i * t ** (p - i) / mpmath.factorial(p - i)
+        for i in range(min(k, p) + 1)
+    )
+
+
+def test_schuetz_F_up_to_its_largest_t():
+    # at t = 2^16 the series of F_(n >= 1) takes about 4 600 terms and the
+    # Poisson weight of F_(n <= 0) keeps t log t ulps; both hold to 1e-10
+    with mpmath.workdps(40), _alarm(10):
+        for t in (5657.0, special._SCHUETZ_T_MAX):
+            m = int(t)
+            for n, x in ((1, 2), (1, m), (1, m + 300), (2, 3), (2, m + 256), (0, m),
+                         (0, m + 700), (-1, m + 256), (-2, m - 256)):
+                want = _mp_schuetz_F_large_t(n, x, t)
+                assert abs(schuetz_F(n, x, t) - want) <= 1e-10 * abs(want), (t, n, x)
+
+
+def test_schuetz_F_past_its_largest_t_raises_at_once():
+    # t = 1e12 took 11.5 s in the series of F_1 and 1e13 did not return;
+    # from t ~ 3e12 the exit of F_(n <= 0) raised a bare OverflowError, and
+    # at t = 1e8 F_1(2) read 0.99999999999989 where the value rounds to 1
+    from kpzlab.exact import schuetz_transition
+
+    with warnings.catch_warnings(), _alarm(2):
+        warnings.simplefilter("error")
+        for t in (65536.5, 1e8, 1e12, 3e12, 1e13, 1e300):
+            for n in (-2, -1, 0, 1, 2):
+                with pytest.raises(ValueError, match=r"t <= 2\^16 = 65536"):
+                    schuetz_F(n, 2, t)
+            for x, y in (((1,), (0,)), ((2, 0), (1, -1))):
+                with pytest.raises(ValueError, match=r"t <= 2\^16 = 65536"):
+                    schuetz_transition(x, y, t)
+        assert schuetz_F(1, 2, 4e4) == 1.0
+
+
+def test_exit_split_past_its_exact_range():
+    # k * _LN2_HI is exact for |k| < 2^20 only, and the split took k from
+    # _LN2_HI alone, so at s = -3e12 the exit raised "math range error"
+    with mpmath.workdps(60):
+        for s in (-7.3e5, 7.3e5, -1e6, 2.5e7, -3e12, -1e300):
+            k, g = special._exp_split(s)
+            assert 1.0 <= g < 2.0, s
+            if abs(s) < 1e20:  # past it, 60 digits do not resolve floor(s / ln 2)
+                assert k == mpmath.floor(s / mpmath.log(2)), s
+                assert abs(mpmath.log(g) + k * mpmath.log(2) - s) <= 2e-16, s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _poisson_charlier(3, 1.0, 3e12) == [0.0] * 4
+        assert _poisson_charlier(3, np.array([1.0, 7.0]), 3e12).tolist() == [0.0, 0.0]
+        # a site far right of a short time: the move of the Poisson weight
+        # is -lgamma(1e12 + 1), past the exact split too
+        assert schuetz_F(0, 10**12, 1.0) == 0.0
+        assert schuetz_F(-1, 10**12, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("t", [0.5, 1.6276, 2.0, 5.0])

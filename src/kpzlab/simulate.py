@@ -18,7 +18,8 @@ the tracked particles no longer reach.  The last tracked particle jumps at
 most as often as partial sums of its own unit-mean draws stay within the
 duration, a Poisson(duration) count, so starting it `jump_bound(duration)`
 sites left of the window keeps it out except with probability at most
-2^-60; if it does enter, `inverse_label` raises rather than guess.
+2^-60; if it does enter, `height` and `inverse_label` raise rather than
+guess.
 
 The draws come from a table: one numpy pass mixes every tracked particle's
 counter-based uniforms, (splitmix64(key + k·GOLD) >> 11)·2^-53 for its first
@@ -26,13 +27,19 @@ counter-based uniforms, (splitmix64(key + k·GOLD) >> 11)·2^-53 for its first
 is doubled by the same routine.  An unobstructed particle takes
 1 + Poisson(duration) draws, so the width is their mean plus one standard
 deviation: most rows fit, and the table is not mixed and converted far
-beyond what a run reads.  The seed-free half of a key, mix(label·GOLD +
-salt), is memoised per tracked label range.  Since the draws are
-counter-based, neither choice changes a trajectory.  The recursion over the
-table stays in Python, and so does the logarithm: it is `math.log`, not
-`np.log`, whose vectorised kernels differ from libm in the last bit on about
-0.35 % of draws, so that trajectories would change with numpy's build and
-the host's instruction set.
+beyond what a run reads.  A key is mix(mix(seed) ^ mix(label·GOLD + salt)).
+Its seed-free half is memoised per tracked label range, and the seed is
+mixed once per run in Python ints, so one array pass makes every key.  The
+step offsets (start + c)·GOLD are memoised per block of columns.  Since the
+draws are counter-based, none of these choices changes a trajectory.  The
+recursion over the table stays in Python, and so does the logarithm: it is
+`math.log`, not `np.log`, whose vectorised kernels differ from libm in the
+last bit on about 0.35 % of draws, so that trajectories would change with
+numpy's build and the host's instruction set.
+
+`height` reads the whole window in one `searchsorted` over the sites z - 1,
+which `inverse_label` shares.  X_t^{-1} does not increase in z, so only the
+window's leftmost site can lie past a truncated state's last particle.
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ from .special import _integer
 HAVE_NUMBA = False
 
 _MASK = 0xFFFFFFFFFFFFFFFF
+_GOLD_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # uint64 constants as 0-d arrays, which ufuncs take without converting a
 # numpy scalar on every call
 _GOLD, _MIX1, _MIX2, _LABEL_SALT, _S11, _S27, _S30, _S31 = (
     np.array(v, dtype=np.uint64)
-    for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x7F4A7C15, 11, 27, 30, 31)
+    for v in (_GOLD_INT, _MIX1_INT, _MIX2_INT, 0x7F4A7C15, 11, 27, 30, 31)
 )
 _TWO_NEG53 = 2.0**-53
 
@@ -66,19 +74,29 @@ _MAX_DURATION = 2.0**52  # the longest duration jump_bound takes
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array.  Array arithmetic on uint64
-    wraps mod 2^64 without a warning; numpy scalars would warn, so callers
-    pass arrays, of one element if need be."""
-    z = z + _GOLD
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    """splitmix64 finalizer over a fresh uint64 array, in place; returns it.
+    Array arithmetic on uint64 wraps mod 2^64 without a warning."""
+    z += _GOLD
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
+
+def _mix_int(z: int) -> int:
+    """splitmix64 finalizer of one Python int in [0, 2^64)."""
+    z = (z + _GOLD_INT) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
+    return z ^ (z >> 31)
 
 
 def _keys(seed: int, label_mix: np.ndarray) -> np.ndarray:
-    """Stream keys mix(mix(seed) ^ label_mix) for labels already mixed."""
-    seed = _integer(seed, "seed")
-    return _mix(_mix(np.array([seed & _MASK], dtype=np.uint64)) ^ label_mix)
+    """Stream keys mix(mix(seed) ^ label_mix) for labels already mixed; the
+    seed is mixed once, in Python ints."""
+    return _mix(label_mix ^ _mix_int(_integer(seed, "seed") & _MASK))
 
 
 def _mix_labels(labels: np.ndarray) -> np.ndarray:
@@ -95,11 +113,21 @@ def _label_range_mix(first: int, count: int) -> np.ndarray:
     return mixed
 
 
+@functools.lru_cache(maxsize=64)
+def _step_offsets(start: int, width: int) -> np.ndarray:
+    """(start + c)·GOLD for c < width, read-only: every draw table with the
+    same columns shares it."""
+    steps = np.arange(start, start + width, dtype=np.uint64) * _GOLD
+    steps.flags.writeable = False
+    return steps
+
+
 def _uniforms(keys: np.ndarray, start: int, width: int) -> np.ndarray:
     """Draw table u[i, c] = (mix(keys[i] + (start + c)·GOLD) >> 11)·2^-53
     for c < width; the uint64-to-float conversion is exact."""
-    steps = np.arange(start, start + width, dtype=np.uint64) * _GOLD
-    return (_mix(keys[:, None] + steps[None, :]) >> _S11) * _TWO_NEG53
+    bits = _mix(keys[:, None] + _step_offsets(start, width))
+    bits >>= _S11
+    return bits * _TWO_NEG53
 
 
 @dataclass(frozen=True)
@@ -187,10 +215,10 @@ class ParticleState:
         self.positions = np.asarray(self.positions, dtype=np.int64)
         if self.positions.ndim != 1 or self.positions.size == 0:
             raise ValueError("need at least one particle")
-        if np.any(self.positions[1:] >= self.positions[:-1]):
+        if (self.positions[1:] >= self.positions[:-1]).any():
             raise ValueError("positions must be strictly decreasing")
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"time must be finite and >= 0, got {self.time!r}")
 
     @property
     def labels(self) -> np.ndarray:
@@ -207,7 +235,7 @@ class HeightField:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.int64)
-        if not np.all(np.abs(self.values[1:] - self.values[:-1]) == 1):
+        if not (np.abs(self.values[1:] - self.values[:-1]) == 1).all():
             raise ValueError("height increments must be +-1")
 
     @property
@@ -260,7 +288,7 @@ def particles_needed(init: InitialData, z_lo: int, duration: float) -> int:
     unless it jumps more than jump_bound(duration) times, which happens with
     probability at most TRUNCATION_RISK; see the module docstring.
     """
-    edge = z_lo - 1 - jump_bound(duration)
+    edge = _integer(z_lo, "z_lo") - 1 - jump_bound(duration)
     if init.kind == "step":
         return max(1, -edge)
     if init.kind == "periodic":
@@ -293,9 +321,9 @@ def initial_state(
         n_particles = particles_needed(init, z_lo, duration)
     n_particles = _integer(n_particles, "n_particles")
     if init.kind == "step":
-        pos = -np.arange(1, n_particles + 1)
+        pos = np.arange(-1, -n_particles - 1, -1)
     else:
-        pos = -init.d * np.arange(n_particles)
+        pos = np.arange(0, -init.d * n_particles, -init.d)
     return ParticleState(pos, 1, 0.0, init.anchor(), complete=False)
 
 
@@ -369,34 +397,46 @@ def _last_passage(state, duration, seed):
             k += 1
         jumps.append(own)
         lead, ahead = own, x
-    positions = state.positions + [len(own) for own in jumps]
+    positions = state.positions + np.fromiter(map(len, jumps), np.int64, len(jumps))
     new_state = ParticleState(positions, state.first_label, t_end, state.anchor0, state.complete)
     return new_state, jumps
+
+
+def _label_index(state: ParticleState, z_min: int, neg_z) -> np.ndarray:
+    """Index in `state.positions` of the first particle at or left of each
+    site, the sites given negated as `neg_z` with z_min the leftmost; raises
+    if a truncated state has every tracked particle right of z_min."""
+    pos = state.positions
+    if not state.complete and z_min < pos[-1]:
+        last = state.first_label + pos.size - 1
+        raise ValueError(
+            f"site {z_min} lies left of every tracked particle: "
+            f"the last tracked label {last} is at {pos[-1]}; evolve no longer than "
+            "the duration given to initial_state, or pass a larger n_particles"
+        )
+    # positions decrease with index, so -pos increases
+    return np.searchsorted(-pos, neg_z, side="left")
 
 
 def inverse_label(state: ParticleState, z: int | np.ndarray) -> int | np.ndarray:
     """X_t^{-1}(z) = min{k : X_t(k) <= z} at a site, or at an array of sites;
     raises outside the determined region."""
-    pos = state.positions
-    # positions decrease with index; find the first index with pos <= z
-    idx = np.searchsorted(-pos, -np.asarray(z), side="left")
-    if not state.complete and np.any(idx == pos.size):
-        last = state.first_label + pos.size - 1
-        raise ValueError(
-            f"site {np.min(z)} lies left of every tracked particle: "
-            f"the last tracked label {last} is at {pos[-1]}; evolve no longer than "
-            "the duration given to initial_state, or pass a larger n_particles"
-        )
-    labels = state.first_label + idx
+    z = np.asarray(z)
+    # the initial value lets an empty array of sites through
+    labels = state.first_label + _label_index(state, z.min(initial=state.positions[-1]), -z)
     return int(labels) if labels.ndim == 0 else labels
 
 
 def height(state: ParticleState, z_lo: int, z_hi: int) -> HeightField:
-    """h_t(z) = -2(X_t^{-1}(z-1) - X_0^{-1}(-1)) - z on [z_lo, z_hi]."""
+    """h_t(z) = -2(X_t^{-1}(z-1) - X_0^{-1}(-1)) - z on [z_lo, z_hi], in one
+    searchsorted over the sites 1 - z."""
+    z_lo, z_hi = _integer(z_lo, "z_lo"), _integer(z_hi, "z_hi")
     if z_hi < z_lo:
         raise ValueError("empty window")
-    z = np.arange(z_lo, z_hi + 1)
-    vals = -2 * (inverse_label(state, z - 1) - state.anchor0) - z
+    neg = np.arange(1 - z_lo, -z_hi, -1)  # 1 - z, the sites z - 1 negated
+    idx = _label_index(state, z_lo - 1, neg)
+    # -2(first_label + idx - anchor0) - z, with -z = neg - 1
+    vals = neg + (2 * (state.anchor0 - state.first_label) - 1) - 2 * idx
     return HeightField(z_lo, vals, state.time)
 
 
@@ -411,8 +451,11 @@ class RescaledHeight:
 
     def __call__(self, x) -> np.ndarray:
         xq = np.asarray(x, dtype=float)
-        if np.any(xq < self.x[0]) or np.any(xq > self.x[-1]):
-            raise ValueError("requested x outside the simulated window")
+        # written so that NaN fails too
+        if not ((xq >= self.x[0]).all() and (xq <= self.x[-1]).all()):
+            raise ValueError(
+                f"requested x must be a number in the simulated window [{self.x[0]}, {self.x[-1]}]"
+            )
         return np.interp(xq, self.x, self.values)
 
 

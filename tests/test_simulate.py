@@ -149,6 +149,20 @@ def test_initial_state_rejects_a_fractional_count():
     assert initial_state(make_initial("periodic", d=2), n_particles=3.0).positions.tolist() == [0, -2, -4]
 
 
+def test_light_cone_rejects_a_fractional_or_nan_z_lo():
+    # z_lo = nan tracked 1 particle of periodic data at duration 8, and
+    # z_lo = 1.5 tracked 23
+    init = make_initial("periodic", d=2)
+    for bad in (1.5, math.nan):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="z_lo must be an integer"):
+            warnings.simplefilter("error")
+            particles_needed(init, bad, 8.0)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="z_lo must be an integer"):
+            warnings.simplefilter("error")
+            initial_state(init, z_lo=bad, duration=8.0)
+    assert particles_needed(init, -20.0, 8.0) == particles_needed(init, -20, 8.0)
+
+
 def _first_label_below(init, edge):
     k = 1
     while init.entry(k) > edge:
@@ -235,6 +249,15 @@ def test_seed_must_be_an_integer():
         with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
             run(state, 1.0, 1.5)
     assert np.array_equal(evolve(state, 1.0, 1.0).positions, evolve(state, 1.0, 1).positions)
+
+
+@pytest.mark.parametrize("time", [-1.0, math.inf, math.nan])
+def test_state_time_must_be_finite_and_nonnegative(time):
+    # a NaN or infinite time was accepted, and the first particle's draw row
+    # would then have doubled without bound in evolve
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="time must be finite and >= 0"):
+        warnings.simplefilter("error")
+        ParticleState(np.array([0, -2]), 1, time, 2, complete=False)
 
 
 def test_determinism_same_seed():
@@ -513,6 +536,7 @@ def test_height_window_guard():
         height(state, -7, 0)
     h = height(state, -4, 3)
     assert h.values[4] == 0  # z = 0
+    assert inverse_label(state, np.array([], dtype=np.int64)).size == 0
 
 
 def test_complete_family_height_everywhere():
@@ -559,6 +583,17 @@ def test_height_matches_per_site_inverse_label():
         if not state.complete:
             with pytest.raises(ValueError):
                 height(state, lo - 1, pos[0])
+
+
+def test_height_rejects_fractional_or_nan_window_ends():
+    # -20.5 gave a field anchored at -20.5 with integer heights, 20.5 was
+    # cut to 20, and NaN raised numpy's "arange: cannot compute length"
+    state = initial_state(make_initial("periodic", d=2), z_lo=-20, duration=8.0)
+    for lo, hi, name in ((-20.5, 20, "z_lo"), (-20, 20.5, "z_hi"), (math.nan, 20, "z_lo"), (-20, math.nan, "z_hi")):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=f"{name} must be an integer"):
+            warnings.simplefilter("error")
+            height(state, lo, hi)
+    assert height(state, -20.0, 20.0).values.tolist() == height(state, -20, 20).values.tolist()
 
 
 def test_height_field_validates_increments():
@@ -609,10 +644,11 @@ def test_rescale_out_of_window():
     state = initial_state(make_initial("step"), n_particles=10)
     h = height(state, -5, 5)
     prof = rescale_height(h, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        prof(10.0)
-    with pytest.raises(ValueError):
-        prof(-10.0)
+    # NaN passed the window check, and np.interp returned it
+    for x in (10.0, -10.0, math.inf, -math.inf, math.nan, [0.0, math.nan]):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="simulated window"):
+            warnings.simplefilter("error")
+            prof(x)
 
 
 def test_rescaled_interpolation_is_linear():

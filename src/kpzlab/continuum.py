@@ -19,6 +19,14 @@ each for Ai and Ai' above, so that no argument past 2 pays for Bi.
 `s_kernel` takes Ai scaled by e^((2/3) a^(3/2)) and folds that factor into
 its own exponent, so that no overflowing exponential ever meets an
 underflowing Ai.
+
+The blocks of one ladder order share their Airy factors, and no argument
+array is evaluated twice.  Airy_2's Ai(u + lam), on the lambda rule
+stretched for |d|, depends only on a point's grid, fixed by its level, and
+on |d|, so the blocks (i, j) and (j, i) read one array each; a diagonal
+block's Ai and Ai' on its grid are one call.  Airy_1's scaled Ai at
+(u + v) + d^2 is one array for (i, j) and, transposed, for (j, i), and each
+block forms only its own exponent.  Points at one level share all of these.
 """
 
 from __future__ import annotations
@@ -71,11 +79,21 @@ def s_kernel(t: float, x, z) -> np.ndarray:
     for name, v in (("x", x), ("z", z)):
         if not np.isfinite(v).all():
             raise ValueError(f"s_kernel needs finite {name}, got {v[~np.isfinite(v)][0]}")
+    return _s_kernel(t, x, z)[0]
+
+
+def _s_kernel(t: float, x, z, factor=None):
+    """s_kernel's value for checked arguments, and its Airy factor at
+    a = -t^(-1/3) z + t^(-4/3) x^2: Ai(a) e^zeta and zeta = (2/3)
+    max(a, 0)^(3/2), whose e^(-zeta) joins the exponent.  A caller that
+    knows the factor passes it, and no Ai is evaluated."""
     c = t ** (-1.0 / 3.0)
-    a = -c * z + (c * c * x) ** 2
+    if factor is None:
+        a = -c * z + (c * c * x) ** 2
+        factor = _airy(a, scaled=True), 2.0 / 3.0 * np.maximum(a, 0.0) ** 1.5
+    ai, zeta = factor
     exponent = 2.0 * x**3 / (3.0 * t * t) - z * x / t
-    ai = _airy(a, scaled=True)
-    return c * ai * np.exp(exponent - 2.0 / 3.0 * np.maximum(a, 0.0) ** 1.5)
+    return c * ai * np.exp(exponent - zeta), factor
 
 
 def airy_kernel(u, v) -> np.ndarray:
@@ -83,8 +101,12 @@ def airy_kernel(u, v) -> np.ndarray:
     diagonal Ai'(u)^2 - u Ai(u)^2."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    ai_u, aip_u = _airy(u, derivative=True)
-    ai_v, aip_v = _airy(v, derivative=True)
+    return _airy_kernel(u, v, _airy(u, derivative=True), _airy(v, derivative=True))
+
+
+def _airy_kernel(u, v, at_u, at_v):
+    """airy_kernel from (Ai, Ai') at u and at v."""
+    (ai_u, aip_u), (ai_v, aip_v) = at_u, at_v
     diff = u - v
     same = diff == 0.0
     off = (ai_u * aip_v - aip_u * ai_v) / np.where(same, 1.0, diff)
@@ -115,16 +137,22 @@ def _kept_points(points) -> list[tuple[float, float]]:
 
 def _probability(name: str, kept, block) -> Certified:
     """det(I - K) on the direct sum of L^2(b_k, inf) for the kept points
-    (x_k, b_k), with block (k, l) of K given by block(x_l - x_k, u, v).  The
-    caller sets no tol or order, so a ladder that does not settle names the
-    points and the cause."""
+    (x_k, b_k), with block (k, l) of K given by
+    block(x_l - x_k, u, v, b_k, b_l, shared): u and v are the grids of the
+    levels b_k and b_l, and shared is one ladder order's dict of the Airy
+    factors its blocks share, keyed by the levels and |x_l - x_k| that fix
+    them.  The caller sets no tol or order, so a ladder that does not
+    settle names the points and the cause."""
     domains = [HalfLineUp(b) for _, b in kept]
     values = []
 
-    def kernel(i, j, u, v):
-        return block(kept[j][0] - kept[i][0], u, v)
-
     def value_at(order):
+        shared = {}
+
+        def kernel(i, j, u, v):
+            (xi, bi), (xj, bj) = kept[i], kept[j]
+            return block(xj - xi, u, v, bi, bj, shared)
+
         values.append(_quadrature_det(kernel, domains, order))
         return values[-1]
 
@@ -150,13 +178,19 @@ def _cancelling_exponent(d: float, b_i: float, b_j: float) -> float:
     return d**3 / 12.0 - d * (u + v) / 2.0 - (u - v) ** 2 / (4.0 * d)
 
 
-def _airy2_block(gap: float, u, v):
-    if gap == 0.0:
-        return airy_kernel(u, v)
+def _airy2_block(gap: float, u, v, bu: float, bv: float, shared: dict):
+    if gap == 0.0:  # u and v are one grid, and its (Ai, Ai') serve both
+        if bu not in shared:
+            shared[bu] = _airy(u, derivative=True)
+        ai, aip = shared[bu]
+        return _airy_kernel(u, v, (ai, aip), (ai.T, aip.T))
+    # Ai(u + lam) on the lambda rule of |gap| serves both blocks of a pair
     stretch = 1.0 + gap * gap / 16.0
     lam = stretch * _LAMBDA
-    ai_u = _airy(u + lam)
-    ai_v = _airy(v.T + lam)
+    for b, w in ((bu, u), (bv, v.T)):
+        if (b, abs(gap)) not in shared:
+            shared[b, abs(gap)] = _airy(w + lam)
+    ai_u, ai_v = shared[bu, abs(gap)], shared[bv, abs(gap)]
     out = (ai_u * (stretch * _LAMBDA_WEIGHTS * np.exp(lam * gap))) @ ai_v.T
     if gap > 0.0:
         # int_0^inf - int_R: the full line is a heat kernel in closed form
@@ -189,8 +223,13 @@ def airy2_probability(points) -> Certified:
     return _probability("P(A_2(x_k) <= b_k)", kept, _airy2_block)
 
 
-def _airy1_block(gap: float, u, v):
-    out = s_kernel(1.0, gap, -(u + v))
+def _airy1_block(gap: float, u, v, bu: float, bv: float, shared: dict):
+    # S_{1,gap}(-(u + v)): its Airy factor at (u + v) + gap^2 is the block
+    # (v, u)'s at -gap, transposed
+    flip = shared.get((bv, bu, abs(gap)))
+    out, shared[bu, bv, abs(gap)] = _s_kernel(
+        1.0, np.asarray(gap), -(u + v), None if flip is None else [f.T for f in flip]
+    )
     return out - _heat(gap, u, v) if gap > 0.0 else out
 
 

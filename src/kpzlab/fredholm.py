@@ -85,9 +85,15 @@ def _settle(value_at: Callable[[int], float], rungs, tol: float) -> Certified:
 
 @dataclass(frozen=True)
 class HalfLineUp:
-    """[r, +infinity), mapped from s in (0,1)."""
+    """[r, +infinity), mapped from s in (0,1).  r = +inf is the empty
+    half-line, on which a determinant is 1; a NaN r, or r = -inf, which
+    makes it the whole line, raises ValueError."""
 
     r: float
+
+    def __post_init__(self) -> None:
+        if not self.r > -math.inf:
+            raise ValueError(f"a half-line [r, inf) needs r > -inf, got {self.r!r}")
 
     def nodes(self, order: int):
         s, ws = _gauss01(order)
@@ -96,9 +102,14 @@ class HalfLineUp:
 
 @dataclass(frozen=True)
 class HalfLineDown:
-    """(-infinity, a], mapped from s in (0,1); nodes descend from a."""
+    """(-infinity, a], mapped from s in (0,1); nodes descend from a.  As for
+    HalfLineUp, a NaN a, or a = +inf, raises ValueError."""
 
     a: float
+
+    def __post_init__(self) -> None:
+        if not self.a < math.inf:
+            raise ValueError(f"a half-line (-inf, a] needs a < inf, got {self.a!r}")
 
     def nodes(self, order: int):
         y, w = HalfLineUp(-self.a).nodes(order)
@@ -133,16 +144,23 @@ def det_window(kernel_matrix: np.ndarray) -> float:
 def _quadrature_det(block: Callable, domains, order: int) -> float:
     """det(I - K) on the direct sum of L^2(domain_i) at `order` nodes each,
     block (i, j) of K being block(i, j, U, V) for broadcast U, V, entries
-    symmetrized as sqrt(w_i) K_ij sqrt(w_j); 1.0 with no domains."""
+    symmetrized as sqrt(w_i) K_ij sqrt(w_j); 1.0 with no domains.  One
+    block is the matrix itself, with no stack to fill."""
     if not domains:
         return 1.0
     grids = [(y, np.sqrt(w)) for y, w in (domain.nodes(order) for domain in domains)]
+
+    def weighted(i, j):
+        (yi, sqi), (yj, sqj) = grids[i], grids[j]
+        return sqi[:, None] * np.asarray(block(i, j, yi[:, None], yj[None, :]), dtype=float) * sqj[None, :]
+
+    if len(grids) == 1:
+        return det_window(weighted(0, 0))
     n = order
     big = np.zeros((len(grids) * n, len(grids) * n))
-    for i, (yi, sqi) in enumerate(grids):
-        for j, (yj, sqj) in enumerate(grids):
-            blk = np.asarray(block(i, j, yi[:, None], yj[None, :]), dtype=float)
-            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = sqi[:, None] * blk * sqj[None, :]
+    for i in range(len(grids)):
+        for j in range(len(grids)):
+            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = weighted(i, j)
     return det_window(big)
 
 

@@ -70,7 +70,7 @@ _GOLD, _MIX1, _MIX2, _LABEL_SALT, _S11, _S27, _S30, _S31 = (
 _TWO_NEG53 = 2.0**-53
 
 TRUNCATION_RISK = 2.0**-60  # per-run chance that the light cone is too short
-_MAX_DURATION = 2.0**52  # the longest duration jump_bound takes
+_MAX_DURATION = 2.0**52  # the longest duration jump_bound takes, and a run's latest end
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -364,12 +364,19 @@ def _last_passage(state, duration, seed):
     is read from the draw table, 1 + ceil(duration + sqrt(duration)) columns
     wide, whose rows double when a particle needs more draws, and the log is
     taken per draw with `math.log` so that trajectories do not depend on
-    numpy's vector kernels.
+    numpy's vector kernels.  A run must end by _MAX_DURATION = 2^52: past
+    it a draw below half a unit is lost to rounding, t + w == t, and at
+    time 1e20 every draw is, so the first particle never reaches t_end.
     """
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     t0 = state.time
     t_end = t0 + duration
+    if t_end > _MAX_DURATION:
+        raise ValueError(
+            f"a run must end by time 2^52 = {_MAX_DURATION:.0f}, past which draws round"
+            f" away; got time {t0!r} + duration {duration!r}"
+        )
     keys = _keys(seed, _label_range_mix(state.first_label, state.positions.size))
     rows = _uniforms(keys, 0, 1 + math.ceil(duration + math.sqrt(duration))).tolist()
     log = math.log

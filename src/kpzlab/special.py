@@ -8,7 +8,11 @@ one Airy evaluator: `airy_ai_kernel` and every kernel of `continuum` take Ai
 and Ai' from it, and no other module imports an Airy or Bessel function.
 Up to 2 its values are scipy's airy; past 2, where cephes would also sum
 Bi's series, they come from one Chebyshev series in 1/zeta each for Ai and
-Ai', whose coefficients are literals here (_AIRY_SERIES).
+Ai', whose coefficients are literals here (_AIRY_SERIES).  A call pays for
+what it asks: an Ai-only call sums Ai's series alone and builds no Ai', and
+an unscaled one multiplies by no scale, with the bits of the full call.
+The blocks of one `continuum` ladder order share their Airy factors, so
+`_airy` sees each of their arguments once.
 No library path integrates on a contour: the circle quadrature that checks
 those residue sums lives in the tests.  All routines are deterministic and
 raise instead of returning silent best-effort values.
@@ -72,6 +76,8 @@ _AIRY_SERIES = np.array([
     (-1.2969972135960766e-17, 1.3349430157944544e-17),
     (4.261349907412013e-18, -4.382198906894981e-18),
 ])
+# its columns as Python floats, which _clenshaw adds with no array to read
+_AIRY_G, _AIRY_H = (tuple(col.tolist()) for col in _AIRY_SERIES.T)
 
 # ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < _K_EXACT
 _LN2_HI, _LN2_LO, _K_EXACT = 0.693147180369123816490, 1.90821492927058770002e-10, 2**20
@@ -368,7 +374,9 @@ def _airy(x, scaled: bool = False, derivative: bool = False):
 
     with g and h, the factors whose asymptotic series are DLMF 9.7.5-6,
     each one Chebyshev series in 1/zeta (_AIRY_SERIES), summed by _clenshaw;
-    scaled drops the e^(-zeta).  So no Bi is computed past 2.  The scaled
+    scaled drops the e^(-zeta).  So no Bi is computed past 2.  An Ai-only
+    call sums g alone and builds no Ai', and an unscaled one multiplies by
+    no factor up to 2; neither moves a bit of the values.  The scaled
     values are within 2e-15 relative of mpmath on (2, 1e8] and within 5e-14
     on (0, 400]; unscaled ones past 2 carry e^(-zeta)'s rounding, within
     1e-13 relative on (10, 30], where Ai itself is below 1.2e-10.  Ai(+inf)
@@ -377,42 +385,75 @@ def _airy(x, scaled: bool = False, derivative: bool = False):
     """
     x = np.asarray(x, dtype=float)
     far = x > _AIRY_CUT
-    ai, aip = np.empty(x.shape), np.empty(x.shape)
-    xn = x[~far]
+    near = ~far
+    xn = x[near]
     a, ap, _, _ = airy(xn)
-    e = np.exp(2.0 / 3.0 * np.maximum(xn, 0.0) ** 1.5) if scaled else 1.0
-    ai[~far], aip[~far] = a * e, ap * e
+    if scaled:
+        e = np.exp(2.0 / 3.0 * np.maximum(xn, 0.0) ** 1.5)
+        a *= e
+        if derivative:
+            ap *= e
+    ai = np.empty(x.shape)
+    ai[near] = a
+    if derivative:
+        aip = np.empty(x.shape)
+        aip[near] = ap
     xf = x[far]
     if xf.size:
         # one power, as for the scaled values up to 2: the Airy_2 ladder at
         # spacing 6 sits at its noise floor, and it settles below 1e-12 with
         # this rounding of zeta but not with 2 (x sqrt(x)) / 3
-        zeta = 2.0 / 3.0 * xf**1.5
+        zeta = xf**1.5
+        zeta *= 2.0 / 3.0
         fourth = np.sqrt(np.sqrt(xf))  # x^(1/4)
         # 1/zeta on [0, 1/zeta(2)] mapped to [-1, 1]
-        gh = _clenshaw(_AIRY_SERIES[:, : 1 + derivative], 2.0 / (_AIRY_S * zeta) - 1.0)
-        e = _HALF_INV_SQRT_PI if scaled else _HALF_INV_SQRT_PI * np.exp(-zeta)
-        ai[far] = gh[0] * e / fourth
+        t = _AIRY_S * zeta
+        np.divide(2.0, t, out=t)
+        t -= 1.0
+        if scaled:
+            e = _HALF_INV_SQRT_PI
+        else:
+            e = np.exp(-zeta, out=zeta)
+            e *= _HALF_INV_SQRT_PI
+        g = _clenshaw(_AIRY_G, t)
+        g *= e
+        g /= fourth
+        ai[far] = g
         if derivative:
+            h = _clenshaw(_AIRY_H, t)
+            np.negative(h, out=h)
+            h *= e
             with np.errstate(invalid="ignore"):  # inf * e^(-inf) at x = inf
-                aip[far] = -gh[1] * e * fourth
+                h *= fourth
+            aip[far] = h
             if not scaled:
                 aip[x == np.inf] = 0.0
     return (ai, aip) if derivative else ai
 
 
 def _clenshaw(coef, t):
-    """sum_k coef[k, i] T_k(t) as row i, for each column i of coef, by
-    Clenshaw's recurrence b_k = coef[k] + 2t b_(k+1) - b_(k+2), in place."""
-    c = coef[:, :, None]
-    b1, b2 = np.repeat(c[-1], t.size, axis=1), np.zeros((c.shape[1], t.size))
-    t2, step = 2.0 * t, np.empty_like(b1)
-    for ck in c[-2:0:-1]:
+    """sum_k coef[k] T_k(t) over an array t, for Python-float coefficients,
+    by Clenshaw's recurrence b_k = ((2t b_(k+1)) - b_(k+2)) + coef[k] and
+    the last step ((t b_1) - b_2) + coef[0].  b_n = coef[-1] stays a
+    scalar, b_(n+1) = 0 drops out of the first step, exactly, and the rest
+    runs in three buffers."""
+    t2 = t + t
+    b2 = coef[-1]
+    b1 = t2 * b2
+    b1 += coef[-2]
+    step = t2 * b1
+    step -= b2
+    step += coef[-3]
+    b1, b2, step = step, b1, np.empty_like(t)
+    for ck in coef[-4:0:-1]:
         np.multiply(t2, b1, out=step)
         step -= b2
         step += ck
         b1, b2, step = step, b1, b2
-    return t * b1 - b2 + c[0]
+    np.multiply(t, b1, out=step)
+    step -= b2
+    step += coef[0]
+    return step
 
 
 def airy_ai_kernel(z) -> np.ndarray:

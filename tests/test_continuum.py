@@ -131,8 +131,9 @@ for probability, points in ((airy2_probability, two), (airy1_probability, two),
 """
 
 
-def test_airy_process_values_to_the_bit():
-    # OpenBLAS 0.3.31 at one thread on x86-64
+def _one_thread(script: str) -> list[str]:
+    """The lines that script prints, run in a fresh process at one BLAS
+    thread on this checkout's kpzlab."""
     import kpzlab
 
     env = dict(os.environ)
@@ -140,14 +141,56 @@ def test_airy_process_values_to_the_bit():
         env[var] = "1"
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(kpzlab.__file__)))
     run = subprocess.run(
-        [sys.executable, "-c", _AIRY_BITS], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         timeout=300, check=True,
     )
-    assert run.stdout.split("\n")[:-1] == [
+    return run.stdout.split("\n")[:-1]
+
+
+def test_airy_process_values_to_the_bit():
+    # OpenBLAS 0.3.31 at one thread on x86-64
+    assert _one_thread(_AIRY_BITS) == [
         "80 0x1.d0130a3b9ee95p-1",
         "80 0x1.0d09b303cb38fp-1",
         "160 0x1.892a89a59d9e6p-2",
     ]
+
+
+# Every call to continuum's Airy evaluator, recorded: the blocks of one
+# ladder order share their factors, so no argument array, or its transpose,
+# comes twice.  Arrays of different orders differ in shape.
+_AIRY_ONCE = """
+import numpy as np
+from kpzlab import continuum
+real, seen = continuum._airy, []
+
+def recording(x, *args, **kwargs):
+    seen.append(np.array(x, dtype=float))
+    return real(x, *args, **kwargs)
+
+continuum._airy = recording
+two = [(-0.5, -0.25), (0.5, -0.25)]
+four = [(-1.0, -1.5), (0.0, -1.0), (1.0, -1.5), (2.0, 0.0)]
+for probability, points in ((continuum.airy2_probability, two),
+                            (continuum.airy2_probability, four),
+                            (continuum.airy1_probability, four)):
+    seen.clear()
+    got = probability(points)
+    repeats = sum(any(np.array_equal(x, y) or np.array_equal(x, y.T) for y in seen[:k])
+                  for k, x in enumerate(seen))
+    print(got.order, float(got).hex(), repeats, sum(x.size for x in seen))
+"""
+
+
+def test_airy_factors_once_per_order_keep_the_pinned_bits():
+    # the four-point Airy_2 took 693 600 Ai values, 58 % of them repeats
+    lines = [line.split() for line in _one_thread(_AIRY_ONCE)]
+    assert [line[:3] for line in lines] == [
+        ["80", "0x1.d0130a3b9ee95p-1", "0"],
+        ["160", "0x1.892a89a59d9e6p-2", "0"],
+        ["160", "0x1.46aa858f29993p-10", "0"],
+    ]
+    assert int(lines[1][3]) <= 290_400
 
 
 def test_infinite_level_drops_its_point():

@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,24 @@ def test_half_line_down_mirrors_up():
         ku = NystromProblem(lambda x, y: np.exp(-x - y), HalfLineUp(0.0), order=order)
         kd = NystromProblem(lambda x, y: np.exp(x + y), HalfLineDown(0.0), order=order)
         assert nystrom_det(ku).value == nystrom_det(kd).value
+
+
+def test_half_lines_refuse_nan_and_whole_line_ends():
+    # HalfLineUp(nan) and HalfLineUp(-inf) walked every order on NaN and then
+    # raised ConvergenceError, advising a larger tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for end in (math.nan, -math.inf, np.float64(math.nan)):
+            with pytest.raises(ValueError, match=r"\[r, inf\) needs r > -inf"):
+                HalfLineUp(end)
+        for end in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"\(-inf, a\] needs a < inf"):
+                HalfLineDown(end)
+        with pytest.raises(ValueError, match="needs a < inf"):
+            block_extended_det(BlockExtendedProblem(exp_block_kernel, [0.0, math.inf], order=20))
+        # the empty half-lines stay valid, and their determinant is 1
+        assert nystrom_ladder(airy_kernel_matrix(), HalfLineUp(math.inf)).value == 1.0
+        assert nystrom_ladder(lambda x, y: np.exp(x + y), HalfLineDown(-math.inf)).value == 1.0
 
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -258,6 +259,28 @@ def test_state_time_must_be_finite_and_nonnegative(time):
     with warnings.catch_warnings(), pytest.raises(ValueError, match="time must be finite and >= 0"):
         warnings.simplefilter("error")
         ParticleState(np.array([0, -2]), 1, time, 2, complete=False)
+
+
+def test_run_ending_past_2_52_raises_before_any_draw(monkeypatch):
+    # at time 1e20 every draw was lost to rounding (t + w == t), so the first
+    # particle's draw row doubled until memory ran out
+    from kpzlab import simulate
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(simulate, "_keys", no_run)
+    state = ParticleState(np.array([0]), 1, 1e20, 1, complete=True)
+    late = ParticleState(np.array([0]), 1, 2.0**52 - 8, 1, complete=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (evolve, evolve_events):
+            for start, duration in ((state, 1.0), (state, 0.0), (late, 9.0)):
+                msg = r"2\^52 .* " + re.escape(f"got time {start.time!r} + duration {duration!r}")
+                with pytest.raises(ValueError, match=msg):
+                    run(start, duration, 1)
+    monkeypatch.undo()
+    assert evolve(late, 8.0, 1).time == 2.0**52  # ending at 2^52 is allowed
 
 
 def test_determinism_same_seed():

@@ -191,6 +191,33 @@ def test_airy_at_plus_infinity():
     assert ai == 0.0 and aip == -math.inf  # Ai' e^zeta ~ -x^(1/4) / (2 sqrt(pi))
 
 
+def test_airy_paths_agree_to_the_bit():
+    # airy_ai_kernel is _airy on [-30, 30] and 0.0 past it, and an Ai-only
+    # call gives the Ai of a call that also builds Ai', scaled or not
+    edges = [2.0, np.nextafter(2.0, math.inf), 30.0, np.nextafter(30.0, math.inf)]
+    zs = np.concatenate([np.linspace(-30.0, 30.0, 6001), edges, [np.nextafter(-30.0, 0.0)]])
+    inside = zs <= 30.0
+    got = airy_ai_kernel(zs)
+    assert np.array_equal(got[inside], _airy(zs[inside])) and not got[~inside].any()
+    assert np.array_equal(airy_ai_kernel(zs[:6000].reshape(60, 100)), got[:6000].reshape(60, 100))
+    for z in edges + [-30.0, -0.0, 1.5, 17.0]:  # 0-d input
+        want = float(_airy(z)) if z <= 30.0 else 0.0
+        assert airy_ai_kernel(z) == want and airy_ai_kernel(np.float64(z)) == want
+    assert airy_ai_kernel(math.inf) == 0.0 == _airy(math.inf)
+    with pytest.raises(ValueError):
+        airy_ai_kernel(-math.inf)
+    assert airy_ai_kernel(np.zeros(0)).shape == (0,) and _airy(np.zeros((0, 3))).shape == (0, 3)
+    wide = np.concatenate([zs, np.geomspace(30.0, 1e8, 200), [math.inf, -math.inf]])
+    for scaled in (False, True):
+        ai, aip = _airy(wide, scaled=scaled, derivative=True)
+        assert np.array_equal(_airy(wide, scaled=scaled), ai, equal_nan=True)
+        assert np.array_equal(_airy(wide.reshape(-1, 2), scaled=scaled), ai.reshape(-1, 2), equal_nan=True)
+        for z in edges + [-0.0, 1e8]:
+            assert _airy(z, scaled=scaled) == _airy(z, scaled=scaled, derivative=True)[0]
+        empty = _airy(np.zeros(0), scaled=scaled, derivative=True)
+        assert [a.shape for a in empty] == [(0,), (0,)]
+
+
 def test_airy_against_contour_representation():
     # Ai(z) = (1/2 pi i) int over rays at angles +-pi/3 of e^{w^3/3 - z w} dw.
     z = 5.0

@@ -18,7 +18,11 @@ Airy evaluator: scipy's airy up to 2 and one Chebyshev series in 1/zeta
 each for Ai and Ai' above, so that no argument past 2 pays for Bi.
 `s_kernel` takes Ai scaled by e^((2/3) a^(3/2)) and folds that factor into
 its own exponent, so that no overflowing exponential ever meets an
-underflowing Ai.
+underflowing Ai; it evaluates at the scale-free arguments of the 1:2:3
+invariance, refuses those where its exponent's terms cancel past about
+1e-9, and applies the net exponent as a power of 2 and a remainder, so a
+value is 0 or +-inf only outside the double range.  Airy_1's blocks take
+the same parts, `_s_terms`, at t = 1.
 
 The blocks of one ladder order share their Airy factors, and no argument
 array is evaluated twice.  Airy_2's Ai(u + lam), on the lambda rule
@@ -37,7 +41,7 @@ import math
 import numpy as np
 from .fredholm import ORDER_LADDER, Certified, ConvergenceError, HalfLineUp
 from .fredholm import _gauss01, _quadrature_det, _settle
-from .special import _airy
+from .special import _LN2_HI, _LN2_LO, _SPLIT, _airy, _exit
 
 # The ladder stops once two successive orders agree to this.  The orders
 # double and converge geometrically, so the returned value is far closer.
@@ -63,6 +67,8 @@ _MAX_SPACING = 8.0
 # A level past this drops its point: P(A_2(x) > b) ~ e^(-(4/3) b^(3/2)) and
 # P(A_1(x) > b) ~ e^(-(2/3) (2b)^(3/2)) are below 2^-1074 ~ e^(-744) there
 _LEVEL_CUT = 128.0
+# s_kernel's bound on the terms that cancel in its exponent; see there
+_S_TERMS = 2.0**23
 # At levels -1 both processes settle at spacing 0.2 and not at 0.1: closer
 # points have a heat kernel narrower than the ladder resolves
 _NARROW_GAP = 0.15
@@ -71,7 +77,18 @@ _NARROW_GAP = 0.15
 def s_kernel(t: float, x, z) -> np.ndarray:
     """S_{t,x}(z) = t^(-1/3) e^(2x^3/(3t^2) - zx/t) Ai(-t^(-1/3) z + t^(-4/3) x^2)
     for finite t > 0, elementwise over broadcast x and z, whose entries must
-    be finite."""
+    be finite.
+
+    By the 1:2:3 invariance S_{t,x}(z) = t^(-1/3) S_{1,X}(Z) at
+    X = x t^(-2/3) and Z = z t^(-1/3).  The exponent's terms 2X^3/3 and ZX
+    and the scaled Airy factor's zeta cancel down to the net exponent, and
+    at a = X^2 - Z the Airy phase is of size |a|^(3/2), so a ValueError
+    refuses |X|^3 + |ZX| + |a|^(3/2) past _S_TERMS = 2^23, where the
+    rounding of those terms moves the value by more than about 1e-9.  That
+    includes every t small enough that X or Z leaves the double range.
+    Within it a net exponent past _SPLIT is split as k ln 2 + f, with f
+    about in [0, ln 2), and 2^k applied last, so the value is 0 or +-inf
+    only where it lies outside the double range."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"s_kernel needs a finite t > 0, got {t}")
     x = np.asarray(x, dtype=float)
@@ -79,21 +96,33 @@ def s_kernel(t: float, x, z) -> np.ndarray:
     for name, v in (("x", x), ("z", z)):
         if not np.isfinite(v).all():
             raise ValueError(f"s_kernel needs finite {name}, got {v[~np.isfinite(v)][0]}")
-    return _s_kernel(t, x, z)[0]
-
-
-def _s_kernel(t: float, x, z, factor=None):
-    """s_kernel's value for checked arguments, and its Airy factor at
-    a = -t^(-1/3) z + t^(-4/3) x^2: Ai(a) e^zeta and zeta = (2/3)
-    max(a, 0)^(3/2), whose e^(-zeta) joins the exponent.  A caller that
-    knows the factor passes it, and no Ai is evaluated."""
     c = t ** (-1.0 / 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, Z = (c * c) * x, c * z
+        size = np.abs(X) ** 3 + np.abs(Z * X) + np.abs(X * X - Z) ** 1.5
+    if not (size <= _S_TERMS).all():
+        i = tuple(np.argwhere(~(size <= _S_TERMS))[0])
+        raise ValueError(
+            f"s_kernel supports |X|^3 + |ZX| + |X^2 - Z|^(3/2) <= 2^23 at X = x t^(-2/3) and"
+            f" Z = z t^(-1/3), where its exponents cancel to within about 1e-9; got t = {t!r},"
+            f" x = {np.broadcast_to(x, size.shape)[i]}, z = {np.broadcast_to(z, size.shape)[i]}"
+        )
+    ai, net, _ = _s_terms(X, Z)
+    k = np.where(np.abs(net) < _SPLIT, 0.0, np.floor(net / _LN2_HI))
+    return _exit(c * ai * np.exp(net - k * _LN2_HI - k * _LN2_LO), k.astype(np.int64))
+
+
+def _s_terms(x, z, factor=None):
+    """S_{1,x}(z) = Ai(a) e^zeta e^net, in parts: its Airy factor at
+    a = x^2 - z, Ai(a) e^zeta with zeta = (2/3) max(a, 0)^(3/2), the net
+    exponent 2x^3/3 - zx - zeta that takes the e^zeta back, and the factor
+    (Ai(a) e^zeta, zeta).  A caller that knows the factor passes it, and no
+    Ai is evaluated."""
     if factor is None:
-        a = -c * z + (c * c * x) ** 2
+        a = -z + x**2
         factor = _airy(a, scaled=True), 2.0 / 3.0 * np.maximum(a, 0.0) ** 1.5
     ai, zeta = factor
-    exponent = 2.0 * x**3 / (3.0 * t * t) - z * x / t
-    return c * ai * np.exp(exponent - zeta), factor
+    return ai, 2.0 * x**3 / 3.0 - z * x - zeta, factor
 
 
 def airy_kernel(u, v) -> np.ndarray:
@@ -227,9 +256,10 @@ def _airy1_block(gap: float, u, v, bu: float, bv: float, shared: dict):
     # S_{1,gap}(-(u + v)): its Airy factor at (u + v) + gap^2 is the block
     # (v, u)'s at -gap, transposed
     flip = shared.get((bv, bu, abs(gap)))
-    out, shared[bu, bv, abs(gap)] = _s_kernel(
-        1.0, np.asarray(gap), -(u + v), None if flip is None else [f.T for f in flip]
+    ai, net, shared[bu, bv, abs(gap)] = _s_terms(
+        np.asarray(gap), -(u + v), None if flip is None else [f.T for f in flip]
     )
+    out = ai * np.exp(net)
     return out - _heat(gap, u, v) if gap > 0.0 else out
 
 

@@ -40,6 +40,15 @@ numpy's build and the host's instruction set.
 `height` reads the whole window in one `searchsorted` over the sites z - 1,
 which `inverse_label` shares.  X_t^{-1} does not increase in z, so only the
 window's leftmost site can lie past a truncated state's last particle.
+
+The 1:2:3 scaling h^eps(1, x) = eps^(1/2) [h_t(2x/eps) + eps^(-3/2)] at
+t = 2 eps^(-3/2) runs both ways.  `rescale_height` takes a simulated height
+field to h^eps; `height_events` takes events h^eps(1, x) <= r to the
+particle events X_t(n) > a that the exact layer evaluates.  Since
+h_t(z) = -2(X_t^{-1}(z - 1) - X_0^{-1}(-1)) - z, an event reads the anchor
+X_0^{-1}(-1) from the data, and it is the same event for every r in one
+lattice cell of width 2 eps^(1/2); its r_mid, the cell's middle, is where
+a limit law should be compared.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import pdtrc
@@ -479,3 +488,47 @@ def rescale_height(h: HeightField, eps: float, t: float) -> RescaledHeight:
     vals = math.sqrt(eps) * (h.values + eps ** -1.5 * t)
     return RescaledHeight(eps, t, x, vals)
 
+
+class HeightEvent(NamedTuple):
+    """The event h^eps(1, x) <= r as the particle event X_t(n) > a at
+    t = 2 eps^(-3/2): `event` is (n, a), `x` the point's lattice site
+    eps z / 2, and `r_mid` the rescaled height at the middle of the event's
+    cell, every r of which gives the same event."""
+
+    event: tuple[int, int]
+    x: float
+    r_mid: float
+
+
+def height_events(init: InitialData, eps: float, points) -> list[HeightEvent]:
+    """The events h^eps(1, x_i) <= r_i for points (x_i, r_i), sorted by label.
+
+    Each x rounds to the site z = round(2x/eps), and the rescaled level r to
+    the microscopic one h = eps^(-1/2) r - eps^(-3/2).  With the anchor
+    A = X_0^{-1}(-1) of the data, h_t(z) <= h holds exactly when
+    X_t^{-1}(z - 1) >= m for m = ceil(A - (h + z)/2), that is X_t(m - 1) >
+    z - 1.  The largest height in the event is -2(m - A) - z, so its cell
+    is [that, that + 2) and r_mid is its middle, rescaled.  A certain event
+    (m < 2), two points on one label, a non-finite point and an eps outside
+    (0, 1] raise ValueError.
+    """
+    if not 0 < eps <= 1:
+        raise ValueError(f"need 0 < eps <= 1, got {eps!r}")
+    anchor = init.anchor()
+    out = []
+    for x, r in points:
+        if not (math.isfinite(x) and math.isfinite(r)):
+            raise ValueError(f"point ({x!r}, {r!r}) must be finite")
+        z = round(2.0 * x / eps)
+        level = eps**-0.5 * r - eps**-1.5
+        m = math.ceil(anchor - (level + z) / 2.0)
+        if m < 2:
+            raise ValueError(f"h^eps(1, {x!r}) <= {r!r} is certain for this data: nothing to compute")
+        h_lattice = -2 * (m - anchor) - z
+        r_mid = math.sqrt(eps) * (h_lattice + 1.0 + eps**-1.5)
+        out.append(HeightEvent((m - 1, z - 1), 0.5 * eps * z, r_mid))
+    out.sort(key=lambda e: e.event[0])
+    for a, b in zip(out, out[1:]):
+        if a.event[0] == b.event[0]:
+            raise ValueError(f"the points at x = {a.x} and {b.x} both fall on label {a.event[0]}")
+    return out

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -66,6 +67,36 @@ def test_s_kernel_rejects_non_finite_arguments():
                            (0.5, np.array([[0.0], [-math.inf]]), "z"), (1.0, math.nan, "z")):
             with pytest.raises(ValueError, match=f"finite {name}"):
                 s_kernel(1.0, x, z)
+
+
+def _s_mpmath(t, x, z):
+    with mpmath.workdps(50):
+        t, x, z = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(z)
+        c = t ** (-mpmath.mpf(1) / 3)
+        return float(c * mpmath.exp(2 * x**3 / (3 * t * t) - z * x / t) * mpmath.airyai(c**4 * x * x - c * z))
+
+
+def test_s_kernel_in_and_out_of_its_range():
+    # (1e-300, 1, 1) and (1, 1e103, 0) gave NaN, and the two overflows inf,
+    # each with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the exponent's terms cancel past double precision: refused by name
+        for t, x, z in ((1e-300, 1.0, 1.0), (1e-10, 1.0, 1.0), (1.0, 1e103, 0.0), (1.0, 1e10, 1.0)):
+            with pytest.raises(ValueError, match=r"\|X\|\^3 \+ \|ZX\| \+ \|X\^2 - Z\|\^\(3/2\) <= 2\^23"):
+                s_kernel(t, x, z)
+        # values past the double range are +-inf, with Ai(-100)'s sign
+        for x, z in ((-10.0, 200.0), (-30.0, 1000.0)):
+            assert s_kernel(1.0, x, z) == math.copysign(math.inf, airy(-100.0)[0])
+        # e^net past exp's range, whose product with t^(-1/3) Ai is a double
+        c = 1e300 ** (-1.0 / 3.0)
+        for t, xs, zs in ((1e300, -10.0 / c**2, 150.0 / c), (1e-300, 0.0, -120.0 * 1e-100)):
+            want = _s_mpmath(t, xs, zs)
+            assert 1e-300 < abs(want) < 1e300
+            assert float(s_kernel(t, xs, zs)) == pytest.approx(want, rel=1e-9)
+        # near the bound the cancellation costs about 1e-9
+        for t, x, z in ((1.0, 140.0, 1.0), (1e-3, 1.0, 1.0), (1.0, 0.0, 30000.0)):
+            assert float(s_kernel(t, x, z)) == pytest.approx(_s_mpmath(t, x, z), rel=2e-9)
 
 
 def test_airy_kernel_matches_lambda_integral():

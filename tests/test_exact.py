@@ -64,7 +64,7 @@ from kpzlab.exact import (
     schuetz_transition,
 )
 from kpzlab.fredholm import Certified, det_window
-from kpzlab.simulate import make_initial
+from kpzlab.simulate import height_events, make_initial
 from kpzlab.special import _schuetz_F, schuetz_F
 
 STEP = make_initial(kind="step")
@@ -558,7 +558,8 @@ def test_first_passage_one_run_keeps_every_bit():
 # The last bits of a determinant follow the BLAS thread count, which is
 # fixed when the BLAS loads, so the pinned values come from a fresh process
 # at one thread, as the benchmark runs them.  The events are h(0) <= -1 on
-# half-flat data (anchor X_0^(-1)(-1) = 2) at eps = 0.05, 0.02 and 0.01.
+# half-flat data (anchor X_0^(-1)(-1) = 2) at eps = 0.05, 0.02 and 0.01,
+# as simulate.height_events gives them.
 _HALF_FLAT_BITS = """
 from kpzlab.exact import multipoint_probability
 from kpzlab.simulate import make_initial
@@ -571,6 +572,10 @@ for eps, event in ((0.05, (48, -1)), (0.02, (182, -1)), (0.01, (506, -1))):
 def test_half_flat_one_points_to_the_bit():
     # OpenBLAS 0.3.31 at one thread on x86-64
     import kpzlab
+
+    for eps in (0.05, 0.02, 0.01):
+        ((event, _, _),) = height_events(HALF_FLAT, eps, [(0.0, -1.0)])
+        assert f"({eps}, {event})" in _HALF_FLAT_BITS
 
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -1778,21 +1783,27 @@ def test_path_product_matches_extended():
         assert got == pytest.approx(want, rel=1e-9, abs=1e-10)
 
 
+def _step_scaling(eps, points):
+    """t = 2 eps^(-3/2), step data and its events h(x) <= r at the points."""
+    return 2 * eps**-1.5, STEP, [h.event for h in height_events(STEP, eps, points)]
+
+
 # The first two window depths share one kernel build.  The step events are
 # h(0) <= -1 and h(+-1/2) <= -1/2 of the rescaled height at t = 2 eps^(-3/2),
-# as test_scaling.py builds them, at eps = 0.1, 0.01 and 0.005.
+# at eps = 0.1, 0.01 and 0.005.
+ORIGIN, HALVES = [(0.0, -1.0)], [(0.5, -0.5), (-0.5, -0.5)]
 LADDER_CASES = [
-    (multipoint_probability, 2 * 0.1**-1.5, STEP, [(18, -1)]),
-    (multipoint_probability, 2 * 0.1**-1.5, STEP, [(12, 9), (22, -11)]),
-    (multipoint_probability, 2 * 0.01**-1.5, STEP, [(505, -1)]),
-    (multipoint_probability, 2 * 0.01**-1.5, STEP, [(453, 99), (553, -101)]),
+    (multipoint_probability, *_step_scaling(0.1, ORIGIN)),
+    (multipoint_probability, *_step_scaling(0.1, HALVES)),
+    (multipoint_probability, *_step_scaling(0.01, ORIGIN)),
+    (multipoint_probability, *_step_scaling(0.01, HALVES)),
     (multipoint_probability, 0.9, EXPL, [(2, 2), (4, -2)]),
-    (path_integral_probability, 2 * 0.1**-1.5, STEP, [(18, -1)]),
-    (path_integral_probability, 2 * 0.1**-1.5, STEP, [(12, 9), (22, -11)]),
+    (path_integral_probability, *_step_scaling(0.1, ORIGIN)),
+    (path_integral_probability, *_step_scaling(0.1, HALVES)),
     (path_integral_probability, 0.9, EXPL, [(2, 2), (4, -2)]),
-    (path_integral_probability, 2 * 0.01**-1.5, STEP, [(505, -1)]),
-    (path_integral_probability, 2 * 0.005**-1.5, STEP, [(1422, -1)]),
-    (path_integral_probability, 2 * 0.01**-1.5, STEP, [(453, 99), (553, -101)]),
+    (path_integral_probability, *_step_scaling(0.01, ORIGIN)),
+    (path_integral_probability, *_step_scaling(0.005, ORIGIN)),
+    (path_integral_probability, *_step_scaling(0.01, HALVES)),
 ]
 
 
@@ -1921,6 +1932,23 @@ def test_a_rung_right_of_the_particles_is_never_compared(monkeypatch):
     with pytest.raises(TruncationError, match=r"the depths \(48, 96, 192, 384\) miss the particles"):
         multipoint_probability(1000.0, STEP, [(1, 1300)])
     assert len(dets) == len(WINDOW_DEPTHS) and min(dets[:2]) > 0.999
+
+
+def test_a_factor_past_the_double_range_is_named():
+    # step label 1: X_t(1) > a is Poisson(t) > a + 1.  At t = 5000 the
+    # first-passage factor leaves the double range, and every rung was NaN
+    # with a RuntimeWarning from the product, then the ladder advised a
+    # larger tol; kt_kernel gave NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = multipoint_probability(3000.0, STEP, [(1, 2999)])
+        assert got == pytest.approx(pdtrc(3000, 3000), abs=1e-12)
+        for call in (
+            lambda: multipoint_probability(5000.0, STEP, [(1, 4999)]),
+            lambda: kt_kernel(5000.0, STEP, 1, 1, 4999, 4999),
+        ):
+            with pytest.raises(TruncationError, match=r"t = 5000.0 the first-passage factor of label 1 left the double range"):
+                call()
 
 
 # ---- the exact floor of the windows ------------------------------------------

@@ -144,6 +144,23 @@ def test_one_extended_kernel_assembly():
     assert callers == {"_kernel_blocks"}
 
 
+def test_one_height_event_map():
+    # simulate.height_events is the one map from rescaled-height events to
+    # particle events: no other module under src/ or tests/ defines a
+    # height_event function or an ANCHOR constant of its own
+    found = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        if path == ROOT / "src" / "kpzlab" / "simulate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.FunctionDef) and name.startswith("height_event") or (
+                name == "ANCHOR" and isinstance(getattr(node, "ctx", None), ast.Store)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not found, found
+
+
 def test_one_path_to_the_transition_determinant():
     # schuetz_transition is the one caller of _small_det, and schuetz_F's
     # memo is read only by schuetz_F, which checks its arguments, and by

@@ -1,9 +1,12 @@
-"""Step-data TASEP along the 1:2:3 scaling, against the KPZ fixed point.
+"""TASEP along the 1:2:3 scaling, against the KPZ fixed point.
 
 At t = 2 eps^(-3/2) the rescaled height sqrt(eps) (h_t(2x/eps) + eps^(-3/2))
-converges to the Airy_2 process minus x^2, so one-point probabilities
-approach F_GUE at the rate sqrt(eps).  The oracle is the closed-form Airy
-kernel determinant below, built on scipy alone, not the library's kernels.
+of step data converges to the Airy_2 process minus x^2, so one-point
+probabilities approach F_GUE at the rate sqrt(eps).  The oracle is the
+closed-form Airy kernel determinant below, built on scipy alone, not the
+library's kernels.  Half-flat data (particles at 0, -2, -4, ...) is flat on
+(-inf, 0], and left of the origin its one-points approach the flat law
+F_GOE.  Every event comes from simulate.height_events.
 """
 
 import math
@@ -13,10 +16,11 @@ import pytest
 from scipy.special import airy
 
 from kpzlab.exact import multipoint_probability, path_integral_probability
-from kpzlab.simulate import make_initial
+from kpzlab.continuum import airy1_probability
+from kpzlab.simulate import height_events, make_initial
 
 STEP = make_initial("step")
-ANCHOR = 1  # X_0^{-1}(-1) for step data
+HALF_FLAT = make_initial("periodic", d=2)
 
 
 def f_gue(s, m=96, span=16.0):
@@ -34,20 +38,6 @@ def f_gue(s, m=96, span=16.0):
     return float(np.linalg.det(np.eye(m) - sq[:, None] * kernel * sq[None, :]))
 
 
-def height_event(eps, x, r):
-    """The event h(x) <= r of the rescaled height as a (label, threshold)
-    event, and the rescaled height of the middle of its lattice cell.
-
-    With h_t(z) = -2(X_t^{-1}(z-1) - ANCHOR) - z, the event is
-    X_t(m - 1) > z - 1 for m = ceil(ANCHOR - (level + z)/2).
-    """
-    z = round(2.0 * x / eps)
-    level = eps**-0.5 * r - eps**-1.5
-    m = math.ceil(ANCHOR - (level + z) / 2.0)
-    h_lattice = -2 * (m - ANCHOR) - z
-    return (m - 1, z - 1), math.sqrt(eps) * (h_lattice + 1.0 + eps**-1.5)
-
-
 def test_f_gue_oracle_has_converged():
     # more nodes on a longer interval move nothing at the 1e-12 level
     for s in (-3.0, -1.0, 0.5):
@@ -59,13 +49,13 @@ def test_f_gue_oracle_has_converged():
 def test_one_point_approaches_f_gue(eps):
     t = 2.0 * eps**-1.5
     for r in (-2.0, -1.0, 0.0, 1.0):
-        event, r_mid = height_event(eps, 0.0, r)
+        ((event, _, r_mid),) = height_events(STEP, eps, [(0.0, r)])
         p = multipoint_probability(t, STEP, [event])
         assert 0.0 <= p <= 1.0
         assert abs(p - f_gue(r_mid)) <= 0.5 * math.sqrt(eps), (r, p)
 
 
-# h(+-1/2) <= -1/2 at each eps, as height_event builds them
+# h(+-1/2) <= -1/2 at each eps, as height_events builds them
 TWO_POINTS = {
     0.05: [(36, 19), (56, -21)],
     0.03: [(82, 32), (115, -34)],
@@ -78,7 +68,7 @@ TWO_POINTS = {
 @pytest.mark.parametrize("eps", sorted(TWO_POINTS, reverse=True))
 def test_two_point_routes_agree(eps):
     t = 2.0 * eps**-1.5
-    events = sorted(height_event(eps, x, -0.5)[0] for x in (0.5, -0.5))
+    events = [h.event for h in height_events(STEP, eps, [(0.5, -0.5), (-0.5, -0.5)])]
     assert events == TWO_POINTS[eps]
     a = multipoint_probability(t, STEP, events)
     b = path_integral_probability(t, STEP, events)
@@ -87,6 +77,42 @@ def test_two_point_routes_agree(eps):
         assert a == pytest.approx(0.8956800693, abs=1e-9)
     if eps == 0.005:
         # with one event the two routes build the same matrix
-        one = [height_event(eps, 0.0, -1.0)[0]]
+        one = [h.event for h in height_events(STEP, eps, [(0.0, -1.0)])]
         a = multipoint_probability(t, STEP, one)
         assert abs(a - path_integral_probability(t, STEP, one)) <= 1e-9
+
+
+# h(0) <= -1 on half-flat data, whose anchor X_0^(-1)(-1) is 2, not step
+# data's 1: the event and the middle of its lattice cell at each eps
+HALF_FLAT_ORIGIN = {
+    0.1: ((19, -1), -1.068),
+    0.05: ((48, -1), -0.795),
+    0.03: ((101, -1), -1.134),
+    0.02: ((182, -1), -1.053),
+    0.01: ((506, -1), -0.900),
+    0.005: ((1423, -1), -1.030),
+}
+
+
+def test_height_events_read_the_anchor_from_the_data():
+    for eps, (event, r_mid) in HALF_FLAT_ORIGIN.items():
+        ((got, x, mid),) = height_events(HALF_FLAT, eps, [(0.0, -1.0)])
+        assert (got, x) == (event, 0.0)
+        assert mid == pytest.approx(r_mid, abs=5e-4)
+        # the cell is [r_mid - sqrt(eps), r_mid + sqrt(eps)): -1 lies in it,
+        # and every r in it gives the same event
+        assert mid - math.sqrt(eps) <= -1.0 < mid + math.sqrt(eps)
+        for r in (mid - 0.999 * math.sqrt(eps), mid + 0.999 * math.sqrt(eps)):
+            assert height_events(HALF_FLAT, eps, [(0.0, r)])[0].event == event
+
+
+def test_half_flat_one_points_approach_f_goe():
+    # left of the origin half-flat data is flat: h(1, x) = 2^(1/3) A_1, so
+    # P(h <= r) = P(A_1 <= 2^(-1/3) r) = F_GOE(2^(2/3) r), compared at r_mid
+    for eps in (0.05, 0.02, 0.01):
+        t = 2.0 * eps**-1.5
+        for r in (-1.0, 0.0, 1.0):
+            ((event, _, r_mid),) = height_events(HALF_FLAT, eps, [(-2.0, r)])
+            p = multipoint_probability(t, HALF_FLAT, [event])
+            limit = airy1_probability([(0.0, 2.0 ** (-1.0 / 3.0) * r_mid)])
+            assert abs(p - limit) <= 0.75 * math.sqrt(eps), (eps, r, p, limit)

@@ -18,6 +18,7 @@ from kpzlab.simulate import (
     evolve,
     evolve_events,
     height,
+    height_events,
     initial_state,
     inverse_label,
     jump_bound,
@@ -509,26 +510,51 @@ def test_blocked_particle_never_jumps():
 
 
 def test_half_flat_frequency_at_eps_005_matches_exact():
-    # h^eps(1, 0) <= -1 for half-flat data at eps = 0.05, t = 2 eps^(-3/2):
-    # with anchor 2 and level eps^(-1/2)(-1) - eps^(-3/2) this is X_t(48) > -1
+    # h^eps(1, 0) <= -1 for half-flat data at eps = 0.05, t = 2 eps^(-3/2),
+    # as the particle event height_events gives for it: X_t(48) > -1
     eps = 0.05
     t = 2.0 * eps**-1.5
     init = make_initial("periodic", d=2)
-    exact = multipoint_probability(t, init, [(48, -1)])
+    ((event, _, _),) = height_events(init, eps, [(0.0, -1.0)])
+    n, a = event
+    exact = multipoint_probability(t, init, [event])
     assert exact == pytest.approx(0.50708, abs=1e-5)
     seeds = np.random.SeedSequence([7]).generate_state(400, dtype=np.uint64).tolist()
-    start = initial_state(init, n_particles=48)
+    start = initial_state(init, n_particles=n)
     finals = [evolve(start, t, s).positions for s in seeds]
-    freq = sum(pos[47] > -1 for pos in finals) / len(seeds)
+    freq = sum(pos[n - 1] > a for pos in finals) / len(seeds)
     assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / len(seeds))
-    # the light cone of the window [-180, 180] keeps the same trajectories
+    # the light cone of the window [-180, 180] keeps the same trajectories,
+    # and the forward map rescale_height reads the same event off the height
     cone = initial_state(init, z_lo=-180, duration=t)
     assert cone.positions.size == 246
     for s, pos in zip(seeds[:6], finals):
         out = evolve(cone, t, s)
-        assert out.positions[:48].tobytes() == pos.tobytes()
+        assert out.positions[:n].tobytes() == pos.tobytes()
         h = rescale_height(height(out, -180, 180), eps, 1.0)
-        assert (h(0.0) <= -1.0) == (pos[47] > -1)
+        assert (h(0.0) <= -1.0) == (pos[n - 1] > a)
+
+
+def test_height_events_sorts_by_label_and_refuses():
+    step = make_initial("step")
+    # x = 1/2 lies right of x = -1/2, so its particle has the smaller label
+    got = height_events(step, 0.05, [(-0.5, -0.5), (0.5, -0.5)])
+    assert [(h.event, h.x) for h in got] == [((36, 19), 0.5), ((56, -21), -0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (0.0, -0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="0 < eps <= 1"):
+                height_events(step, eps, [(0.0, -1.0)])
+        # a level above the whole initial profile: every label past 1 is
+        # below it, so the event holds for sure
+        with pytest.raises(ValueError, match="certain"):
+            height_events(step, 0.05, [(0.0, 1e6)])
+        # two levels a lattice step apart at one site fall on one label
+        with pytest.raises(ValueError, match="both fall on label 48"):
+            height_events(make_initial("periodic", d=2), 0.05, [(0.0, -1.0), (0.0, -0.9)])
+        for point in ((math.nan, 0.0), (0.0, math.inf), (0.0, -math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                height_events(step, 0.05, [point])
 
 
 # ---------------------------------------------------------------------- height

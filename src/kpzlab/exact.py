@@ -71,8 +71,6 @@ N_MAX_JOINT = 4  # joint one-sided events per determinant
 # of the data, and rows vanish below each label's exact floor, where a
 # window stops short of its depth
 WINDOW_DEPTHS = (48, 96, 192, 384, 768)
-# a kernel factor bounded by 3^this < 2^1015 stays in the double range
-_SAFE_REACH = 640
 
 
 class WindowError(ValueError):
@@ -587,11 +585,10 @@ def _start_floor(base, ns) -> int:
     return min(_entry_int(base, nv) + nv for nv in ns)
 
 
-def _finite(t, label, factor, reach, m):
+def _finite(t, label, factor, m):
     """m, the inverse flow or first-passage factor of label, or
-    TruncationError if an entry left the double range.  Only a factor whose
-    bound 3^reach passes 3^_SAFE_REACH is checked."""
-    if reach > _SAFE_REACH and not np.isfinite(m).all():
+    TruncationError if an entry left the double range."""
+    if not np.isfinite(m).all():
         raise TruncationError(
             f"at t = {t!r} the {factor} of label {label} left the double range, so the"
             " kernel, a product of the two factors, is NaN or inf on every window; a"
@@ -608,28 +605,21 @@ def _kernel_blocks(t, base, rows, cols):
     flow of n_i against the first-passage walk of n_j, less Q^(n_j - n_i)
     if n_i < n_j; each row pair takes one inverse flow and each column
     pair one first-passage transfer.  An entry of a factor past the double
-    range would make its blocks NaN or inf, so a factor that can hold one
-    is checked once, before any product, and raises TruncationError naming
-    t and the label.  The inverse flow of n, 2^n E_p(n) at c = 1/2, is at
-    most 2^n (1 + c)^n = 3^n.  The first-passage factor of n reads rows
-    2^a E_d(a) at a <= z2 - entry(n) - 1, at most 3^a for a >= 0 and 1 for
-    a < 0, and walk averages of them, which are no larger; so on sites up
-    to z2 it is at most 3^(z2 - entry(n) - 1).  Below 3^_SAFE_REACH neither
-    needs the check."""
+    range would make its blocks NaN or inf, so each factor is checked once,
+    before any product, and raises TruncationError naming t and the label."""
     pairs = [*rows, *cols]
     y_lo = _start_floor(base, [nv for nv, _ in pairs])
     y_hi = max((int(g[-1]) + nv for nv, g in pairs if len(g)), default=y_lo - 1)
     y_lo = min(y_lo, y_hi + 1)
     ys = np.arange(y_lo, y_hi + 1)
     lefts = [
-        _finite(t, ni, "inverse flow", ni, _transfer_inverse_matrix(t, ni, ys, gi))
+        _finite(t, ni, "inverse flow", _transfer_inverse_matrix(t, ni, ys, gi))
         for ni, gi in rows
     ]
-    rights = []
-    for nj, gj in cols:
-        reach = int(gj[-1]) - _entry_int(base, nj) - 1 if len(gj) else 0
-        right = epi_transfer_matrix(base, t, nj, y_lo, y_hi, gj)
-        rights.append(_finite(t, nj, "first-passage factor", reach, right))
+    rights = [
+        _finite(t, nj, "first-passage factor", epi_transfer_matrix(base, t, nj, y_lo, y_hi, gj))
+        for nj, gj in cols
+    ]
 
     def block(ni, gi, left, nj, gj, right):
         blk = left.T @ right

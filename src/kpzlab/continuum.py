@@ -91,6 +91,7 @@ def s_kernel(t: float, x, z) -> np.ndarray:
     only where it lies outside the double range."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"s_kernel needs a finite t > 0, got {t}")
+    t = float(t)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     for name, v in (("x", x), ("z", z)):

@@ -60,6 +60,7 @@ from .special import (
     _check_time,
     _exit,
     _integer,
+    _integers,
     _poisson_charlier,
     _schuetz_F,
 )
@@ -147,17 +148,11 @@ def epi_transfer_matrix(
     half-flat data at t = 50, n = 60, (y, z2) = (0, -10) the walk average
     is 3.76e-6, and this gives about -1e6 from terms up to 6e21.
     """
-    _check_time(t)
+    t = _check_time(t)
     n, y_lo, y_hi = _integer(n, "n"), _integer(y_lo, "y_lo"), _integer(y_hi, "y_hi")
     if n < 1:
         raise ValueError("depth must be at least 1")
-    z2s = np.asarray(z2s)
-    if z2s.dtype.kind not in "iu":  # int() would truncate a fractional target
-        z2s = z2s.astype(float)
-        bad = ~(np.isfinite(z2s) & (z2s == np.trunc(z2s)))
-        if bad.any():
-            raise ValueError(f"each target z2 must be an integer, got {float(z2s[bad][0])!r}")
-    z2s = z2s.astype(int, copy=False)
+    z2s = _integers(z2s, "each target z2")
     floor = _entry_int(init, n) + n
     steps, top = [], y_hi + 1  # (top, cut): step m stops cut..top
     for m in range(n):
@@ -238,8 +233,7 @@ def schuetz_transition(x, y, t: float) -> float:
     if not 1 <= n <= N_MAX_DET:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
     if type(t) is not float or not 0.0 <= t <= _SCHUETZ_T_MAX:
-        _check_schuetz_time(t)
-        t = float(t)
+        t = _check_schuetz_time(t)
     F = _schuetz_F
     # entry (i, j) from 0 is F_(i-j)(x_(N-i) - y_(N-j))
     if n == 1:
@@ -341,7 +335,7 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
     The left edge of the array is pinned to x; free entries range over
     [min(x,y) - pad, max(x,y) + pad].
     """
-    _check_time(t)
+    t = _check_time(t)
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
@@ -473,7 +467,7 @@ def kt_kernel(
     Labels and sites must be integers.  An infinite prefix of the data is
     removed by relabeling; both particle labels must point past it.
     """
-    _check_time(t)
+    t = _check_time(t)
     base, shift = _strip_leading_inf(init)
     ni, nj = _integer(n_i, "n_i") - shift, _integer(n_j, "n_j") - shift
     if min(ni, nj) < 1:
@@ -498,7 +492,7 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
     z2 - z1 rides in the second run and a positive one is applied after the
     dot product, so neither overflows the sum before 2^(z2-z1) applies.
     """
-    _check_time(t)
+    t = _check_time(t)
     n_i, n_j = _integer(n_i, "n_i"), _integer(n_j, "n_j")
     z1, z2 = _integer(z1, "z1"), _integer(z2, "z2")
     if min(n_i, n_j) < 1:
@@ -635,7 +629,7 @@ def _joint_probability(t, init, events, tol, window) -> Certified:
     """The window ladder of both routes, by the rule multipoint_probability
     states; window(t, base, ns, tops, y_lo, low, depth) gives the matrix and
     the site of each row on the rung of that depth."""
-    _check_time(t)
+    t = _check_time(t)
     kept, base, ns, tops = _joint_events(init, events)
     if not kept:
         return Certified(1.0)
@@ -786,7 +780,7 @@ def bfps_l_verify(
     Raises WindowError, naming a window that works, unless the window
     covers the sampled sites [entry(2) - 6, entry(1) + 10].
     """
-    _check_time(t)
+    t = _check_time(t)
     trials = _integer(trials, "trials")
     if init.n_finite != 2 or _leading_inf(init):
         raise ValueError("this check is specific to two finite particles")

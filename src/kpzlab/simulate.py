@@ -37,6 +37,21 @@ recursion over the table stays in Python, and so does the logarithm: it is
 last bit on about 0.35 % of draws, so that trajectories would change with
 numpy's build and the host's instruction set.
 
+Each particle's recursion runs in two phases, so that a draw costs only its
+own arithmetic.  With g free sites ahead of it at the start, its first g
+draws never read the leader (all of them, when nothing is ahead); after
+that, each draw pairs with the next jump of the leader's list, until that
+list or the clock runs out.  A particle blocked by a leader that never
+moved takes no draw.
+
+The states and height fields the simulator builds skip their classes'
+checks: `initial_state`'s start, the end state of `evolve` and
+`evolve_events`, and `height`'s field.  What those checks test holds by
+construction there (exclusion keeps positions strictly decreasing, and a
+height steps by +-1 from one site to the next), and the other fields come
+from data or a state that was checked.  A state built from caller input
+goes through every check.
+
 `height` reads the whole window in one `searchsorted` over the sites z - 1,
 which `inverse_label` shares.  X_t^{-1} does not increase in z, so only the
 window's leftmost site can lie past a truncated state's last particle.
@@ -62,7 +77,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import pdtrc
 
-from .special import _integer
+from .special import _integer, _integers
 
 # The last-passage recursion is the one simulator path and needs no compiler;
 # the flag stays because the benchmark records it with its results.
@@ -212,7 +227,11 @@ class InitialData:
 
 @dataclass
 class ParticleState:
-    """Ordered particle configuration at a fixed time."""
+    """Ordered particle configuration at a fixed time.
+
+    Positions must be integral and strictly decreasing, and are kept as
+    int64; `first_label` must be an integer >= 1 and `anchor0` an integer;
+    the time must be finite and >= 0, and is kept as a Python float."""
 
     positions: np.ndarray  # strictly decreasing, int64
     first_label: int
@@ -221,17 +240,36 @@ class ParticleState:
     complete: bool  # True if this is the whole family, not a truncation
 
     def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=np.int64)
+        self.positions = _integers(self.positions, "each position")
         if self.positions.ndim != 1 or self.positions.size == 0:
             raise ValueError("need at least one particle")
         if (self.positions[1:] >= self.positions[:-1]).any():
             raise ValueError("positions must be strictly decreasing")
+        first = _integer(self.first_label, "first_label")
+        if first < 1:
+            raise ValueError(f"first_label must be an integer >= 1, got {self.first_label!r}")
+        self.first_label = first
+        self.anchor0 = _integer(self.anchor0, "anchor0")
         if not (math.isfinite(self.time) and self.time >= 0):
             raise ValueError(f"time must be finite and >= 0, got {self.time!r}")
+        self.time = float(self.time)
 
     @property
     def labels(self) -> np.ndarray:
         return self.first_label + np.arange(self.positions.size)
+
+
+def _particle_state(positions, first_label, time, anchor0, complete) -> ParticleState:
+    """A ParticleState that skips __post_init__: the simulator's own states,
+    whose int64 positions strictly decrease by construction and whose other
+    fields are a Python-float time and fields of a checked state or data."""
+    state = object.__new__(ParticleState)
+    state.positions = positions
+    state.first_label = first_label
+    state.time = time
+    state.anchor0 = anchor0
+    state.complete = complete
+    return state
 
 
 @dataclass
@@ -246,10 +284,21 @@ class HeightField:
         self.values = np.asarray(self.values, dtype=np.int64)
         if not (np.abs(self.values[1:] - self.values[:-1]) == 1).all():
             raise ValueError("height increments must be +-1")
+        self.time = float(self.time)
 
     @property
     def z(self) -> np.ndarray:
         return self.anchor + np.arange(self.values.size)
+
+
+def _height_field(anchor, values, time) -> HeightField:
+    """A HeightField that skips __post_init__: `height`'s, whose int64
+    values step by +-1 by construction, at a checked state's time."""
+    field = object.__new__(HeightField)
+    field.anchor = anchor
+    field.values = values
+    field.time = time
+    return field
 
 
 def make_initial(kind: str, *, d: int | None = None, entries: Sequence | None = None) -> InitialData:
@@ -268,7 +317,8 @@ def jump_bound(duration: float) -> int:
     sites are no longer exact doubles.  The last 256 durations are
     memoised.
     """
-    if not 0 <= duration <= _MAX_DURATION:
+    # converted before the comparison, where float16 would cast 2^52 to inf
+    if not (math.isfinite(duration) and 0 <= float(duration) <= _MAX_DURATION):
         raise ValueError(
             f"duration must be finite, >= 0 and at most 2^52 = {_MAX_DURATION:.0f}, got {duration!r}"
         )
@@ -323,17 +373,19 @@ def initial_state(
         if any(math.isinf(e) for e in init.entries):
             raise ValueError("cannot simulate data with +inf entries")
         pos = np.array(init.entries, dtype=np.int64)
-        return ParticleState(pos, 1, 0.0, init.anchor(), complete=True)
+        return _particle_state(pos, 1, 0.0, init.anchor(), True)
     if n_particles is None:
         if z_lo is None or duration is None:
             raise ValueError("need n_particles or (z_lo, duration)")
         n_particles = particles_needed(init, z_lo, duration)
     n_particles = _integer(n_particles, "n_particles")
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
     if init.kind == "step":
-        pos = np.arange(-1, -n_particles - 1, -1)
+        pos = np.arange(-1, -n_particles - 1, -1, dtype=np.int64)
     else:
-        pos = np.arange(0, -init.d * n_particles, -init.d)
-    return ParticleState(pos, 1, 0.0, init.anchor(), complete=False)
+        pos = np.arange(0, -init.d * n_particles, -init.d, dtype=np.int64)
+    return _particle_state(pos, 1, 0.0, init.anchor(), False)
 
 
 def evolve(state: ParticleState, duration: float, seed: int) -> ParticleState:
@@ -369,6 +421,11 @@ def _last_passage(state, duration, seed):
     number of free sites ahead of particle i at t0, and the leader's term t0
     while its index is not positive.  The recursion stops at the first jump
     past t0 + duration, or at a jump whose leader term never happens by then.
+    It runs in two phases: draws k < g, where the leader is never read
+    (every draw, for the first particle), then one draw per jump in the
+    leader's list, which ends the particle when it runs out.  The end state
+    is built without ParticleState's check, which the recursion satisfies:
+    no particle passes the one ahead, and the positions are int64.
     w[i,k] = -log(1 - u[i,k]) is the k-th draw of the particle's stream: u
     is read from the draw table, 1 + ceil(duration + sqrt(duration)) columns
     wide, whose rows double when a particle needs more draws, and the log is
@@ -379,6 +436,7 @@ def _last_passage(state, duration, seed):
     """
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
+    duration = float(duration)
     t0 = state.time
     t_end = t0 + duration
     if t_end > _MAX_DURATION:
@@ -387,34 +445,45 @@ def _last_passage(state, duration, seed):
             f" away; got time {t0!r} + duration {duration!r}"
         )
     keys = _keys(seed, _label_range_mix(state.first_label, state.positions.size))
-    rows = _uniforms(keys, 0, 1 + math.ceil(duration + math.sqrt(duration))).tolist()
+    block = 1 + math.ceil(duration + math.sqrt(duration))
+    rows = _uniforms(keys, 0, block).tolist()
     log = math.log
     jumps = []
     lead, ahead = None, None  # jump times and start of the particle ahead
     for i, x in enumerate(state.positions.tolist()):
         row = rows[i]
-        free = -1 if lead is None else ahead - x - 1  # -1: nothing ahead
+        width = block  # len(row), kept as an int
         own = []
         t = t0
-        k = 0  # draws taken; equal to len(own) at the top of the loop
-        while True:
-            if 0 <= free <= k:
-                if k - free == len(lead):
-                    break
-                freed = lead[k - free]
-                if freed > t:
-                    t = freed
-            if k == len(row):  # out of draws: double the row
+        k = 0  # draws taken; equal to len(own) at the top of each loop
+        # first phase: the draws before the leader's term applies, every
+        # draw for the particle with no leader
+        free = math.inf if lead is None else ahead - x - 1
+        while k < free:
+            if k == width:  # out of draws: double the row
                 row += _uniforms(keys[i : i + 1], k, k).tolist()[0]
+                width += k
             t = t - log(1.0 - row[k])
             if t > t_end:
                 break
             own.append(t)
             k += 1
+        else:  # second phase: one draw per leader jump, until the list runs out
+            for freed in lead:
+                if freed > t:
+                    t = freed
+                if k == width:
+                    row += _uniforms(keys[i : i + 1], k, k).tolist()[0]
+                    width += k
+                t = t - log(1.0 - row[k])
+                if t > t_end:
+                    break
+                own.append(t)
+                k += 1
         jumps.append(own)
         lead, ahead = own, x
     positions = state.positions + np.fromiter(map(len, jumps), np.int64, len(jumps))
-    new_state = ParticleState(positions, state.first_label, t_end, state.anchor0, state.complete)
+    new_state = _particle_state(positions, state.first_label, t_end, state.anchor0, state.complete)
     return new_state, jumps
 
 
@@ -453,7 +522,7 @@ def height(state: ParticleState, z_lo: int, z_hi: int) -> HeightField:
     idx = _label_index(state, z_lo - 1, neg)
     # -2(first_label + idx - anchor0) - z, with -z = neg - 1
     vals = neg + (2 * (state.anchor0 - state.first_label) - 1) - 2 * idx
-    return HeightField(z_lo, vals, state.time)
+    return _height_field(z_lo, vals, state.time)
 
 
 @dataclass
@@ -479,6 +548,7 @@ def rescale_height(h: HeightField, eps: float, t: float) -> RescaledHeight:
     """h^eps(t,x) = eps^{1/2} [h_{2 eps^{-3/2} t}(2 eps^{-1} x) + eps^{-3/2} t]."""
     if not 0 < eps <= 1:
         raise ValueError("need 0 < eps <= 1")
+    eps, t = float(eps), float(t)
     t_micro = 2.0 * eps ** -1.5 * t
     if not math.isclose(h.time, t_micro, rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError(

@@ -272,9 +272,12 @@ def _charlier_term(p, k: int, t: float):
     return out
 
 
-def _check_time(t: float) -> None:
+def _check_time(t: float) -> float:
+    """t as a Python float, which must be finite and nonnegative: a NumPy
+    float32 time would carry single precision into the arithmetic."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    return float(t)
 
 
 def _integer(v, name: str) -> int:
@@ -287,6 +290,18 @@ def _integer(v, name: str) -> int:
     if not float(v).is_integer():
         raise ValueError(f"{name} must be an integer, got {v!r}")
     return int(v)
+
+
+def _integers(v, name: str) -> np.ndarray:
+    """v as an int64 array of lattice sites.  Raises ValueError for an
+    entry that is not integral, which the cast would truncate."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "iu":
+        as_float = v.astype(float)
+        bad = ~(np.isfinite(as_float) & (as_float == np.trunc(as_float)))
+        if bad.any():
+            raise ValueError(f"{name} must be an integer, got {float(as_float[bad][0])!r}")
+    return v.astype(np.int64, copy=False)
 
 
 def schuetz_F(n: int, x: int, t: float) -> float:
@@ -311,14 +326,16 @@ def schuetz_F(n: int, x: int, t: float) -> float:
     and the Poisson weight of F_(n <= 0) near its mode keeps the t log t
     ulps of its cancelling logarithms, 5e-11 relative (2e-7 at t = 1e8).
     """
-    _check_schuetz_time(t)
-    return _schuetz_F(_integer(n, "n"), _integer(x, "x"), float(t))
+    t = _check_schuetz_time(t)
+    return _schuetz_F(_integer(n, "n"), _integer(x, "x"), t)
 
 
-def _check_schuetz_time(t: float) -> None:
-    _check_time(t)
-    if t > _SCHUETZ_T_MAX:
+def _check_schuetz_time(t: float) -> float:
+    """_check_time, and t at most _SCHUETZ_T_MAX."""
+    as_float = _check_time(t)
+    if as_float > _SCHUETZ_T_MAX:
         raise ValueError(f"the Schuetz weights take t <= 2^16 = 65536, to 1e-10 relative; got {t!r}")
+    return as_float
 
 
 @functools.lru_cache(maxsize=_SCHUETZ_MEMO)

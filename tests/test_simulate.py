@@ -393,6 +393,10 @@ def _reference_cases():
     # label 2 jumps 9 times by t = 4 right behind label 1, so its row runs
     # past the table's first block while the leader term is in force
     yield "follower", step, 4.0, 828
+    # label 2 starts 59 free sites behind label 1 and jumps 55 times by
+    # t = 40, so its row runs past the first block before the leader's term
+    # applies
+    yield "distant", initial_state(make_initial("explicit", entries=(0, -60))), 40.0, 11
 
 
 def test_last_passage_matches_scalar_reference():
@@ -400,13 +404,15 @@ def test_last_passage_matches_scalar_reference():
     # math.log changes about 0.35 % of draws, so over 10^4 draws it fails
     total = 0
     longest = 0
-    follower = 0
+    follower = distant = 0
     for case, state, duration, seed in _reference_cases():
         want_pos, want_jumps, draws = _last_passage_ref(state, duration, seed)
         total += draws
         longest = max(longest, max(len(own) for own in want_jumps))
         if case == "follower":
             follower = len(want_jumps[1])
+        if case == "distant":
+            distant = len(want_jumps[1])
         out, events = evolve_events(state, duration, seed)
         assert np.array_equal(out.positions, want_pos), (case, seed)
         assert out.time == state.time + duration
@@ -414,9 +420,11 @@ def test_last_passage_matches_scalar_reference():
             got = events["time"][events["label"] == state.first_label + i]
             assert got.tobytes() == np.array(own, dtype=np.float64).tobytes(), (case, seed, i)
     # some row outgrew the first block of the table, 1 + ceil(t + sqrt(t))
-    # draws wide: the lone particle's at t = 60, and a follower's at t = 4
+    # draws wide: the lone particle's at t = 60, a follower's at t = 4, and
+    # at t = 40 a follower's before its 59 free sites ran out
     assert longest >= 1 + math.ceil(60 + math.sqrt(60))
     assert follower > 1 + math.ceil(4 + math.sqrt(4))
+    assert 1 + math.ceil(40 + math.sqrt(40)) < distant < 59
     assert total >= 10_000
 
 
@@ -462,26 +470,47 @@ def test_large_seeds_raise_no_warning(seed):
         _stream_keys(seed, 3)
 
 
+def _simulated_starts():
+    """Start states that initial_state builds, a later one that evolve
+    builds, and the duration to run each for."""
+    step = initial_state(make_initial("step"), n_particles=30)
+    yield step, 5.0
+    yield initial_state(make_initial("periodic", d=2), z_lo=-10, duration=4.0), 4.0
+    # an integral float gap still builds int64 positions
+    yield initial_state(make_initial("periodic", d=3.0), n_particles=20), 6.0
+    yield initial_state(make_initial("explicit", entries=(6, 3, 2.0, 0, -4, -5, -9))), 3.0
+    yield evolve(step, 1.5, 7), 2.5
+
+
+def _assert_simulated(state, time):
+    # the simulator's states skip ParticleState's check, so hold them to it
+    assert state.positions.dtype == np.int64 and np.all(np.diff(state.positions) < 0)
+    assert type(state.time) is float and state.time == time
+    assert type(state.first_label) is int and state.first_label >= 1
+
+
 def test_exclusion_and_order_preserved():
-    state = initial_state(make_initial("step"), n_particles=30)
-    out, events = evolve_events(state, 5.0, seed=42)
-    assert np.all(np.diff(out.positions) < 0)
-    assert out.time == 5.0
-    # replay: every jump targets an empty site and advances by exactly 1
-    pos = {int(lab): int(x) for lab, x in zip(state.labels, state.positions)}
-    occupied = set(pos.values())
-    last_t = 0.0
-    for t, lab, x in events:
-        t, lab, x = float(t), int(lab), int(x)
-        assert t >= last_t
-        last_t = t
-        assert x == pos[lab] + 1
-        assert x not in occupied
-        occupied.discard(pos[lab])
-        occupied.add(x)
-        pos[lab] = x
-    final = {int(lab): int(x) for lab, x in zip(out.labels, out.positions)}
-    assert pos == final
+    for state, duration in _simulated_starts():
+        _assert_simulated(state, state.time)
+        for seed in range(20):
+            out, events = evolve_events(state, duration, seed)
+            _assert_simulated(out, state.time + duration)
+            _assert_simulated(evolve(state, duration, seed), state.time + duration)
+            # replay: every jump targets an empty site and advances by exactly 1
+            pos = {int(lab): int(x) for lab, x in zip(state.labels, state.positions)}
+            occupied = set(pos.values())
+            last_t = state.time
+            for t, lab, x in events:
+                t, lab, x = float(t), int(lab), int(x)
+                assert t >= last_t
+                last_t = t
+                assert x == pos[lab] + 1
+                assert x not in occupied
+                occupied.discard(pos[lab])
+                occupied.add(x)
+                pos[lab] = x
+            final = {int(lab): int(x) for lab, x in zip(out.labels, out.positions)}
+            assert pos == final
 
 
 def test_single_particle_mean_jump_count():
@@ -608,10 +637,11 @@ def test_height_decreases_under_flow():
 
 def _height_cases():
     step = initial_state(make_initial("step"), n_particles=40)
+    half = initial_state(make_initial("periodic", d=2), n_particles=30)
     flat = initial_state(make_initial("periodic", d=3), n_particles=30)
     full = initial_state(make_initial("explicit", entries=(6, 3, 2, 0, -4, -5, -9)))
-    for seed in range(8):
-        for start in (step, flat, full):
+    for seed in range(20):
+        for start in (step, half, flat, full):
             yield evolve(start, 0.5 + 0.7 * seed, seed)
         mid = evolve(step, 1.0, seed)
         yield ParticleState(mid.positions[3:], 4, mid.time, mid.anchor0, complete=False)
@@ -622,6 +652,9 @@ def test_height_matches_per_site_inverse_label():
         pos = state.positions
         lo = pos[-1] - 6 if state.complete else pos[-1] + 1
         h = height(state, lo, pos[0] + 6)
+        # height's fields skip HeightField's check, so hold them to it
+        assert h.values.dtype == np.int64 and np.all(np.abs(np.diff(h.values)) == 1)
+        assert type(h.time) is float and h.time == state.time
         want = [
             -2 * (inverse_label(state, z - 1) - state.anchor0) - z for z in range(lo, pos[0] + 7)
         ]
@@ -643,6 +676,28 @@ def test_height_rejects_fractional_or_nan_window_ends():
             warnings.simplefilter("error")
             height(state, lo, hi)
     assert height(state, -20.0, 20.0).values.tolist() == height(state, -20, 20).values.tolist()
+
+
+def test_particle_state_refuses_what_the_package_refuses():
+    # positions [3.7, 1.2] were cut to [3, 1]; a first label of 0 or -5
+    # wrapped the stream keys, and one of 1.5 gave labels [1.5, 2.5]
+    bad = (
+        (([3.7, 1.2], 1, 0.0, 1), "each position must be an integer, got 3.7"),
+        (([3, math.nan], 1, 0.0, 1), "each position must be an integer, got nan"),
+        (([3, 1], 0, 0.0, 1), "first_label must be an integer >= 1, got 0"),
+        (([3, 1], -5, 0.0, 1), "first_label must be an integer >= 1, got -5"),
+        (([3, 1], 1.5, 0.0, 1), "first_label must be an integer, got 1.5"),
+        (([3, 1], 1, 0.0, 2.5), "anchor0 must be an integer, got 2.5"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (positions, first, time, anchor), msg in bad:
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                ParticleState(np.array(positions), first, time, anchor, False)
+        # integral floats are kept as int64 positions and Python ints
+        state = ParticleState(np.array([3.0, 1.0]), 2.0, np.float32(0.5), 1.0, False)
+    assert state.positions.dtype == np.int64 and state.positions.tolist() == [3, 1]
+    assert (type(state.first_label), type(state.anchor0), type(state.time)) == (int, int, float)
 
 
 def test_height_field_validates_increments():

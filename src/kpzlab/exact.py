@@ -48,7 +48,7 @@ import operator
 import numpy as np
 from scipy.special import pdtrc
 
-from .dpp import LEnsembleSpec, conditional_l_to_k
+from .dpp import conditional_l_to_k
 from .fredholm import Certified, _settle, det_window
 from .fredholm import ConvergenceError as TruncationError  # the window depths ran out
 from .simulate import InitialData, jump_bound, make_initial
@@ -766,50 +766,53 @@ def bfps_l_verify(
 ) -> dict:
     """Cross-check the kernel against the block two-level ensemble.
 
-    Builds the block interaction matrix on virtual labels {1, 2} plus two
-    site levels over the window, converts it to a correlation kernel
-    through the conditional-ensemble inversion, and compares the level-1
-    diagonal block against the first-passage kernel (after unconjugating).
-    Ensemble minors are compared with the two-level determinant weights up
-    to one global sign on 200 random draws of (z11, z21, z22), each drawn by
-    its own rng call and placed in the space by arithmetic, and the
-    interlacing indicator identity is exercised on `trials` random arrays.
-    The indicators of the draws and those of the arrays are one
-    gt_indicators batch each, and the kernel's inversion is dpp's sparse
-    Gauss-Jordan elimination.  Returns a dict of deviation diagnostics.
-    Raises WindowError, naming a window that works, unless the window
-    covers the sampled sites [entry(2) - 6, entry(1) + 10].
+    Builds the block interaction matrix L on index rows, virtual labels
+    {1, 2} and then two site levels over the window, converts it with
+    dpp.conditional_l_to_k conditioned on the site rows, and compares the
+    level-1 diagonal block against the first-passage kernel (after
+    unconjugating).  Ensemble minors are compared with the two-level
+    determinant weights up to one global sign on 200 random draws of
+    (z11, z21, z22), each drawn by its own rng call and placed in L by
+    arithmetic, and the interlacing indicator identity is exercised on
+    `trials` random arrays, one gt_indicators batch each.  Returns a dict
+    of deviation diagnostics.  Raises WindowError, naming a window that
+    works, unless the window covers the sampled sites [entry(2) - 6,
+    entry(1) + 10]; naming t and the window if 1_Z + L is singular; and
+    naming t if no sampled weight exceeds round-off, a check of nothing.
     """
     t = _check_time(t)
     trials = _integer(trials, "trials")
     if init.n_finite != 2 or _leading_inf(init):
         raise ValueError("this check is specific to two finite particles")
     lo, hi = (_integer(w, "each window end") for w in window)
-    e1 = _entry_int(init, 1)
-    e2 = _entry_int(init, 2)
+    e1, e2 = _entry_int(init, 1), _entry_int(init, 2)
     span_lo, span_hi = e2 - 6, e1 + 10
     if lo > span_lo or hi < span_hi:
         raise WindowError(
             f"window [{lo}, {hi}] must cover the checked sites [{span_lo}, {span_hi}]; "
             f"try [{min(lo, span_lo)}, {max(hi, span_hi)}]"
         )
-    sites = list(range(lo, hi + 1))
+    sites = np.arange(lo, hi + 1)
     width = len(sites)
-    space = [("label", 1), ("label", 2)]
-    space += [(1, z) for z in sites] + [(2, z) for z in sites]
-    L = np.zeros((len(space), len(space)))
+    # rows: labels 1 and 2, then level 1's site z at 2 + z - lo, level 2's at 2 + width + z - lo
+    L = np.zeros((2 + 2 * width, 2 + 2 * width))
     L[0, 2 : 2 + width] = 1.0  # virtual row j feeds level j with unit weight
     L[1, 2 + width :] = 1.0
     L[2 : 2 + width, 2 + width :] = -np.tri(width, k=-1)  # -1 where level 1 is right of level 2
     for j, e in ((1, e1), (2, e2)):
         # level 2's unconjugated row function psi(2, 2 - j) attached to entry j
-        L[2 + width :, j - 1] = _charlier_term(np.array(sites) - e + 2 - j, 2 - j, t)
-    spec = LEnsembleSpec(space, L, conditioning_subset=space[2:])
-    dpp = conditional_l_to_k(spec)
+        L[2 + width :, j - 1] = _charlier_term(sites - e + 2 - j, 2 - j, t)
+    try:
+        kernel = conditional_l_to_k(L, np.arange(len(L)) >= 2)
+    except ValueError as err:
+        raise WindowError(
+            f"the two-level ensemble at t = {t} on window [{lo}, {hi}]: {err}; "
+            "try a window reaching further right or a smaller t"
+        ) from None
 
     grid = np.arange(max(e2 - 12, lo + 8), min(e1 + 12, hi - 8) + 1)
-    at = [dpp.index[(1, x)] for x in grid.tolist()]
-    got = dpp.kernel[np.ix_(at, at)]
+    at = grid - lo  # level 1's rows of the kernel, which drops the virtual labels
+    got = kernel[np.ix_(at, at)]
     want = _kernel_blocks(t, init, [(1, grid)], [(1, grid)])
     want = np.ldexp(want, grid[:, None] - grid[None, :])
     max_dev = float(np.abs(got - want).max())
@@ -820,7 +823,7 @@ def bfps_l_verify(
     draws = [rng.integers(span_lo, span_hi + 1, size=3).tolist() for _ in range(200)]
     draws = [(z11, *sorted((z21, z22))) for z11, z21, z22 in draws if z21 != z22]
     interlaced = gt_indicators([[(z11,), (z21, z22)] for z11, z21, z22 in draws])
-    # the positions of the labels, (1, z11), (2, z21) and (2, z22) in space
+    # the rows of the labels, (1, z11), (2, z21) and (2, z22) in L
     idx = np.array([(0, 1, 2 + z11 - lo, 2 + width + z21 - lo, 2 + width + z22 - lo)
                     for z11, z21, z22 in draws])
     minor = np.linalg.det(L[idx[:, :, None], idx[:, None, :]])
@@ -828,8 +831,13 @@ def bfps_l_verify(
     weight = np.where(interlaced, np.linalg.det(L[idx[:, 3:], :2]), 0.0)
     # one global sign, read off the first weight that is not round-off
     big = np.flatnonzero(abs(weight) > 1e-12)
-    k = big[0] if len(big) else len(weight)
-    sign = math.copysign(1.0, minor[k] * weight[k]) if len(big) else 0.0
+    if not len(big):
+        raise WindowError(
+            f"no sampled weight of the two-level ensemble at t = {t} exceeds round-off on the sites "
+            f"[{span_lo}, {span_hi}], so the weight identity would compare nothing; try a smaller t"
+        )
+    k = big[0]
+    sign = math.copysign(1.0, minor[k] * weight[k])
     ref = np.where(np.arange(len(weight)) < k, 1.0, sign)  # the draws before it compare unsigned
     max_weight_dev = float(np.abs(minor - ref * weight).max(initial=0.0))
 

@@ -584,11 +584,13 @@ def height_events(init: InitialData, eps: float, points) -> list[HeightEvent]:
     """
     if not 0 < eps <= 1:
         raise ValueError(f"need 0 < eps <= 1, got {eps!r}")
+    eps = float(eps)  # a NumPy float16 eps would run the map in half precision
     anchor = init.anchor()
     out = []
     for x, r in points:
         if not (math.isfinite(x) and math.isfinite(r)):
             raise ValueError(f"point ({x!r}, {r!r}) must be finite")
+        x, r = float(x), float(r)
         z = round(2.0 * x / eps)
         level = eps**-0.5 * r - eps**-1.5
         m = math.ceil(anchor - (level + z) / 2.0)

@@ -103,7 +103,7 @@ def psi_residue(
     contour, which then excludes the pole at w = 1; the same E_p(k) is then
     a positive series against the binomial tail of (1-w)^k.
     """
-    _check_time(t)
+    t = _check_time(t)
     n, k, x = _integer(n, "n"), _integer(k, "k"), _integer(x, "x")
     if k >= n:
         raise ValueError("need k < n")
@@ -115,14 +115,14 @@ def psi_residue(
 def transfer_inverse(t: float, n: int, z1: int, z2: int) -> float:
     """Adjoint of the backward half-heat flow composed with n inverse walk
     steps.  Vanishes for z1 - z2 > n and decays like 2^(z1-z2) leftwards."""
-    _check_time(t)
+    t = _check_time(t)
     n, z1, z2 = _integer(n, "n"), _integer(z1, "z1"), _integer(z2, "z2")
     return float(_transfer_inverse_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
 
 def transfer_extended(t: float, n: int, z1: int, z2: int) -> float:
     """Polynomial extension of n walk steps composed with the half-heat flow."""
-    _check_time(t)
+    t = _check_time(t)
     n, z1, z2 = _integer(n, "n"), _integer(z1, "z1"), _integer(z2, "z2")
     return float(_transfer_extended_matrix(t, n, np.array([z1]), np.array([z2]))[0, 0])
 
@@ -281,7 +281,7 @@ def build_biortho(
     functions leave the double range on the window, or if the window
     cannot certify biorthogonality at 1e-8.
     """
-    _check_time(t)
+    t = _check_time(t)
     if not 1 <= n_max <= N_MAX_DET:
         raise ValueError(f"need 1 <= n_max <= {N_MAX_DET}")
     lo, hi = int(window[0]), int(window[1])
@@ -349,7 +349,7 @@ def phi_closed_form(
     both terms from one run.  It exists as a check of the notes' closed
     forms against build_biortho and contour quadrature in the tests.
     """
-    _check_time(t)
+    t = _check_time(t)
     n, k, x = _integer(n, "n"), _integer(k, "k"), _integer(x, "x")
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
@@ -378,7 +378,7 @@ def kt_two_periodic_closed(t: float, n: int, z1: int, z2: int) -> float:
 
     It exists as a check of the notes' flat kernel on Z in the tests.
     """
-    _check_time(t)
+    t = _check_time(t)
     n, z1, z2 = _integer(n, "n"), _integer(z1, "z1"), _integer(z2, "z2")
     big_n = z1 + 2 * n + 1
     if big_n < 1:
@@ -432,8 +432,7 @@ def schuetz_transition(x, y, t: float) -> float:
         raise ValueError("configurations must have equal size")
     if not 1 <= n <= N_MAX_DET:
         raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
-    _check_time(t)
-    t = float(t)
+    t = _check_time(t)
     xr, yr = xv[::-1], yv[::-1]
     return small_det_loop([
         [schuetz_F(i - j, xi - yj, t) for j, yj in enumerate(yr)] for i, xi in enumerate(xr)

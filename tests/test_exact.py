@@ -291,6 +291,17 @@ def test_transfer_time_zero_degenerates_to_walk():
             assert got == float(qbar(2, z1, z2))
 
 
+def test_oracles_run_a_float32_time_as_a_python_float():
+    # the oracles dropped the float _check_time returns, so a float32 time
+    # ran in single precision: at np.float32(0.7) the Charlier run raised
+    # "overflow encountered in cast" under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transfer_inverse(np.float32(0.5), 2, 0, 0)
+        assert type(got) is float and got.hex() == transfer_inverse(0.5, 2, 0, 0).hex()
+        assert transfer_inverse(np.float32(0.7), 2, 0, 0) == transfer_inverse(float(np.float32(0.7)), 2, 0, 0)
+
+
 def test_transfer_inverse_off_support_is_exact_zero():
     # far left of the support (z1 - z2 > n) the 2^(z1-z2) prefactor would
     # overflow exp; those entries must come out as exact zeros, silently
@@ -2146,10 +2157,10 @@ def test_weight_bridge_to_the_bit(monkeypatch):
 
     kernels = []
 
-    def convert(spec):
-        dpp = conditional_l_to_k(spec)
-        kernels.append(dpp.kernel)
-        return dpp
+    def convert(L, z):
+        kernel = conditional_l_to_k(L, z)
+        kernels.append(kernel)
+        return kernel
 
     monkeypatch.setattr(exact, "conditional_l_to_k", convert)
     keys = ("max_kernel_dev", "weight_sign", "max_weight_dev")
@@ -2174,3 +2185,26 @@ def test_weight_bridge_window_must_cover_checked_sites():
     data = make_initial(kind="explicit", entries=(1, -2))
     with pytest.raises(WindowError, match=r"try \[-14, 11\]"):
         bfps_l_verify(data, 0.8, window=(-14, 10), trials=60)
+
+
+@pytest.mark.parametrize(
+    "entries, window",
+    [((1, -2), (-20, 80)), ((30, -30), (-40, 45))],
+)
+def test_weight_bridge_that_compared_no_weight_is_not_a_pass(entries, window):
+    # at t = 50 the particles have left the sampled sites: every sampled
+    # weight was below round-off, and the check returned weight_sign 0.0 and
+    # max_weight_dev 0.0, a pass that compared nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WindowError, match=r"no sampled weight .* at t = 50\.0 .*try a smaller t$"):
+            bfps_l_verify(make_initial("explicit", entries=entries), 50.0, window, trials=5)
+
+
+def test_weight_bridge_names_t_and_the_window_of_a_singular_ensemble():
+    # dpp's bare "1_Z + L is singular" named neither
+    data = make_initial("explicit", entries=(1, -2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WindowError, match=r"at t = 50\.0 on window \[-20, 12\]: 1_Z \+ L is singular"):
+            bfps_l_verify(data, 50.0, (-20, 12), trials=5)

@@ -88,6 +88,27 @@ def test_benchmark_names_resolve():
     assert not missing, missing
 
 
+def test_tracer_span_names_resolve():
+    # bench/tracer.py reads its per-layer metrics by "layer.name" strings,
+    # passed to s, n and total or used as keys of _HOOKS: a renamed function
+    # would silently read 0 s.  Three names are stale until the benchmark's
+    # next change, and no other may join them
+    path = ROOT / "bench" / "tracer.py"
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in {"s", "n", "total"}:
+            named.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_HOOKS"]:
+            named.update(key.value for key in node.value.keys)
+    assert "dpp.conditional_l_to_k" in named
+    stale = {
+        name
+        for name in named
+        if not hasattr(importlib.import_module(f"kpzlab.{name.split('.')[0]}"), name.split(".", 1)[1])
+    }
+    assert stale == {"special.airy_ai", "special.circle_quadrature", "exact.hitting_profile"}, sorted(stale)
+
+
 def test_only_special_evaluates_airy():
     # one Airy evaluator: every other module takes Ai from special._airy
     banned = {"airy", "airye", "kv", "kve"}
@@ -352,6 +373,19 @@ def _bits(value):
     return (type(value), float(value).hex() if isinstance(value, float) else value)
 
 
+# at t = 50 the pair has left the sites that bfps_l_verify samples, so the
+# check raises a WindowError rather than pass with no weight compared
+_RAISES = {("exact.bfps_l_verify", 50.0)}
+
+
+def _outcome(call, t):
+    """What call(t) returns, down to the bits, or the error it raises."""
+    try:
+        return ("returns", _bits(call(t)))
+    except ValueError as err:
+        return ("raises", type(err), str(err))
+
+
 @pytest.mark.parametrize("name", sorted(_time_calls()))
 def test_numpy_float_times_run_as_python_floats(name):
     # a float32 time ran in single precision: multipoint_probability at
@@ -361,6 +395,7 @@ def test_numpy_float_times_run_as_python_floats(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (0.5, 1.0, 2.0, 50.0):
-            want = _bits(call(t))
+            want = _outcome(call, t)
+            assert (want[0] == "raises") == ((name, t) in _RAISES), (name, t, want)
             for dtype in (np.float32, np.float16):
-                assert _bits(call(dtype(t))) == want, (name, dtype, t)
+                assert _outcome(call, dtype(t)) == want, (name, dtype, t)

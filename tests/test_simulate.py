@@ -586,6 +586,30 @@ def test_height_events_sorts_by_label_and_refuses():
                 height_events(step, 0.05, [point])
 
 
+def test_height_events_run_numpy_floats_as_python_floats():
+    # a float16 eps ran the map in half precision: at eps = 1/4 the point
+    # (-2, -2.01) fell on the event (15, -17) with r_mid -1.5, not on
+    # (16, -17) with -2.5, and a float32 eps returned x and r_mid as
+    # np.float32 scalars
+    flat = make_initial("periodic", d=2)
+
+    def bits(eps, x, r):
+        return [
+            (h.event, type(h.x), h.x.hex(), type(h.r_mid), h.r_mid.hex())
+            for h in height_events(flat, eps, [(x, r)])
+        ]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (2.0**-2, 2.0**-6):
+            for x in (0.0, -2.0):
+                for r in np.linspace(-3.0, -1.0, 201).astype(np.float32):
+                    want = bits(eps, float(np.float32(x)), float(r))
+                    for dtype in (np.float16, np.float32):
+                        assert bits(dtype(eps), np.float32(x), r) == want, (eps, x, r, dtype)
+        assert bits(np.float16(0.25), -2.0, -2.01) == bits(0.25, -2.0, -2.01)
+
+
 # ---------------------------------------------------------------------- height
 
 

@@ -1,8 +1,9 @@
 """Exact finite-N TASEP distributions.
 
 Transition probabilities as determinants, their rewriting as a sum over
-interlacing triangular arrays, the first-passage (random-walk) form of the
-kernel, and the Fredholm determinants for joint one-sided probabilities in
+interlacing triangular arrays (its bottom level summed in closed form, so
+N = 4 sums over pairs, not triples), the first-passage (random-walk) form
+of the kernel, and the Fredholm determinants for joint one-sided probabilities in
 both extended-kernel and path-product form.  The kernel has one evaluation
 path here, _kernel_blocks; its biorthogonal form with the backwards-heat
 construction, the closed residue forms and the 1 x 1 transfer entries are
@@ -66,7 +67,7 @@ from .special import (
 )
 
 N_MAX_DET = 8  # largest determinant size for transition probabilities
-N_MAX_ARRAY_SUM = 4  # interlacing-array sum grows too fast beyond this
+N_MAX_ARRAY_SUM = 4  # the array sum counts the fillings above its free row up to this N
 N_MAX_JOINT = 4  # joint one-sided events per determinant
 # window depths below the events: kernel columns decay like 2^z to the left
 # of the data, and rows vanish below each label's exact floor, where a
@@ -333,7 +334,18 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
     """Transition probability as a sum over interlacing triangular arrays.
 
     The left edge of the array is pinned to x; free entries range over
-    [min(x,y) - pad, max(x,y) + pad].
+    [lo, hi] = [min(x,y) - pad, max(x,y) + pad].  Each array weighs the
+    determinant of the row functions T = (E_p(N - j) of entry y_j) at its
+    bottom row (x_N, u_1 < ... < u_(N-1)), so the bottom level is summed in
+    closed form.  With the free row above it w_1 < ... < w_(N-2), each u_k
+    runs over an interval, [x_(N-1), w_1), then [w_(k-1), w_k), then
+    [w_(N-2), hi], and the determinant is linear in each row: with the
+    prefix sums Q(w) = sum of T(u) over x_(N-1) <= u < w, adding each row
+    to the next leaves det[T(x_N); Q(w_1); ...; Q(w_(N-2)); Q(hi + 1)],
+    counted once per filling of the levels above.  That count is 1 for
+    N <= 3 and #v in [max(x_1, w_1 + 1), w_2] for N = 4, so N = 2 is one
+    2 x 2 determinant, N = 3 about L = hi - lo + 1 of size 3 and N = 4 at
+    most C(L, 2) of size 4.
     """
     t = _check_time(t)
     xv = _weyl_tuple(x, "x")
@@ -372,48 +384,23 @@ def _array_sum_value(xv, yv, t, lo, hi):
     if n == 1:
         return float(table[xv[0] - lo, 0])
 
-    # bottom level x_n, u_1 < ... < u_(n-1) with u_1 >= x_(n-1): each tuple's
-    # determinant counts once per interlacing filling of the levels between
-    bottom = _increasing_tuples(np.arange(max(xv[-2], lo), hi + 1), n - 1)
-
-    def pair_counts(w1g, w2g):
-        # number of admissible middle entries for a bottom pair (w1, w2):
-        # the middle entry ranges over [max(x_1, w1 + 1), w2]
-        lowest = np.maximum(xv[0], w1g + 1)
-        return np.maximum(w2g - lowest + 1, 0)
-
+    # row w - x_(n-1) of prefix is Q(w), for w in [x_(n-1), hi + 1]
+    prefix = np.zeros((hi + 2 - xv[-2], n))
+    np.cumsum(table[xv[-2] - lo :], axis=0, out=prefix[1:])
+    # the free row w_1 < ... < w_(n-2) starts at x_(n-2), and the count of
+    # fillings above it is 1 up to n = 3
     if n == 2:
-        counts = np.ones_like(bottom[0])
-    elif n == 3:
-        counts = pair_counts(*bottom)
+        ws, counts = (), np.ones(1)
     else:
-        # n == 4: aggregate the two inner levels into a rectangle-sum table
-        # over the pair below them
-        w1s = np.arange(lo, hi + 1)
-        w1g, w2g = np.meshgrid(w1s, w1s, indexing="ij")
-        inner = np.where(w1g >= xv[1], pair_counts(w1g, w2g), 0)
-        pref = np.zeros((len(w1s) + 1, len(w1s) + 1))
-        pref[1:, 1:] = inner.cumsum(axis=0).cumsum(axis=1)
-
-        def rect(a_lo, a_hi, b_lo, b_hi):
-            # sum of inner over w1 in (a_lo, a_hi], w2 in (b_lo, b_hi]
-            ia0 = np.clip(a_lo - lo + 1, 0, len(w1s))
-            ia1 = np.clip(a_hi - lo + 1, 0, len(w1s))
-            ib0 = np.clip(b_lo - lo + 1, 0, len(w1s))
-            ib1 = np.clip(b_hi - lo + 1, 0, len(w1s))
-            return pref[ia1, ib1] - pref[ia0, ib1] - pref[ia1, ib0] + pref[ia0, ib0]
-
-        u1, u2, u3 = bottom
-        counts = rect(np.maximum(u1, xv[1] - 1), u2, u2, u3)
-
+        ws = _increasing_tuples(np.arange(xv[-3], hi + 1), n - 2)
+        counts = np.ones(len(ws[0]))
+        if n == 4:  # the level-2 entry runs over [max(x_1, w_1 + 1), w_2]
+            counts = np.maximum(ws[1] - np.maximum(xv[0], ws[0] + 1) + 1, 0)
     keep = counts > 0
     counts = counts[keep]
-    rows = np.stack([np.full(len(counts), xv[-1]), *(u[keep] for u in bottom)], 1) - lo
-    total = 0.0
-    chunk = 50000
-    for s in range(0, len(rows), chunk):
-        total += float((counts[s : s + chunk] * np.linalg.det(table[rows[s : s + chunk]])).sum())
-    return total
+    rows = np.stack([*(w[keep] for w in ws), np.full(len(counts), hi + 1)], 1) - xv[-2]
+    bottom = np.broadcast_to(table[xv[-1] - lo], (len(counts), 1, n))
+    return float((counts * np.linalg.det(np.concatenate([bottom, prefix[rows]], 1))).sum())
 
 
 def gt_indicators(arrays) -> list[int]:
@@ -772,16 +759,18 @@ def bfps_l_verify(
     level-1 diagonal block against the first-passage kernel (after
     unconjugating).  Ensemble minors are compared with the two-level
     determinant weights up to one global sign on 200 random draws of
-    (z11, z21, z22), each drawn by its own rng call and placed in L by
-    arithmetic, and the interlacing indicator identity is exercised on
-    `trials` random arrays, one gt_indicators batch each.  Returns a dict
-    of deviation diagnostics.  Raises WindowError, naming a window that
-    works, unless the window covers the sampled sites [entry(2) - 6,
-    entry(1) + 10]; naming t and the window if 1_Z + L is singular; and
-    naming t if no sampled weight exceeds round-off, a check of nothing.
+    (z11, z21, z22), placed in L by arithmetic, and the interlacing
+    indicator identity is exercised on `trials` >= 0 random arrays in one
+    gt_indicators batch.  Returns a dict of deviation diagnostics.  Raises
+    WindowError, naming a window that works, unless the window covers the
+    sampled sites [entry(2) - 6, entry(1) + 10]; naming t and the window if
+    1_Z + L is singular; and naming t if no sampled weight exceeds
+    round-off, a check of nothing.
     """
     t = _check_time(t)
     trials = _integer(trials, "trials")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if init.n_finite != 2 or _leading_inf(init):
         raise ValueError("this check is specific to two finite particles")
     lo, hi = (_integer(w, "each window end") for w in window)
@@ -818,9 +807,10 @@ def bfps_l_verify(
     max_dev = float(np.abs(got - want).max())
 
     rng = np.random.default_rng(7)
-    # one call a draw: Generator.integers drops its buffered bits at the end
-    # of each call, so one call for all of them would draw other sites
-    draws = [rng.integers(span_lo, span_hi + 1, size=3).tolist() for _ in range(200)]
+    # three calls in all: the 200 site triples, the trial sizes and the
+    # trial entries, one (trials, 15) block that level m reads at
+    # m(m - 1)/2 ... m(m + 1)/2
+    draws = rng.integers(span_lo, span_hi + 1, size=(200, 3)).tolist()
     draws = [(z11, *sorted((z21, z22))) for z11, z21, z22 in draws if z21 != z22]
     interlaced = gt_indicators([[(z11,), (z21, z22)] for z11, z21, z22 in draws])
     # the rows of the labels, (1, z11), (2, z21) and (2, z22) in L
@@ -841,10 +831,11 @@ def bfps_l_verify(
     ref = np.where(np.arange(len(weight)) < k, 1.0, sign)  # the draws before it compare unsigned
     max_weight_dev = float(np.abs(minor - ref * weight).max(initial=0.0))
 
+    sizes = rng.integers(2, 6, size=trials).tolist()
+    entries = rng.integers(-6, 7, size=(trials, 15)).tolist()
     arrays, oks = [], []
-    for _ in range(trials):
-        size = int(rng.integers(2, 6))
-        arr = [sorted(rng.integers(-6, 7, size=m).tolist()) for m in range(1, size + 1)]
+    for size, row in zip(sizes, entries):
+        arr = [sorted(row[m * (m - 1) // 2 : m * (m + 1) // 2]) for m in range(1, size + 1)]
         pairs = [(arr[m], arr[m - 1], i) for m in range(1, size) for i in range(m)]
         oks.append(all(low[i] < up[i] <= low[i + 1] for low, up, i in pairs))
         arrays.append(arr)

@@ -8,13 +8,16 @@ evaluation path per object: the geometric walk weights and their polynomial
 extension in exact dyadic Fractions, the biorthogonal system built from the
 backwards-heat polynomials, the closed residue forms for step and periodic
 data, the 1 x 1 entries of the transfer matrices, the interlacing
-indicator of one array, one determinant call per array, and the transition
-determinant with its matrix built by a nested comprehension and reduced by
-the general LU loop at every size.
+indicator of one array, one determinant call per array, the array sum
+term by term over every array, the step events of the variational
+identity for general data, and the transition determinant with its matrix
+built by a nested comprehension and reduced by the general LU loop at
+every size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kpzlab.exact import N_MAX_DET, WindowError, _entry_int, _leading_inf
+from kpzlab.exact import N_MAX_DET, WindowError, _entry_int, _leading_inf, gt_indicators
 from kpzlab.exact import _transfer_inverse_matrix, epi_transfer_matrix
 from kpzlab.simulate import InitialData
 from kpzlab.special import _charlier_term, _check_time, _integer, _poisson_charlier, schuetz_F
@@ -407,6 +410,39 @@ def gt_indicator(levels) -> int:
         mats[m - 1, :m, :m] = [[a > b for b in row] for a in prev + [math.inf]]
         prev = row
     return math.prod(map(round, np.linalg.det(mats).tolist()))
+
+
+def array_sum_literal(x, y, t: float, pad: int) -> float:
+    """exact.gt_pattern_sum term by term: every triangular array whose left
+    edge is x, level m = (x_m, f_1 < ... < f_(m-1)) with its free entries
+    in (x_m, hi], hi = max(x, y) + pad, weighted by its interlacing
+    indicator (exact.gt_indicators) times the determinant of the row
+    functions E_p(N - j) of entry y_j, p = z - y_j + N - j, at the sites z
+    of its bottom row, one scalar _charlier_term per entry."""
+    n = len(x)
+    hi = max(*x, *y) + pad
+    rows = [[(xm, *free) for free in itertools.combinations(range(xm + 1, hi + 1), m - 1)]
+            for m, xm in enumerate(x, 1)]
+    arrays = [list(levels) for levels in itertools.product(*rows)]
+    total = 0.0
+    for array, ok in zip(arrays, gt_indicators(arrays)):
+        if ok:
+            total += float(np.linalg.det(np.array(
+                [[_charlier_term(z - yj + n - j, n - j, t) for j, yj in enumerate(y, 1)] for z in array[-1]]
+            )))
+    return total
+
+
+def variational_step_events(init: InitialData, n: int, a: int) -> list[tuple[int, int]]:
+    """The step-data events whose joint probability is P_X0(X_t(n) > a):
+    (n + 1 - l, a - 1 - X0(l)) over the corners l <= n of the data (label
+    1, and each l with X0(l - 1) - X0(l) > 1, the first particle of a
+    packed block), by increasing step label.  TASEP is last-passage
+    percolation, and reversing the environment about the event's cell
+    turns the corners into end points from one start."""
+    entries = [_entry_int(init, label) for label in range(1, n + 1)]
+    corners = [1] + [label for label in range(2, n + 1) if entries[label - 2] - entries[label - 1] > 1]
+    return sorted((n + 1 - label, a - 1 - entries[label - 1]) for label in corners)
 
 
 # ---------------------------------------------------------------------------

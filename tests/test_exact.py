@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import pdtrc
@@ -34,6 +34,7 @@ from contour import ContourSpec, circle_quadrature
 from exact_oracles import (
     BiorthoSystem,
     _transfer_extended_matrix,
+    array_sum_literal,
     backward_heat_polys,
     build_biortho,
     gt_indicator,
@@ -47,6 +48,7 @@ from exact_oracles import (
     transfer_epi,
     transfer_extended,
     transfer_inverse,
+    variational_step_events,
 )
 from kpzlab.exact import (
     WINDOW_DEPTHS,
@@ -1556,6 +1558,47 @@ def test_array_sum_rejects_bad_input():
         gt_pattern_sum((5, 4, 3, 2, 1), (4, 3, 2, 1, 0), 0.5)
 
 
+@pytest.mark.parametrize("pad", [2, 3])
+def test_array_sum_is_the_sum_over_every_array(pad):
+    # the bottom level in closed form against the arrays term by term, on
+    # the same truncation [lo, hi]
+    cases = [
+        ((2,), (0,), 0.7),
+        ((1, -2), (0, -3), 1.9),
+        ((3, 0), (1, -1), 0.4),
+        ((2, 0, -3), (1, -1, -4), 1.3),
+        ((1, -1, -2), (0, -2, -3), 0.2),
+        ((1, 0, -2, -3), (0, -1, -3, -4), 0.6),
+        ((2, 1, -1, -2), (1, 0, -2, -4), 2.0),
+        ((3, 0, -2, -4), (1, -1, -3, -5), 1.1),  # x_1 - x_2 > 1: v >= x_1 binds
+    ]
+    for x, y, t in cases:
+        assert abs(gt_pattern_sum(x, y, t, pad=pad) - array_sum_literal(x, y, t, pad)) <= 1e-14, (x, t)
+
+
+@pytest.mark.parametrize(
+    "x, y", [((1, -2), (0, -3)), ((2, 0, -3), (1, -1, -4)), ((1, 0, -2, -3), (0, -1, -3, -4))]
+)
+def test_array_sum_takes_one_level_fewer(monkeypatch, x, y):
+    # with the bottom level in closed form, N = 2 is one determinant, N = 3
+    # at most L and N = 4 at most C(L, 2), L = hi - lo + 1; the bottom rows
+    # one by one would be C(L, N - 1)
+    det, stacks = np.linalg.det, []
+
+    def counted(a):
+        stacks.append(math.prod(np.shape(a)[:-2]))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    pad = 20
+    size = max(*x, *y) - min(*x, *y) + 2 * pad + 1
+    gt_pattern_sum(x, y, 0.9, pad=pad)
+    if len(x) == 2:
+        assert stacks == [1]
+    else:
+        assert sum(stacks) <= (size if len(x) == 3 else math.comb(size, 2))
+
+
 def _indicator(levels):
     return gt_indicators([levels])[0]
 
@@ -1618,17 +1661,17 @@ def test_interlacing_indicators_name_the_malformed_level_inside_a_batch():
 
 
 # pinned float.hex of both transition routes, the array sum for N = 1..4
-# (pad 8) and the determinant for N = 1..3: a faster site check or entry
-# order must keep every bit
+# (pad 8, its bottom level summed in closed form) and the determinant for
+# N = 1..3: a faster site check or entry order must keep every bit
 GT_PINS = {
     ((2,), (0,), 0.7): "0x1.f255521aad38ap-4",
     ((-1,), (-1,), 1.3): "0x1.17129308ce281p-2",
-    ((1, -2), (0, -3), 0.5): "0x1.78b5635f681f9p-4",
+    ((1, -2), (0, -3), 0.5): "0x1.78b5635f681f7p-4",
     ((3, 0), (1, -1), 1.7): "0x1.9586642ea011ap-4",
-    ((1, -1, -3), (0, -2, -4), 0.9): "0x1.1721bbbb6b91fp-4",
-    ((2, 0, -1), (1, -1, -2), 1.4): "0x1.4e40c885d5d12p-4",
-    ((1, 0, -2, -3), (0, -1, -3, -4), 0.6): "0x1.10006a24fa0e8p-7",
-    ((2, 1, -1, -2), (1, 0, -2, -4), 1.2): "0x1.41556874f4e90p-6",
+    ((1, -1, -3), (0, -2, -4), 0.9): "0x1.1721bbbb6b926p-4",
+    ((2, 0, -1), (1, -1, -2), 1.4): "0x1.4e40c885d5d0bp-4",
+    ((1, 0, -2, -3), (0, -1, -3, -4), 0.6): "0x1.10006a24fa0b1p-7",
+    ((2, 1, -1, -2), (1, 0, -2, -4), 1.2): "0x1.41556874f4e94p-6",
 }
 SCHUETZ_PINS = {
     ((1,), (0,), 0.3): "0x1.c728a18842e6bp-3",
@@ -1888,6 +1931,47 @@ def test_window_ladders_reject_nan_and_negative_tol(tol):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             route(1.0, STEP, [(1, 0)], tol=tol)
         assert route(1.0, STEP, [(1, 0)], tol=0.0).error == 0.0
+
+
+# ---- general data as a max over step data ---------------------------------
+
+
+@st.composite
+def packed_blocks(draw):
+    """Entries of up to four packed blocks, each of one to four particles,
+    with at least one hole between blocks."""
+    x, entries = draw(st.integers(-3, 3)), []
+    for block in range(draw(st.integers(1, 4))):
+        x -= draw(st.integers(2, 6)) if block else 0
+        entries += range(x, x - draw(st.integers(1, 4)), -1)
+        x = entries[-1]
+    return entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(packed_blocks(), st.integers(1, 16), st.integers(0, 60), st.floats(0.1, 50.0))
+@example([3, 2, 1, -3, -4, -7, -11, -12, -13], 9, 9, 12.5)  # four corners, all at labels <= 9
+def test_variational_identity_general_data_as_step_data(entries, label, offset, t):
+    # P_X0(X_t(n) > a) = P_step(X_t(n + 1 - l) > a - 1 - X0(l) for every
+    # corner l <= n): the first-passage walk on the data's curve against
+    # step data's trivial one, at round-off, since the identity is exact
+    init = make_initial("explicit", entries=entries)
+    n = min(label, len(entries))
+    a = entries[n - 1] - 2 + offset % (int(t) + 7)
+    events = variational_step_events(init, n, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        general = multipoint_probability(t, init, [(n, a)], tol=1e-13)
+        step = multipoint_probability(t, STEP, events, tol=1e-13)
+    assert abs(float(general) - float(step)) <= 1e-12, events
+
+
+def test_variational_step_events_examples():
+    # step data has one corner, so its event maps to itself
+    assert variational_step_events(STEP, 7, 3) == [(7, 3)]
+    wedge = make_initial("explicit", entries=(2, 1, 0, -4, -5, -9))
+    assert variational_step_events(wedge, 5, 1) == [(2, 4), (5, -2)]
+    assert variational_step_events(wedge, 6, 1) == [(1, 9), (3, 4), (6, -2)]
 
 
 # ---- thresholds far from the particles ----------------------------------------
@@ -2179,6 +2263,15 @@ def test_weight_bridge_window_rejects_fractional_ends():
             warnings.simplefilter("error")
             bfps_l_verify(data, 0.8, window=window, trials=5)
     assert bfps_l_verify(data, 0.8, window=(-20.0, 12.0), trials=5)["window"] == (-20, 12)
+
+
+def test_weight_bridge_refuses_a_negative_trial_count():
+    # the trials' draws are one block of that many rows: numpy's
+    # "negative dimensions" error named neither the argument nor its value
+    data = make_initial(kind="explicit", entries=(1, -2))
+    with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+        bfps_l_verify(data, 0.8, window=(-20, 12), trials=-1)
+    assert bfps_l_verify(data, 0.8, window=(-20, 12), trials=0)["indicator_mismatches"] == 0
 
 
 def test_weight_bridge_window_must_cover_checked_sites():

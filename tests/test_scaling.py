@@ -2,8 +2,9 @@
 
 At t = 2 eps^(-3/2) the rescaled height sqrt(eps) (h_t(2x/eps) + eps^(-3/2))
 of step data converges to the Airy_2 process minus x^2, so one-point
-probabilities approach F_GUE at the rate sqrt(eps).  The oracle is the
-closed-form Airy kernel determinant below, built on scipy alone, not the
+probabilities approach F_GUE at the rate sqrt(eps), and so does the
+kernel itself approach the Airy kernel.  The oracle is the closed-form
+Airy kernel and its determinant below, built on scipy alone, not the
 library's kernels.  Half-flat data (particles at 0, -2, -4, ...) is flat on
 (-inf, 0], and left of the origin its one-points approach the flat law
 F_GOE.  Every event comes from simulate.height_events.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
-from kpzlab.exact import multipoint_probability, path_integral_probability
+from kpzlab.exact import _kernel_blocks, multipoint_probability, path_integral_probability
 from kpzlab.continuum import airy1_probability
 from kpzlab.simulate import height_events, make_initial
 
@@ -23,17 +24,22 @@ STEP = make_initial("step")
 HALF_FLAT = make_initial("periodic", d=2)
 
 
-def f_gue(s, m=96, span=16.0):
-    """F_GUE(s) = det(I - K_Ai) on L^2(s, s + span), Gauss-Legendre, with
-    the kernel (Ai(u)Ai'(v) - Ai'(u)Ai(v))/(u - v), diagonal Ai'^2 - u Ai^2."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    u = 0.5 * span * (x + 1.0) + s
-    w = 0.5 * span * w
+def airy_kernel(u):
+    """The Airy kernel on the points u, (Ai(u)Ai'(v) - Ai'(u)Ai(v))/(u - v),
+    with diagonal Ai'^2 - u Ai^2."""
     ai, aip, _, _ = airy(u)
     diff = u[:, None] - u[None, :]
     same = diff == 0.0
     off = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / np.where(same, 1.0, diff)
-    kernel = np.where(same, (aip**2 - u * ai**2)[:, None], off)
+    return np.where(same, (aip**2 - u * ai**2)[:, None], off)
+
+
+def f_gue(s, m=96, span=16.0):
+    """F_GUE(s) = det(I - K_Ai) on L^2(s, s + span), Gauss-Legendre."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    u = 0.5 * span * (x + 1.0) + s
+    w = 0.5 * span * w
+    kernel = airy_kernel(u)
     sq = np.sqrt(w)
     return float(np.linalg.det(np.eye(m) - sq[:, None] * kernel * sq[None, :]))
 
@@ -53,6 +59,28 @@ def test_one_point_approaches_f_gue(eps):
         p = multipoint_probability(t, STEP, [event])
         assert 0.0 <= p <= 1.0
         assert abs(p - f_gue(r_mid)) <= 0.5 * math.sqrt(eps), (r, p)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.005])
+def test_kernel_approaches_the_airy_kernel(eps):
+    # the notes' central lemma, on objects free of the kernel's gauge
+    # g(z1)/g(z2): the diagonal and the products K(z1, z2) K(z2, z1).  Step
+    # data at label n = round(t/4), whose mean position a0 = t - 2 sqrt(tn)
+    # is near 0, on the sites z = a0 - sigma u with |u| <= 2.  The gap is
+    # O(sqrt(eps)) with nothing fitted (0.11 to 0.12 sqrt(eps) on the
+    # diagonal, 0.06 to 0.07 on the products, from eps = 0.05 to 0.0025),
+    # and the bound was fixed from those readings before this test ran
+    t = 2.0 * eps**-1.5
+    n = round(t / 4)
+    sigma = (t / 2) ** (1 / 3)
+    a0 = t - 2.0 * math.sqrt(t * n)
+    z = np.arange(math.ceil(a0 - 2 * sigma), math.floor(a0 + 2 * sigma) + 1)
+    u = (a0 - z) / sigma
+    kernel = _kernel_blocks(t, STEP, [(n, z)], [(n, z)])
+    limit = airy_kernel(u)
+    bound = 0.2 * math.sqrt(eps)
+    assert np.abs(sigma * np.diag(kernel) - np.diag(limit)).max() <= bound
+    assert np.abs(sigma**2 * kernel * kernel.T - limit * limit.T).max() <= bound
 
 
 # h(+-1/2) <= -1/2 at each eps, as height_events builds them

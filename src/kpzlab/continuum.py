@@ -149,20 +149,20 @@ def _heat(gap: float, u, v):
 
 
 def _kept_points(points) -> list[tuple[float, float]]:
-    """1 to 4 points (x_k, b_k) as checked floats, less those with a level
-    past _LEVEL_CUT, +inf included, whose dropping moves no value."""
-    if not 1 <= len(points) <= 4:
-        raise ValueError(f"need between 1 and 4 points, got {len(points)}")
-    xs = [float(x) for x, _ in points]
-    levels = [float(b) for _, b in points]
-    for x, b in zip(xs, levels):
+    """At least one point (x_k, b_k), read once from any iterable, as
+    checked floats, less those with a level past _LEVEL_CUT, +inf included,
+    whose dropping moves no value."""
+    points = [(float(x), float(b)) for x, b in points]
+    if not points:
+        raise ValueError("need at least one point")
+    for x, b in points:
         if not math.isfinite(x):
             raise ValueError(f"point ({x}, {b}) needs a finite x")
-    if len(set(xs)) != len(xs):
-        raise ValueError(f"points need distinct x, got {xs}")
-    if any(math.isnan(b) or b == -math.inf for b in levels):
-        raise ValueError(f"levels must be real or +inf, got {levels}")
-    return [(x, b) for x, b in zip(xs, levels) if b <= _LEVEL_CUT]
+    if len({x for x, _ in points}) != len(points):
+        raise ValueError(f"points need distinct x, got {[x for x, _ in points]}")
+    if any(math.isnan(b) or b == -math.inf for _, b in points):
+        raise ValueError(f"levels must be real or +inf, got {[b for _, b in points]}")
+    return [(x, b) for x, b in points if b <= _LEVEL_CUT]
 
 
 def _probability(name: str, kept, block) -> Certified:
@@ -229,8 +229,9 @@ def _airy2_block(gap: float, u, v, bu: float, bv: float, shared: dict):
 
 
 def airy2_probability(points) -> Certified:
-    """P(A_2(x_k) <= b_k for every k) for up to 4 points (x_k, b_k) with
-    distinct x_k.
+    """P(A_2(x_k) <= b_k for every k) for any number of points (x_k, b_k),
+    from any iterable, with distinct x_k; one block per kept point, so a
+    walk to order 160 with over 51 raises fredholm's ValueError on its size.
 
     The extended Airy kernel from x to y = x + d is the Airy kernel at
     d = 0 and int_0^inf e^(lam d) Ai(u + lam) Ai(v + lam) dlam otherwise,
@@ -265,8 +266,8 @@ def _airy1_block(gap: float, u, v, bu: float, bv: float, shared: dict):
 
 
 def airy1_probability(points) -> Certified:
-    """P(A_1(x_k) <= b_k for every k) for up to 4 points (x_k, b_k) with
-    distinct x_k.
+    """P(A_1(x_k) <= b_k for every k) for any number of points (x_k, b_k),
+    from any iterable, with distinct x_k, as for Airy_2.
 
     The extended Airy_1 kernel from x to x + d is
     Ai(u + v + d^2) e^(d(u + v) + 2d^3/3) = S_{1,d}(-(u + v)), minus the

@@ -66,9 +66,7 @@ from .special import (
     _schuetz_F,
 )
 
-N_MAX_DET = 8  # largest determinant size for transition probabilities
 N_MAX_ARRAY_SUM = 4  # the array sum counts the fillings above its free row up to this N
-N_MAX_JOINT = 4  # joint one-sided events per determinant
 # window depths below the events: kernel columns decay like 2^z to the left
 # of the data, and rows vanish below each label's exact floor, where a
 # window stops short of its depth
@@ -223,16 +221,16 @@ def schuetz_transition(x, y, t: float) -> float:
     in [0, 2^16], as for special.schuetz_F; a tuple of Python ints and a
     Python float pass these checks without a copy.  The entries are then
     read from schuetz_F's memo directly, row by row, and _small_det takes
-    the determinant: a call costs its N^2 memo reads and one small LU.  Up
-    to N = 3 the rows are written out, so they read the same entries in the
-    same order as the general N."""
+    the determinant: a call costs its N^2 memo reads and one LU of N^3/3
+    steps in Python, at any N >= 1.  Up to N = 3 the rows are written out,
+    so they read the same entries in the same order as the general N."""
     xv = _weyl_tuple(x, "x")
     yv = _weyl_tuple(y, "y")
     n = len(xv)
     if len(yv) != n:
         raise ValueError("configurations must have equal size")
-    if not 1 <= n <= N_MAX_DET:
-        raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
+    if n == 0:
+        raise ValueError("need N >= 1")
     if type(t) is not float or not 0.0 <= t <= _SCHUETZ_T_MAX:
         t = _check_schuetz_time(t)
     F = _schuetz_F
@@ -256,10 +254,10 @@ def schuetz_transition(x, y, t: float) -> float:
 
 
 def _small_det(rows: list[list[float]]) -> float:
-    """Determinant of an N x N matrix of Python floats, N <= N_MAX_DET, by
-    LU with partial pivoting, the algorithm and error bound of LAPACK's
-    getrf, without numpy's fixed cost per call.  A column with no nonzero
-    pivot left gives +0.0.  The loop reduces the rows in place; for
+    """Determinant of an N x N matrix of Python floats, N >= 1, by LU with
+    partial pivoting, the algorithm and error bound of LAPACK's getrf,
+    without numpy's fixed cost per call.  A column with no nonzero pivot
+    left gives +0.0.  The loop reduces the rows in place; for
     N <= 3 the same steps are written out on local names and leave the rows
     as they are: the first largest |entry| pivots, each multiplier is
     row[k] / pivot and each update row[j] - f * pivot_row[j], and the
@@ -504,14 +502,13 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
 
 
 def _joint_events(init: InitialData, events):
-    """Validated events with the -inf thresholds dropped, and the data with
-    its infinite prefix stripped: (kept, base, ns, tops), with ns the kept
+    """Validated events, at least one and any number, read once from any
+    iterable, with the -inf thresholds dropped, and the data with its
+    infinite prefix stripped: (kept, base, ns, tops), with ns the kept
     labels relabeled onto base and tops their thresholds rounded down."""
     evs = [(_integer(nv, "labels"), float(av)) for nv, av in events]
     if not evs:
         raise ValueError("need at least one (label, threshold) event")
-    if len(evs) > N_MAX_JOINT:
-        raise ValueError(f"at most {N_MAX_JOINT} joint events")
     ns = [nv for nv, _ in evs]
     if any(nv < 1 for nv in ns):
         raise ValueError("labels start at 1")
@@ -682,9 +679,10 @@ def multipoint_probability(t: float, init: InitialData, events, tol: float = 1e-
     """P(particle n_j is strictly right of a_j for every j), as a Fredholm
     determinant of the projected extended kernel.
 
-    Events are (label, threshold) pairs with strictly increasing labels.
-    Thresholds of -inf impose nothing and are dropped; with none left the
-    probability is exactly 1.
+    Events are (label, threshold) pairs with strictly increasing labels,
+    at least one and any number of them: the window rule below, not the
+    count, sets the determinant's size.  Thresholds of -inf impose nothing
+    and are dropped; with none left the probability is exactly 1.
 
     The window rule.  Block i holds the sites from max(low - depth,
     y_lo - n_i) up to its threshold, with low the smallest threshold and

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 ORDER_LADDER = (20, 40, 80, 160)
+MAX_STACKED_ROWS = 2**13  # _quadrature_det's rows, blocks times order: 512 MiB of float64
 
 
 class ConvergenceError(RuntimeError):
@@ -86,7 +87,8 @@ def _settle(value_at: Callable[[int], float], rungs, tol: float) -> Certified:
 @dataclass(frozen=True)
 class HalfLineUp:
     """[r, +infinity), mapped from s in (0,1).  r = +inf is the empty
-    half-line, on which a determinant is 1; a NaN r, or r = -inf, which
+    half-line: _quadrature_det drops it and its blocks, so a determinant on
+    it is 1 and its kernel is never evaluated.  A NaN r, or r = -inf, which
     makes it the whole line, raises ValueError."""
 
     r: float
@@ -103,7 +105,8 @@ class HalfLineUp:
 @dataclass(frozen=True)
 class HalfLineDown:
     """(-infinity, a], mapped from s in (0,1); nodes descend from a.  As for
-    HalfLineUp, a NaN a, or a = +inf, raises ValueError."""
+    HalfLineUp, a = -inf is the empty half-line, dropped with its blocks,
+    and a NaN a, or a = +inf, raises ValueError."""
 
     a: float
 
@@ -144,20 +147,30 @@ def det_window(kernel_matrix: np.ndarray) -> float:
 def _quadrature_det(block: Callable, domains, order: int) -> float:
     """det(I - K) on the direct sum of L^2(domain_i) at `order` nodes each,
     block (i, j) of K being block(i, j, U, V) for broadcast U, V, entries
-    symmetrized as sqrt(w_i) K_ij sqrt(w_j); 1.0 with no domains.  One
-    block is the matrix itself, with no stack to fill."""
-    if not domains:
+    symmetrized as sqrt(w_i) K_ij sqrt(w_j).  Empty half-lines, r = +inf
+    and a = -inf, drop out with their blocks unevaluated; block sees the
+    others by their indices in `domains`, and with none left the value is
+    1.0.  Past MAX_STACKED_ROWS rows a ValueError comes before the matrix
+    does.  One block is the matrix itself, with no stack to fill."""
+    ends = [domain.r if isinstance(domain, HalfLineUp) else domain.a for domain in domains]
+    keep = [i for i, end in enumerate(ends) if math.isfinite(end)]
+    if not keep:
         return 1.0
-    grids = [(y, np.sqrt(w)) for y, w in (domain.nodes(order) for domain in domains)]
+    rows = len(keep) * order
+    if rows > MAX_STACKED_ROWS:
+        raise ValueError(f"{len(keep)} blocks at order {order} stack a {rows} x {rows} matrix, past the"
+                         f" {MAX_STACKED_ROWS} rows of fredholm.MAX_STACKED_ROWS; use fewer points")
+    grids = [(y, np.sqrt(w)) for y, w in (domains[i].nodes(order) for i in keep)]
 
     def weighted(i, j):
         (yi, sqi), (yj, sqj) = grids[i], grids[j]
-        return sqi[:, None] * np.asarray(block(i, j, yi[:, None], yj[None, :]), dtype=float) * sqj[None, :]
+        k = np.asarray(block(keep[i], keep[j], yi[:, None], yj[None, :]), dtype=float)
+        return sqi[:, None] * k * sqj[None, :]
 
     if len(grids) == 1:
         return det_window(weighted(0, 0))
     n = order
-    big = np.zeros((len(grids) * n, len(grids) * n))
+    big = np.zeros((rows, rows))
     for i in range(len(grids)):
         for j in range(len(grids)):
             big[i * n : (i + 1) * n, j * n : (j + 1) * n] = weighted(i, j)
@@ -216,7 +229,8 @@ def nystrom_ladder(kernel: Callable, domain, tol: float = 1e-10) -> NystromResul
 @dataclass(frozen=True)
 class BlockExtendedProblem:
     """Multipoint determinant over stacked blocks with projections onto
-    (-infinity, a_i].
+    (-infinity, a_i], at least one, and -inf an empty one; only
+    MAX_STACKED_ROWS bounds their number.
 
     kernel(i, j, U, V) returns block (i,j) of the kernel for broadcast U, V.
     """
@@ -226,17 +240,12 @@ class BlockExtendedProblem:
     order: int = 80
 
     def __post_init__(self) -> None:
-        if len(self.thresholds) == 0 or len(self.thresholds) > 4:
-            raise ValueError("between 1 and 4 blocks")
+        if len(self.thresholds) == 0:
+            raise ValueError("needs at least one block")
         if self.order not in ORDER_LADDER:
             raise ValueError(f"order must be one of {ORDER_LADDER}")
 
 
 def block_extended_det(problem: BlockExtendedProblem) -> float:
     """det(I - K) over the concatenated blocks; empty projections drop out."""
-    keep = [i for i, a in enumerate(problem.thresholds) if a != -math.inf]
-    return _quadrature_det(
-        lambda i, j, u, v: problem.kernel(keep[i], keep[j], u, v),
-        [HalfLineDown(problem.thresholds[i]) for i in keep],
-        problem.order,
-    )
+    return _quadrature_det(problem.kernel, [HalfLineDown(a) for a in problem.thresholds], problem.order)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kpzlab.exact import N_MAX_DET, WindowError, _entry_int, _leading_inf, gt_indicators
+from kpzlab.exact import WindowError, _entry_int, _leading_inf, gt_indicators
 from kpzlab.exact import _transfer_inverse_matrix, epi_transfer_matrix
 from kpzlab.simulate import InitialData
 from kpzlab.special import _charlier_term, _check_time, _integer, _poisson_charlier, schuetz_F
@@ -285,8 +285,8 @@ def build_biortho(
     cannot certify biorthogonality at 1e-8.
     """
     t = _check_time(t)
-    if not 1 <= n_max <= N_MAX_DET:
-        raise ValueError(f"need 1 <= n_max <= {N_MAX_DET}")
+    if not 1 <= n_max <= 8:  # a bound of this reference's own: its checks reach level 8
+        raise ValueError("need 1 <= n_max <= 8")
     lo, hi = int(window[0]), int(window[1])
     if lo >= hi:
         raise ValueError("window must be a nonempty interval")
@@ -466,8 +466,8 @@ def schuetz_transition(x, y, t: float) -> float:
     n = len(xv)
     if len(yv) != n:
         raise ValueError("configurations must have equal size")
-    if not 1 <= n <= N_MAX_DET:
-        raise ValueError(f"need 1 <= N <= {N_MAX_DET}")
+    if n == 0:
+        raise ValueError("need N >= 1")
     t = _check_time(t)
     xr, yr = xv[::-1], yv[::-1]
     return small_det_loop([

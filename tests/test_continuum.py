@@ -138,14 +138,63 @@ def test_airy_processes_reject_repeated_x():
 
 
 def test_airy_processes_reject_malformed_points():
-    # a point at level +inf still counts toward the four
+    # five points were refused by a count cap, and now take the four's value
     five = [(float(k), math.inf if k == 4 else 0.0) for k in range(5)]
     cases = [([(x, 0.0)], "finite x") for x in (math.nan, math.inf, -math.inf)]
-    cases += [([], "between 1 and 4 points"), (five, "between 1 and 4 points")]
+    cases += [([], "at least one point")]
     for probability in (airy1_probability, airy2_probability):
         for points, message in cases:
             with pytest.raises(ValueError, match=message):
                 probability(points)
+        assert probability(five) == probability(five[:4])
+
+
+def test_points_are_read_once_from_any_iterable():
+    # a generator raised a bare TypeError on len()
+    points = [(-0.5, -0.25), (0.5, -0.25), (1.5, 0.5)]
+    for probability in (airy1_probability, airy2_probability):
+        want = probability(points)
+        assert probability(p for p in points).hex() == want.hex()
+        assert probability(iter(points)).hex() == want.hex()
+
+
+# A mesh of nine points on [-2, 2] at levels below the parabola's, so that
+# no one point is all but certain
+NINE = [(-2.0 + 0.5 * k, -1.0 + (-2.0 + 0.5 * k) ** 2 / 4.0) for k in range(9)]
+
+
+@pytest.mark.parametrize("probability", [airy2_probability, airy1_probability], ids=["A2", "A1"])
+def test_adding_a_point_never_raises_the_probability(probability):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [probability(NINE[:k]) for k in range(1, len(NINE) + 1)]
+    assert all(0.0 < v < 1.0 for v in values)
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:])), values
+
+
+@pytest.mark.parametrize("probability", [airy2_probability, airy1_probability], ids=["A2", "A1"])
+def test_a_k_point_with_one_finite_level_is_its_one_point(probability):
+    # +inf levels drop their points, so the nine-point is the one-point's
+    # determinant itself
+    for k, point in enumerate(NINE):
+        others = [(x, math.inf) for x, _ in NINE]
+        others[k] = point
+        assert probability(others).hex() == probability([point]).hex(), point
+
+
+def test_airy2_on_a_finer_mesh_falls_toward_the_flat_law():
+    # P(A_2(y) - y^2 <= -1 on a mesh of [-2, 2]) falls toward the sup over
+    # the line, F_GOE(2^(2/3) * (-1)) = 0.39854 (Johansson, CMP 242, 2003),
+    # as the spacing goes 1, 1/2, 1/3, 1/4; a trend, not a tight gate, since
+    # the gap shrinks only like the root of the spacing
+    flat = airy1_probability([(0.0, -1.0 / 2.0 ** (1.0 / 3.0))])
+    assert flat == pytest.approx(0.39854, abs=1e-5)
+    values = []
+    for per_unit in (1, 2, 3, 4):
+        ys = [-2.0 + k / per_unit for k in range(4 * per_unit + 1)]
+        values.append(airy2_probability([(y, -1.0 + y * y) for y in ys]))
+    assert all(v > flat for v in values)
+    assert all(finer < coarser for coarser, finer in zip(values, values[1:])), values
 
 
 # The last bits of a determinant follow the BLAS thread count, which is

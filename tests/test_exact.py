@@ -1376,6 +1376,18 @@ def test_transition_is_the_reference_to_the_bit():
                 checked += 1
                 zeros += got == 0.0
     assert checked > 2000 and zeros > 100
+    # N = 9 to 12, past the old cap of 8, on random configurations
+    rng = np.random.default_rng(12)
+    for n in range(9, 13):
+        for t in (0.3, 2.0, 7.5):
+            for _ in range(4):
+                y = tuple((3 - np.cumsum(rng.integers(1, 4, n))).tolist())
+                x = tuple(map(operator.add, y, sorted(rng.integers(0, 4, n).tolist(), reverse=True)))
+                got = schuetz_transition(x, y, t)
+                want = schuetz_reference(x, y, t)
+                assert type(got) is float and got.hex() == want.hex(), (x, y, t)
+                zeros += got == 0.0
+        assert schuetz_transition(y, y, 0.0) == 1.0
     # the slow paths of the checks give the same bits
     for x, y, t in (((4,), (1,), 0.7), ((3, 0), (1, -1), 2.0), ((5, 2, -1), (2, 0, -3), 0.3)):
         want = schuetz_reference(x, y, t).hex()
@@ -1427,7 +1439,6 @@ def test_transition_errors_are_the_reference_errors():
         ((True, 0.5), (0, -1), 0.5),
         ((1, 0), (2, 0, -1), 0.5),  # sizes
         ((), (), 0.5),
-        (tuple(range(9, 0, -1)), tuple(range(8, -1, -1)), 0.5),
         ((1, 0), (2, 0), -0.1),  # times
         ((1, 0), (2, 0), -1e-300),
         ((1, 0), (2, 0), math.nan),
@@ -1938,10 +1949,10 @@ def test_window_ladders_reject_nan_and_negative_tol(tol):
 
 @st.composite
 def packed_blocks(draw):
-    """Entries of up to four packed blocks, each of one to four particles,
+    """Entries of up to eight packed blocks, each of one to four particles,
     with at least one hole between blocks."""
     x, entries = draw(st.integers(-3, 3)), []
-    for block in range(draw(st.integers(1, 4))):
+    for block in range(draw(st.integers(1, 8))):
         x -= draw(st.integers(2, 6)) if block else 0
         entries += range(x, x - draw(st.integers(1, 4)), -1)
         x = entries[-1]
@@ -1949,8 +1960,9 @@ def packed_blocks(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(packed_blocks(), st.integers(1, 16), st.integers(0, 60), st.floats(0.1, 50.0))
+@given(packed_blocks(), st.integers(1, 32), st.integers(0, 60), st.floats(0.1, 50.0))
 @example([3, 2, 1, -3, -4, -7, -11, -12, -13], 9, 9, 12.5)  # four corners, all at labels <= 9
+@example([0, -2, -3, -5, -8, -9, -10, -12, -15, -18], 10, 6, 9.0)  # seven corners
 def test_variational_identity_general_data_as_step_data(entries, label, offset, t):
     # P_X0(X_t(n) > a) = P_step(X_t(n + 1 - l) > a - 1 - X0(l) for every
     # corner l <= n): the first-passage walk on the data's curve against
@@ -1966,12 +1978,72 @@ def test_variational_identity_general_data_as_step_data(entries, label, offset, 
     assert abs(float(general) - float(step)) <= 1e-12, events
 
 
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 16])
+def test_variational_identity_on_half_flat_data(n):
+    # every particle of half-flat data is a corner, so the one-point of
+    # label n is an n-point step event
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (2.0, 5.0, 8.0):
+            for offset in (-1, 0, 2):
+                a = -2 * (n - 1) + round(t / 2) + offset
+                events = variational_step_events(HALF_FLAT, n, a)
+                assert len(events) == n
+                general = multipoint_probability(t, HALF_FLAT, [(n, a)], tol=1e-13)
+                step = multipoint_probability(t, STEP, events, tol=1e-13)
+                assert 0.0 < general < 1.0
+                assert abs(float(general) - float(step)) <= 1e-12, (t, events)
+
+
 def test_variational_step_events_examples():
     # step data has one corner, so its event maps to itself
     assert variational_step_events(STEP, 7, 3) == [(7, 3)]
     wedge = make_initial("explicit", entries=(2, 1, 0, -4, -5, -9))
     assert variational_step_events(wedge, 5, 1) == [(2, 4), (5, -2)]
     assert variational_step_events(wedge, 6, 1) == [(1, 9), (3, 4), (6, -2)]
+
+
+# ---- k-point events ----------------------------------------------------------
+
+# events past the four of an old count cap, with values away from 0 and 1
+K_POINT_CASES = {
+    "step6": (8.0, STEP, [(1, 3), (2, 1), (3, -1), (4, -3), (5, -4), (6, -6)]),
+    "half-flat7": (20.0, HALF_FLAT, [(n, 12 - 2 * n) for n in range(1, 8)]),
+    "step10": (30.0, STEP, [(n, round(30 - 2 * math.sqrt(30 * n))) for n in range(1, 11)]),
+}
+
+
+@pytest.mark.parametrize("case", K_POINT_CASES)
+def test_k_point_events_agree_across_routes(case):
+    t, init, events = K_POINT_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extended = multipoint_probability(t, init, events, tol=1e-13)
+        path = path_integral_probability(t, init, events, tol=1e-13)
+    assert 0.01 < extended < 0.99
+    assert abs(float(extended) - float(path)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", K_POINT_CASES)
+def test_adding_an_event_never_raises_the_probability(case):
+    t, init, events = K_POINT_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = multipoint_probability(t, init, events, tol=1e-13)
+        for k in range(len(events)):
+            fewer = multipoint_probability(t, init, events[:k] + events[k + 1 :], tol=1e-13)
+            assert full <= fewer + 1e-12, events[k]
+
+
+@pytest.mark.parametrize("route", [multipoint_probability, path_integral_probability])
+def test_a_k_point_with_one_finite_threshold_is_its_one_point(route):
+    # -inf thresholds drop their events, so the ten-point is the one-point's
+    # determinant itself
+    t, init, events = K_POINT_CASES["step10"]
+    for k, event in enumerate(events):
+        others = [(n, -math.inf) for n, _ in events]
+        others[k] = event
+        assert route(t, init, others).hex() == route(t, init, [event]).hex(), event
 
 
 # ---- thresholds far from the particles ----------------------------------------

@@ -9,7 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
+from kpzlab import fredholm
+from kpzlab.continuum import airy_kernel
 from kpzlab.fredholm import (
+    MAX_STACKED_ROWS,
     ORDER_LADDER,
     BlockExtendedProblem,
     Certified,
@@ -22,6 +25,7 @@ from kpzlab.fredholm import (
     nystrom_det,
     nystrom_ladder,
     _gauss01,
+    _quadrature_det,
     _settle,
 )
 from kpzlab.exact import TruncationError
@@ -291,7 +295,62 @@ def test_minus_inf_block_dropped():
     )
 
 
-def test_block_count_capped():
-    with pytest.raises(ValueError):
-        BlockExtendedProblem(exp_block_kernel, [0.0] * 5)
+def test_block_count_is_bounded_by_the_stacked_rows(monkeypatch):
+    # four blocks were a count cap; the one limit now is the stacked
+    # matrix's rows.  exp_block_kernel is rank one across all blocks, so
+    # det(I - K) = 1 - sum_i int_(-inf)^(a_i) e^(2u - 2) du
+    def closed_form(thresholds):
+        return 1.0 - sum(math.exp(2.0 * a - 2.0) / 2.0 for a in thresholds)
+
+    thresholds = [-1.0 - 0.1 * k for k in range(10)]
+    got = block_extended_det(BlockExtendedProblem(exp_block_kernel, thresholds, order=40))
+    assert got == pytest.approx(closed_form(thresholds), abs=1e-13)
+    with pytest.raises(ValueError, match="at least one block"):
+        BlockExtendedProblem(exp_block_kernel, [])
+
+    def never(i, j, u, v):
+        raise AssertionError("the kernel was evaluated")
+
+    # the check comes before the kernel and the matrix: 52 blocks at order
+    # 160 would take 554 MB
+    assert MAX_STACKED_ROWS == 2**13
+    with pytest.raises(ValueError, match=r"^52 blocks at order 160 stack a 8320 x 8320 matrix, past the 8192 rows"):
+        block_extended_det(BlockExtendedProblem(never, [0.0] * 52, order=160))
+    with pytest.raises(ValueError, match="use fewer points"):
+        _quadrature_det(never, [HalfLineUp(0.0)] * 103, 80)
+    # the bound is inclusive, and counts only the blocks that are kept
+    monkeypatch.setattr(fredholm, "MAX_STACKED_ROWS", 120)
+    kept = [-1.0, -math.inf, -1.5, -2.0, -math.inf]
+    got = block_extended_det(BlockExtendedProblem(exp_block_kernel, kept, order=40))
+    assert got == pytest.approx(closed_form([-1.0, -1.5, -2.0]), abs=1e-13)
+    with pytest.raises(ValueError, match="4 blocks at order 40 stack a 160 x 160 matrix"):
+        block_extended_det(BlockExtendedProblem(exp_block_kernel, [-1.0] * 4, order=40))
+
+
+@pytest.mark.parametrize("side", ["up", "down"])
+def test_empty_half_lines_drop_out_before_their_kernel_is_evaluated(side):
+    # u - v is NaN at u = v = +-inf, with numpy's "invalid value" warning:
+    # continuum.airy_kernel on HalfLineUp(inf) raised it under the suite's
+    # error::RuntimeWarning.  An empty half-line and its blocks drop out,
+    # and the kernel sees the others by their own indices
+    sign, line, empty = (1.0, HalfLineUp, math.inf) if side == "up" else (-1.0, HalfLineDown, -math.inf)
+    calls = []
+
+    def block(i, j, u, v):
+        calls.append((i, j))
+        return np.exp(-np.abs(u - v) - sign * (u + v) - i - j)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _quadrature_det(block, [line(empty), line(0.5), line(empty), line(-0.5), line(empty)], 40)
+        assert sorted(set(calls)) == [(1, 1), (1, 3), (3, 1), (3, 3)]
+        calls.clear()
+        want = _quadrature_det(lambda i, j, u, v: block(2 * i + 1, 2 * j + 1, u, v), [line(0.5), line(-0.5)], 40)
+        assert got.hex() == want.hex()
+        calls.clear()
+        assert _quadrature_det(block, [line(empty)] * 3, 40) == 1.0 and not calls
+        one = nystrom_ladder(lambda u, v: block(0, 0, u, v), line(empty))
+        assert one.value == 1.0 and one.delta == 0.0 and not calls
+        if side == "up":
+            assert nystrom_ladder(airy_kernel, HalfLineUp(math.inf)).value == 1.0
 

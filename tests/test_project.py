@@ -256,6 +256,31 @@ def test_layer_defines_only_what_the_library_calls_or_the_bench_reads(layer):
     assert defined and not defined - called - read, sorted(defined - called - read)
 
 
+def test_no_count_caps():
+    # the formulas take any number of points: exact, continuum and fredholm
+    # define no N_MAX_* count but the array sum's, a real limit of its
+    # filling counts, and compare no len(...) against a literal count past
+    # 1; an equality dispatch on small sizes stays legal
+    order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for layer in ("exact", "continuum", "fredholm"):
+        path = ROOT / "src" / "kpzlab" / f"{layer}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id.startswith("N_MAX_") and node.id != "N_MAX_ARRAY_SUM":
+                    found.append(f"{layer}.py:{node.lineno} {node.id}")
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                for op, pair in zip(node.ops, zip(operands, operands[1:])):
+                    counted = any(isinstance(e, ast.Call) and getattr(e.func, "id", None) == "len" for e in pair)
+                    literal = any(
+                        isinstance(e, ast.Constant) and type(e.value) is int and e.value > 1 for e in pair
+                    )
+                    if isinstance(op, order) and counted and literal:
+                        found.append(f"{layer}.py:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_no_library_module_imports_fractions():
     # exact rational arithmetic is an oracle's tool (tests/exact_oracles.py)
     found = [

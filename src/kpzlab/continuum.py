@@ -231,7 +231,8 @@ def _airy2_block(gap: float, u, v, bu: float, bv: float, shared: dict):
 def airy2_probability(points) -> Certified:
     """P(A_2(x_k) <= b_k for every k) for any number of points (x_k, b_k),
     from any iterable, with distinct x_k; one block per kept point, so a
-    walk to order 160 with over 51 raises fredholm's ValueError on its size.
+    walk whose stack of blocks passes fredholm.MAX_STACKED_ROWS rows raises
+    fredholm's ValueError on its size.
 
     The extended Airy kernel from x to y = x + d is the Airy kernel at
     d = 0 and int_0^inf e^(lam d) Ai(u + lam) Ai(v + lam) dlam otherwise,

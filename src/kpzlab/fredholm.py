@@ -28,7 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 ORDER_LADDER = (20, 40, 80, 160)
-MAX_STACKED_ROWS = 2**13  # _quadrature_det's rows, blocks times order: 512 MiB of float64
+# _quadrature_det's rows, blocks times order: a 512 MiB float64 stack, and
+# about three times that at the peak, with det_window's I - K and LAPACK's
+# working copy beside it
+MAX_STACKED_ROWS = 2**13
 
 
 class ConvergenceError(RuntimeError):

@@ -51,6 +51,7 @@ from exact_oracles import (
     variational_step_events,
 )
 from kpzlab.exact import (
+    N_MAX_PATH,
     WINDOW_DEPTHS,
     TruncationError,
     WindowError,
@@ -2014,14 +2015,60 @@ K_POINT_CASES = {
 
 
 @pytest.mark.parametrize("case", K_POINT_CASES)
-def test_k_point_events_agree_across_routes(case):
+def test_path_route_refuses_events_past_its_limit(case):
+    # the path product cancels more with each event, so it takes N_MAX_PATH
+    # of them; its first N_MAX_PATH events still agree with the extended route
     t, init, events = K_POINT_CASES[case]
+    assert N_MAX_PATH == 4 < len(events)
+    with pytest.raises(ValueError, match=f"at most 4 events, got {len(events)}: past that its product"):
+        path_integral_probability(t, init, events)
+    first = events[:N_MAX_PATH]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        extended = multipoint_probability(t, init, events, tol=1e-13)
-        path = path_integral_probability(t, init, events, tol=1e-13)
+        extended = multipoint_probability(t, init, first, tol=1e-13)
+        path = path_integral_probability(t, init, first, tol=1e-13)
     assert 0.01 < extended < 0.99
     assert abs(float(extended) - float(path)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("data", [STEP, HALF_FLAT, make_initial("periodic", d=3)], ids=["step", "d2", "d3"])
+@pytest.mark.parametrize("stride", [1, 8])
+def test_four_spread_events_agree_across_routes(t, data, stride):
+    # four events just right of their starts, spanning 3 or 24 labels, at small
+    # t, where the path product cancels most; the largest gap seen was 5e-13
+    events = [(n, _entry(data, n) + 1 + (n % 3 == 0)) for n in range(1, 3 * stride + 2, stride)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extended = multipoint_probability(t, data, events, tol=1e-13)
+        path = path_integral_probability(t, data, events, tol=1e-13)
+    assert abs(float(extended) - float(path)) <= 1e-12, events
+
+
+def test_path_matrix_is_balanced_before_its_determinant():
+    # two events 32 labels apart: the path matrix's entries span many powers
+    # of 2, and its determinant unbalanced came out 1.1e-6 off
+    t = 2.0
+    events = [(1, 1), (33, _entry(HALF_FLAT, 33) + 2)]
+    extended = multipoint_probability(t, HALF_FLAT, events, tol=1e-13)
+    path = path_integral_probability(t, HALF_FLAT, events, tol=1e-13)
+    assert extended == pytest.approx(0.0520927, abs=1e-7)
+    assert abs(float(extended) - float(path)) <= 1e-12
+
+
+def test_extended_window_is_bounded_by_the_stacked_rows(monkeypatch):
+    # one block per event: a rung past fredholm.MAX_STACKED_ROWS rows raises
+    # before its kernel is built
+    from kpzlab import exact
+
+    def no_build(*args):
+        raise AssertionError("the kernel was built")
+
+    t, init, events = K_POINT_CASES["step10"]
+    monkeypatch.setattr(exact, "MAX_STACKED_ROWS", 100)
+    monkeypatch.setattr(exact, "_kernel_blocks", no_build)
+    with pytest.raises(ValueError, match=r"10 events at depth 96 stack a \d+ x \d+ window, past the 100 rows"):
+        multipoint_probability(t, init, events)
 
 
 @pytest.mark.parametrize("case", K_POINT_CASES)

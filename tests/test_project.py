@@ -258,16 +258,17 @@ def test_layer_defines_only_what_the_library_calls_or_the_bench_reads(layer):
 
 def test_no_count_caps():
     # the formulas take any number of points: exact, continuum and fredholm
-    # define no N_MAX_* count but the array sum's, a real limit of its
-    # filling counts, and compare no len(...) against a literal count past
-    # 1; an equality dispatch on small sizes stays legal
+    # define no N_MAX_* count but two real limits, the array sum's on its
+    # filling counts and the path route's on the digits its product keeps,
+    # and compare no len(...) against a literal count past 1; an equality
+    # dispatch on small sizes stays legal
     order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
     found = []
     for layer in ("exact", "continuum", "fredholm"):
         path = ROOT / "src" / "kpzlab" / f"{layer}.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                if node.id.startswith("N_MAX_") and node.id != "N_MAX_ARRAY_SUM":
+                if node.id.startswith("N_MAX_") and node.id not in ("N_MAX_ARRAY_SUM", "N_MAX_PATH"):
                     found.append(f"{layer}.py:{node.lineno} {node.id}")
             elif isinstance(node, ast.Compare):
                 operands = [node.left, *node.comparators]

@@ -14,8 +14,10 @@ distributions of A_2 and A_1 as Fredholm determinants of the closed-form
 extended kernels (Bornemann, arXiv:0804.2543), on fredholm's quadrature
 determinant and order ladder, as `Certified` floats.  F_GUE(s) and
 F_GOE(2s) are their one-point cases.  Ai and Ai' come from special's one
-Airy evaluator: scipy's airy up to 2 and one Chebyshev series in 1/zeta
-each for Ai and Ai' above, so that no argument past 2 pays for Bi.
+Airy evaluator: scipy's airy left of -4 (within 3e-14 of mpmath), one
+Chebyshev series in x each for Ai and Ai' on [-4, 2] (within 4.4e-16) and
+one in 1/zeta each past 2 (within 2e-15 relative, scaled), so that no
+argument from -4 up pays for Bi.
 `s_kernel` takes Ai scaled by e^((2/3) a^(3/2)) and folds that factor into
 its own exponent, so that no overflowing exponential ever meets an
 underflowing Ai; it evaluates at the scale-free arguments of the 1:2:3

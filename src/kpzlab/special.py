@@ -6,9 +6,13 @@ recurrence evaluates every alternating residue sum of the exact layer, the
 F family's n >= 1 members are positive Laurent series, and `_airy` is the
 one Airy evaluator: `airy_ai_kernel` and every kernel of `continuum` take Ai
 and Ai' from it, and no other module imports an Airy or Bessel function.
-Up to 2 its values are scipy's airy; past 2, where cephes would also sum
-Bi's series, they come from one Chebyshev series in 1/zeta each for Ai and
-Ai', whose coefficients are literals here (_AIRY_SERIES).  A call pays for
+It has three ranges, with coefficients written here as literals.  Left of
+-4 its values are scipy's airy (cephes), within 8e-15 (Ai) and 3e-14 (Ai')
+of mpmath down to -30.  On [-4, 2] they are one Chebyshev series in x each
+for Ai and Ai' (_AIRY_NEAR_SERIES), within 2.5e-16 and 4.4e-16, where
+scipy's are 6.0e-16 and 7.6e-16 off.  Past 2 they are one Chebyshev series
+in 1/zeta each (_AIRY_SERIES), within 2e-15 relative, scaled.  So from -4
+up no call sums Bi's series, which cephes sums beside Ai's.  A call pays for
 what it asks: an Ai-only call sums Ai's series alone and builds no Ai', and
 an unscaled one multiplies by no scale, with the bits of the full call.
 The blocks of one `continuum` ladder order share their Airy factors, so
@@ -39,8 +43,51 @@ import numpy as np
 from scipy.special import airy, gammaln
 
 AIRY_RANGE = 30.0
-# Up to this _airy returns scipy's airy; past it, the Chebyshev series below
+# On [_AIRY_LEFT, _AIRY_CUT] _airy sums _AIRY_NEAR_SERIES, past the cut
+# _AIRY_SERIES, and left of _AIRY_LEFT it returns scipy's airy
+_AIRY_LEFT = -4.0
 _AIRY_CUT = 2.0
+# Rows k = 0..32: the Chebyshev coefficients (a_k, a'_k) of Ai and Ai' over
+# x in [_AIRY_LEFT, _AIRY_CUT], at t = (x + 1) / 3 in [-1, 1].  They are the
+# interpolant at 64 Chebyshev-Gauss nodes of mpmath's airyai at 40 digits,
+# each column cut before its first |c_k| <= 2e-18: the Ai column at k = 32,
+# where its entry is written 0.0, and the Ai' column at k = 33;
+# tests/test_special.py rebuilds them.
+_AIRY_NEAR_SERIES = np.array([
+    (0.06078525685079726, -0.08903097507670835),
+    (0.18996030881729123, 0.08268865904182816),
+    (-0.250924387032336, -0.3047021560316108),
+    (-0.09512014013503055, 0.41725450841827616),
+    (0.20236324198370076, -0.11446187576154976),
+    (-0.06418728306305249, -0.1223808035382592),
+    (-0.026814703186039963, 0.09949573444862524),
+    (0.024051904281273857, -0.015121990794099342),
+    (-0.00413259164974895, -0.012746485530652765),
+    (-0.0020196817905494225, 0.006918498004561723),
+    (0.0011250768750654559, -0.0006283947873562287),
+    (-0.00011697538709676606, -0.0005820144958746491),
+    (-7.125499253060682e-05, 0.00022942471802005576),
+    (2.8167833107042442e-05, -1.1974555629794552e-05),
+    (-1.7594742389691562e-06, -1.4696502240978745e-05),
+    (-1.4587201524168717e-06, 4.4472039339175715e-06),
+    (4.388747958436033e-07, -1.0930071681002717e-07),
+    (-1.4627095866197506e-08, -2.3412722174752973e-07),
+    (-1.9495992841846798e-08, 5.647303634021124e-08),
+    (4.660552774163884e-09, -1.7530764536815795e-10),
+    (-5.106245117904234e-11, -2.5606321325312916e-09),
+    (-1.8343326708789198e-10, 5.055250370190732e-10),
+    (3.5857642041278925e-11, 7.433606699195872e-12),
+    (2.658241327479573e-13, -2.0387046253017667e-11),
+    (-1.2805447574198059e-12, 3.3576366637271946e-12),
+    (2.0885896604502407e-13, 1.0166986569922788e-13),
+    (4.8741837202287105e-15, -1.2334610368987345e-13),
+    (-6.895080927885035e-15, 1.71840145485969e-14),
+    (9.51965014570017e-16, 7.653530120571872e-16),
+    (3.5978991422145034e-17, -5.859990567100852e-16),
+    (-2.9502705833721254e-17, 6.975917789571653e-17),
+    (3.483989442459416e-18, 4.0550599643399345e-18),
+    (0.0, -2.2432705817780742e-18),
+])
 _AIRY_S = 0.75 / math.sqrt(2.0)  # 1/zeta at the cut, zeta = (2/3) x^(3/2)
 _HALF_INV_SQRT_PI = 0.5 / math.sqrt(math.pi)
 # Rows k = 0..24: the Chebyshev coefficients (g_k, h_k) of the factors
@@ -78,6 +125,8 @@ _AIRY_SERIES = np.array([
 ])
 # its columns as Python floats, which _clenshaw adds with no array to read
 _AIRY_G, _AIRY_H = (tuple(col.tolist()) for col in _AIRY_SERIES.T)
+_AIRY_NEAR_AI, _AIRY_NEAR_AIP = (tuple(col.tolist()) for col in _AIRY_NEAR_SERIES.T)
+_AIRY_NEAR_AI = _AIRY_NEAR_AI[:-1]  # Ai's 32 terms
 
 # ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < _K_EXACT
 _LN2_HI, _LN2_LO, _K_EXACT = 0.693147180369123816490, 1.90821492927058770002e-10, 2**20
@@ -384,37 +433,58 @@ def _airy(x, scaled: bool = False, derivative: bool = False):
     """Ai(x), and Ai'(x) with derivative=True, elementwise, times
     e^zeta with zeta = (2/3) max(x, 0)^(3/2) when scaled, as airye does.
 
-    Up to _AIRY_CUT = 2 the values are scipy's airy (cephes); above it
+    Three ranges, each summed by _clenshaw where it is a series:
+
+    - left of _AIRY_LEFT = -4, down to -30, and at NaN and -inf: scipy's
+      airy (cephes), within 8e-15 (Ai) and 3e-14 (Ai') of mpmath;
+    - on [-4, _AIRY_CUT = 2]: one Chebyshev series in x each for Ai and
+      Ai' (_AIRY_NEAR_SERIES) at t = (x + 1) / 3, within 2.5e-16 and
+      4.4e-16 of mpmath, where scipy's are 6.0e-16 and 7.6e-16 off;
+    - above 2:
 
         Ai(x) = e^(-zeta) g(1/zeta) / (2 sqrt(pi) x^(1/4)),
         Ai'(x) = -x^(1/4) e^(-zeta) h(1/zeta) / (2 sqrt(pi)),
 
-    with g and h, the factors whose asymptotic series are DLMF 9.7.5-6,
-    each one Chebyshev series in 1/zeta (_AIRY_SERIES), summed by _clenshaw;
-    scaled drops the e^(-zeta).  So no Bi is computed past 2.  An Ai-only
-    call sums g alone and builds no Ai', and an unscaled one multiplies by
-    no factor up to 2; neither moves a bit of the values.  The scaled
-    values are within 2e-15 relative of mpmath on (2, 1e8] and within 5e-14
-    on (0, 400]; unscaled ones past 2 carry e^(-zeta)'s rounding, within
+      with g and h, the factors whose asymptotic series are DLMF 9.7.5-6,
+      each one Chebyshev series in 1/zeta (_AIRY_SERIES); scaled drops the
+      e^(-zeta).
+
+    So no Bi is computed from -4 up.  An Ai-only call sums Ai's or g's
+    series alone and builds no Ai', and an unscaled one multiplies by no
+    factor up to 2; neither moves a bit of the values.  The scaled values
+    are within 2e-15 relative of mpmath on [2, 1e8] and within 5e-14 on
+    (0, 400]; unscaled ones past 2 carry e^(-zeta)'s rounding, within
     1e-13 relative on (10, 30], where Ai itself is below 1.2e-10.  Ai(+inf)
     and Ai'(+inf) are 0.0.  Private, so that a traced benchmark run counts
     each Ai once, in the public function that asked for it.
     """
     x = np.asarray(x, dtype=float)
     far = x > _AIRY_CUT
-    near = ~far
-    xn = x[near]
-    a, ap, _, _ = airy(xn)
-    if scaled:
-        e = np.exp(2.0 / 3.0 * np.maximum(xn, 0.0) ** 1.5)
-        a *= e
-        if derivative:
-            ap *= e
+    near = x >= _AIRY_LEFT
+    near &= ~far
+    left = ~(near | far)  # and NaN
     ai = np.empty(x.shape)
-    ai[near] = a
     if derivative:
         aip = np.empty(x.shape)
-        aip[near] = ap
+    if left.any():
+        a, ap, _, _ = airy(x[left])
+        ai[left] = a
+        if derivative:
+            aip[left] = ap
+    xn = x[near]
+    if xn.size:
+        t = xn + 1.0
+        t /= 3.0
+        a = _clenshaw(_AIRY_NEAR_AI, t)
+        if scaled:
+            e = np.exp(2.0 / 3.0 * np.maximum(xn, 0.0) ** 1.5)
+            a *= e
+        ai[near] = a
+        if derivative:
+            ap = _clenshaw(_AIRY_NEAR_AIP, t)
+            if scaled:
+                ap *= e
+            aip[near] = ap
     xf = x[far]
     if xf.size:
         # one power, as for the scaled values up to 2: the Airy_2 ladder at
@@ -475,9 +545,10 @@ def _clenshaw(coef, t):
 
 def airy_ai_kernel(z) -> np.ndarray:
     """Vectorized Ai for lambda-quadrature kernels, from _airy: scipy's
-    values up to 2, the Chebyshev series past it, within 1e-13 relative of
-    mpmath on (10, 30], and 0.0 beyond +30 (|Ai| < 3e-48 there); arguments
-    below -30 or NaN raise."""
+    values left of -4 (within 8e-15 of mpmath), the series in x on [-4, 2]
+    (within 2.5e-16), the series in 1/zeta past 2 (within 1e-13 relative
+    on (10, 30]), and 0.0 beyond +30 (|Ai| < 3e-48 there); arguments below
+    -30 or NaN raise."""
     arr = np.asarray(z, dtype=float)
     if arr.size and not float(arr.min()) >= -AIRY_RANGE:
         raise ValueError(f"airy_ai_kernel supports arguments >= {-AIRY_RANGE}, got {arr.min()}")

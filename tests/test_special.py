@@ -23,6 +23,8 @@ from contour import ContourSpec, circle_quadrature
 from exact_oracles import gen_binomial
 from kpzlab import special
 from kpzlab.special import (
+    _AIRY_LEFT,
+    _AIRY_NEAR_SERIES,
     _AIRY_S,
     _AIRY_SERIES,
     QuadratureError,
@@ -93,8 +95,9 @@ def test_airy_matches_mpmath_on_dense_grid():
     assert np.abs(airy_ai_kernel(zs) - want).max() <= 1e-12
 
 
-# arguments on both sides of the evaluator's switch from scipy's airy to the
-# Chebyshev series at 2, and on both sides of 10, where the error gates change
+# arguments on both sides of the evaluator's switch from the series in x to
+# the series in 1/zeta at 2, and on both sides of 10, where the error gates
+# change
 AIRY_TAIL = [1.999999, 2.0, 2.000001, 9.0, 9.999999, 10.0, 10.000001, 10.5, 12.25, 15.0, 17.3,
              20.0, 24.9, 29.99, 30.0]
 
@@ -118,11 +121,22 @@ def test_scaled_airy_relative_accuracy():
             e = mpmath.exp(2 * x**1.5 / 3)
             assert abs(a / float(mpmath.airyai(x) * e) - 1.0) <= 5e-14, z
             assert abs(ap / float(mpmath.airyai(x, derivative=1) * e) - 1.0) <= 5e-14, z
-    # unscaled up to the cut, and left of 0 where there is no factor, the
-    # values are scipy's
-    assert np.array_equal(_airy(zs[zs <= 2.0]), airy(zs[zs <= 2.0])[0])
-    left = np.linspace(-30.0, 0.0, 31)
+    # left of the near series, scaled or not, the values are scipy's
+    left = np.append(np.linspace(-30.0, -4.0, 27)[:-1], np.nextafter(-4.0, -math.inf))
+    assert np.array_equal(_airy(left), airy(left)[0])
     assert np.array_equal(_airy(left, scaled=True), airy(left)[0])
+
+
+def test_airy_near_series_no_less_accurate_than_scipy():
+    # on [-4, 2], against mpmath at 40 digits: the series' largest absolute
+    # error, for Ai and for Ai', is at most scipy's on the same grid
+    zs = np.linspace(_AIRY_LEFT, 2.0, 3001)
+    with mpmath.workdps(40):
+        want = np.array([[float(mpmath.airyai(mpmath.mpf(z), derivative=k)) for k in (0, 1)]
+                         for z in zs]).T
+    got = _airy(zs, derivative=True)
+    for series, cephes, exact in zip(got, airy(zs)[:2], want):
+        assert np.abs(series - exact).max() <= np.abs(cephes - exact).max()
 
 
 def _airy_factors(s):
@@ -153,10 +167,32 @@ def test_airy_series_literals_rebuild_from_mpmath():
     assert np.abs(want[24]).min() > 2e-18 and np.abs(want[25]).max() <= 2e-18
 
 
+def test_airy_near_series_literals_rebuild_from_mpmath():
+    # the Chebyshev interpolant of Ai and Ai' at 64 Chebyshev-Gauss nodes on
+    # x in [-4, 2], t = (x + 1) / 3, from mpmath at 40 digits, each column
+    # cut before its first coefficient at or below 2e-18
+    n = 64
+    with mpmath.workdps(40):
+        angles = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+        vals = [[mpmath.airyai(3 * mpmath.cos(a) - 1, derivative=k) for k in (0, 1)]
+                for a in angles]
+        want = np.array([
+            [float(mpmath.fsum(v[i] * mpmath.cos(k * a) for v, a in zip(vals, angles)) * 2 / n)
+             for i in (0, 1)]
+            for k in range(n)
+        ])
+        want[0] /= 2
+    assert _AIRY_LEFT == -4.0 and len(_AIRY_NEAR_SERIES) == 33
+    assert np.abs(_AIRY_NEAR_SERIES - want[:33]).max() <= 1e-17
+    cut = [int(np.argmax(np.abs(col) <= 2e-18)) for col in want.T]
+    assert cut == [32, 33] and _AIRY_NEAR_SERIES[32, 0] == 0.0
+
+
 def test_scaled_airy_past_the_cut_within_2e_15():
     # 25 times tighter than test_scaled_airy_relative_accuracy, up to 1e8.
-    # At 2 itself the values are scipy's, and its Ai'(2) is 4.7e-15 off.
-    zs = np.geomspace(2.0, 1e8, 200)[1:]
+    # At 2 itself the values come from the near series, 1.4e-15 (Ai) and
+    # 2.2e-16 (Ai') off; scipy's Ai'(2) there was 4.7e-15 off.
+    zs = np.geomspace(2.0, 1e8, 200)
     ai, aip = _airy(zs, scaled=True, derivative=True)
     with mpmath.workdps(40):
         for z, a, ap in zip(zs, ai, aip):
@@ -181,6 +217,36 @@ def test_airy_asks_scipy_nothing_past_the_cut(monkeypatch):
             _airy(2.5, scaled=scaled, derivative=derivative)
     airy_ai_kernel(zs[zs <= 30.0])
     assert seen and max(seen) <= 2.0
+    assert max(seen) < -4.0
+
+
+def test_airy_agrees_across_its_edges():
+    # -4 starts the near series, after scipy; 2 ends it, before the series in
+    # 1/zeta.  At the edge and one ulp either side, the relative errors
+    # against mpmath move by at most 2e-15 from one argument to the next.
+    # (The values themselves move by up to 1e-14: Ai'/Ai is -11 at -4.)
+    for edge in (_AIRY_LEFT, 2.0):
+        zs = [np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)]
+        for scaled in (False, True):
+            got = _airy(np.array(zs), scaled=scaled, derivative=True)
+            with mpmath.workdps(40):
+                for k, vals in enumerate(got):
+                    rel = []
+                    for z, v in zip(zs, vals):
+                        x = mpmath.mpf(z)
+                        e = mpmath.exp(2 * x**1.5 / 3) if scaled and x > 0 else 1
+                        rel.append(float(v / (mpmath.airyai(x, derivative=k) * e) - 1))
+                    assert np.abs(np.diff(rel)).max() <= 2e-15, (edge, scaled, k, rel)
+
+
+def test_airy_at_nan_and_infinities():
+    zs = np.array([math.nan, -math.inf, math.inf])
+    for scaled in (False, True):
+        assert np.array_equal(_airy(zs, scaled=scaled), [math.nan, math.nan, 0.0], equal_nan=True)
+        ai, aip = _airy(zs, scaled=scaled, derivative=True)
+        assert np.array_equal(ai, [math.nan, math.nan, 0.0], equal_nan=True)
+        assert np.array_equal(aip, [math.nan, math.nan, -math.inf if scaled else 0.0], equal_nan=True)
+    assert math.isnan(_airy(math.nan)) and math.isnan(_airy(-math.inf))
 
 
 def test_airy_at_plus_infinity():

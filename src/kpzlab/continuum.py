@@ -43,7 +43,7 @@ import math
 import numpy as np
 from .fredholm import ORDER_LADDER, Certified, ConvergenceError, HalfLineUp
 from .fredholm import _gauss01, _quadrature_det, _settle
-from .special import _LN2_HI, _LN2_LO, _SPLIT, _airy, _exit
+from .special import _airy, _exit, _exp_split
 
 # The ladder stops once two successive orders agree to this.  The orders
 # double and converge geometrically, so the returned value is far closer.
@@ -88,9 +88,9 @@ def s_kernel(t: float, x, z) -> np.ndarray:
     refuses |X|^3 + |ZX| + |a|^(3/2) past _S_TERMS = 2^23, where the
     rounding of those terms moves the value by more than about 1e-9.  That
     includes every t small enough that X or Z leaves the double range.
-    Within it a net exponent past _SPLIT is split as k ln 2 + f, with f
-    about in [0, ln 2), and 2^k applied last, so the value is 0 or +-inf
-    only where it lies outside the double range."""
+    Within it a net exponent past special._SPLIT is split as k ln 2 + f by
+    special._exp_split, with f about in [0, ln 2), and 2^k applied last, so
+    the value is 0 or +-inf only where it lies outside the double range."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"s_kernel needs a finite t > 0, got {t}")
     t = float(t)
@@ -111,8 +111,8 @@ def s_kernel(t: float, x, z) -> np.ndarray:
             f" x = {np.broadcast_to(x, size.shape)[i]}, z = {np.broadcast_to(z, size.shape)[i]}"
         )
     ai, net, _ = _s_terms(X, Z)
-    k = np.where(np.abs(net) < _SPLIT, 0.0, np.floor(net / _LN2_HI))
-    return _exit(c * ai * np.exp(net - k * _LN2_HI - k * _LN2_LO), k.astype(np.int64))
+    k, g = _exp_split(net)
+    return _exit(c * ai * g, k)
 
 
 def _s_terms(x, z, factor=None):

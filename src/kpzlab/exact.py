@@ -93,12 +93,17 @@ def _leading_inf(init: InitialData) -> int:
     return sum(1 for e in init.entries if math.isinf(e))
 
 
-def _strip_leading_inf(init: InitialData) -> tuple[InitialData, int]:
-    """Drop the infinite prefix, relabeling so label 1 is the first finite one."""
+def _past_prefix(init: InitialData, labels) -> tuple[InitialData, list[int]]:
+    """The data with its infinite prefix dropped, so that label 1 is the
+    first finite one, and the labels relabeled onto it; ValueError unless
+    every label points past the prefix."""
     shift = _leading_inf(init)
-    if shift == 0:
-        return init, 0
-    return make_initial("explicit", entries=init.entries[shift:]), shift
+    ns = [nv - shift for nv in labels]
+    if min(ns, default=1) < 1:
+        raise ValueError("labels must point past the infinite prefix")
+    if shift:
+        init = make_initial("explicit", entries=init.entries[shift:])
+    return init, ns
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +271,10 @@ def _small_det(rows: list[list[float]]) -> float:
     row[k] / pivot and each update row[j] - f * pivot_row[j], and the
     product of the pivots is taken in order, with the sign of the row swaps
     applied last, which rounds the same since rounding is symmetric in
-    sign.  The bits are those of the loop for every input."""
+    sign.  The bits are those of the loop for every input.  It multiplies
+    its pivots directly, where np.linalg.det (fredholm.det_window) sums
+    their logarithms and exponentiates, so the two can differ in the last
+    bits."""
     n = len(rows)
     if n == 1:
         (a,), = rows
@@ -364,17 +372,6 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
     return _array_sum_value(xv, yv, t, lo, hi)
 
 
-def _increasing_tuples(base: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
-    """The r-tuples u_1 < ... < u_r of entries of an increasing array, as r
-    columns in itertools.combinations' (lexicographic) order."""
-    a = np.arange(len(base))
-    mask = np.ones((len(base),) * r, dtype=bool)
-    for k in range(1, r):
-        # axis k - 1 below axis k
-        mask &= a.reshape((-1,) + (1,) * (r - k)) < a.reshape((-1,) + (1,) * (r - 1 - k))
-    return tuple(base[i] for i in np.nonzero(mask))
-
-
 def _array_sum_value(xv, yv, t, lo, hi):
     n = len(xv)
     zs = np.arange(lo, hi + 1)
@@ -389,11 +386,13 @@ def _array_sum_value(xv, yv, t, lo, hi):
     prefix = np.zeros((hi + 2 - xv[-2], n))
     np.cumsum(table[xv[-2] - lo :], axis=0, out=prefix[1:])
     # the free row w_1 < ... < w_(n-2) starts at x_(n-2), and the count of
-    # fillings above it is 1 up to n = 3
+    # fillings above it is 1 up to n = 3; it has at most two entries, and
+    # triu_indices gives its pairs in itertools.combinations' order
     if n == 2:
         ws, counts = (), np.ones(1)
     else:
-        ws = _increasing_tuples(np.arange(xv[-3], hi + 1), n - 2)
+        free = np.arange(xv[-3], hi + 1)
+        ws = (free,) if n == 3 else tuple(free[i] for i in np.triu_indices(len(free), 1))
         counts = np.ones(len(ws[0]))
         if n == 4:  # the level-2 entry runs over [max(x_1, w_1 + 1), w_2]
             counts = np.maximum(ws[1] - np.maximum(xv[0], ws[0] + 1) + 1, 0)
@@ -445,23 +444,24 @@ def gt_indicators(arrays) -> list[int]:
 # The space-time correlation kernel.
 
 
-def kt_kernel(
-    t: float, init: InitialData, n_i: int, n_j: int, x1: int, x2: int
-) -> float:
-    """Conjugated space-time correlation kernel entry.
+def kt_kernel(t: float, init: InitialData, n_i: int, n_j: int, x1, x2):
+    """Conjugated space-time correlation kernel K(n_i, x1; n_j, x2).
 
-    The 1 x 1 block of _kernel_blocks with row (n_i, [x1]) and column
-    (n_j, [x2]): entry (0, 1) of the two-label all x all build, to the bit.
-    Labels and sites must be integers.  An infinite prefix of the data is
-    removed by relabeling; both particle labels must point past it.
+    The block of _kernel_blocks with row (n_i, x1) and column (n_j, x2).
+    For integer sites x1 and x2 it is the entry, a float: entry (0, 1) of
+    the two-label all x all build, to the bit.  For 1-D integer arrays it
+    is the window of shape (len(x1), len(x2)), one build; a scalar beside
+    an array counts as a 1-D array of one site.  Labels and sites must be
+    integers.  An infinite prefix of the data is removed by relabeling;
+    both particle labels must point past it.
     """
     t = _check_time(t)
-    base, shift = _strip_leading_inf(init)
-    ni, nj = _integer(n_i, "n_i") - shift, _integer(n_j, "n_j") - shift
-    if min(ni, nj) < 1:
-        raise ValueError("labels must point past the infinite prefix")
-    row, col = (ni, np.array([_integer(x1, "x1")])), (nj, np.array([_integer(x2, "x2")]))
-    return float(_kernel_blocks(t, base, [row], [col])[0, 0])
+    base, (ni, nj) = _past_prefix(init, [_integer(n_i, "n_i"), _integer(n_j, "n_j")])
+    x1, x2 = _integers(x1, "x1"), _integers(x2, "x2")
+    if x1.ndim > 1 or x2.ndim > 1:
+        raise ValueError("sites must be integers or 1-D integer arrays")
+    window = _kernel_blocks(t, base, [(ni, x1.reshape(-1))], [(nj, x2.reshape(-1))])
+    return float(window[0, 0]) if x1.ndim == x2.ndim == 0 else window
 
 
 def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
@@ -520,10 +520,7 @@ def _joint_events(init: InitialData, events):
     if any(av == math.inf or math.isnan(av) for _, av in evs):
         raise ValueError("thresholds must be real or -inf")
     kept = [(nv, av) for nv, av in evs if av != -math.inf]
-    base, shift = _strip_leading_inf(init)
-    ns = [nv - shift for nv, _ in kept]
-    if any(nv < 1 for nv in ns):
-        raise ValueError("labels must point past the infinite prefix")
+    base, ns = _past_prefix(init, [nv for nv, _ in kept])
     return kept, base, ns, [math.floor(av) for _, av in kept]
 
 
@@ -819,7 +816,7 @@ def bfps_l_verify(
     trials = _integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if init.n_finite != 2 or _leading_inf(init):
+    if init.kind != "explicit" or len(init.entries) != 2 or _leading_inf(init):
         raise ValueError("this check is specific to two finite particles")
     lo, hi = (_integer(w, "each window end") for w in window)
     e1, e2 = _entry_int(init, 1), _entry_int(init, 2)
@@ -850,7 +847,7 @@ def bfps_l_verify(
     grid = np.arange(max(e2 - 12, lo + 8), min(e1 + 12, hi - 8) + 1)
     at = grid - lo  # level 1's rows of the kernel, which drops the virtual labels
     got = kernel[np.ix_(at, at)]
-    want = _kernel_blocks(t, init, [(1, grid)], [(1, grid)])
+    want = kt_kernel(t, init, 1, 1, grid, grid)
     want = np.ldexp(want, grid[:, None] - grid[None, :])
     max_dev = float(np.abs(got - want).max())
 

@@ -92,7 +92,8 @@ class HalfLineUp:
     """[r, +infinity), mapped from s in (0,1).  r = +inf is the empty
     half-line: _quadrature_det drops it and its blocks, so a determinant on
     it is 1 and its kernel is never evaluated.  A NaN r, or r = -inf, which
-    makes it the whole line, raises ValueError."""
+    makes it the whole line, raises ValueError.  It is the one domain:
+    block_extended_det reads (-infinity, a] as [-a, +infinity)."""
 
     r: float
 
@@ -103,23 +104,6 @@ class HalfLineUp:
     def nodes(self, order: int):
         s, ws = _gauss01(order)
         return self.r + s / (1.0 - s), ws / (1.0 - s) ** 2
-
-
-@dataclass(frozen=True)
-class HalfLineDown:
-    """(-infinity, a], mapped from s in (0,1); nodes descend from a.  As for
-    HalfLineUp, a = -inf is the empty half-line, dropped with its blocks,
-    and a NaN a, or a = +inf, raises ValueError."""
-
-    a: float
-
-    def __post_init__(self) -> None:
-        if not self.a < math.inf:
-            raise ValueError(f"a half-line (-inf, a] needs a < inf, got {self.a!r}")
-
-    def nodes(self, order: int):
-        y, w = HalfLineUp(-self.a).nodes(order)
-        return -y, w
 
 
 @functools.lru_cache(maxsize=32)
@@ -137,9 +121,13 @@ def _gauss01(order: int):
 
 
 def det_window(kernel_matrix: np.ndarray) -> float:
-    """det(I - K) on a finite real window, LU with partial pivoting.  A
-    product of pivots past the double range gives inf or nan, without a
-    warning: the caller knows what such a window means."""
+    """det(I - K) on a finite real window, LU with partial pivoting.
+    np.linalg.det does not multiply the pivots u_ii: it returns
+    sign * exp(sum ln|u_ii|), so a value carries a relative error of about
+    eps |ln value| on top of the factorisation's: det(diag(2, 3, 5, 7)) is
+    209.99999999999994 and det(1e-100 I_3) is 9.9999999999991e-301.  A
+    value past the double range gives inf or nan, without a warning: the
+    caller knows what such a window means."""
     k = np.asarray(kernel_matrix)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("kernel window must be square")
@@ -150,13 +138,12 @@ def det_window(kernel_matrix: np.ndarray) -> float:
 def _quadrature_det(block: Callable, domains, order: int) -> float:
     """det(I - K) on the direct sum of L^2(domain_i) at `order` nodes each,
     block (i, j) of K being block(i, j, U, V) for broadcast U, V, entries
-    symmetrized as sqrt(w_i) K_ij sqrt(w_j).  Empty half-lines, r = +inf
-    and a = -inf, drop out with their blocks unevaluated; block sees the
-    others by their indices in `domains`, and with none left the value is
-    1.0.  Past MAX_STACKED_ROWS rows a ValueError comes before the matrix
-    does.  One block is the matrix itself, with no stack to fill."""
-    ends = [domain.r if isinstance(domain, HalfLineUp) else domain.a for domain in domains]
-    keep = [i for i, end in enumerate(ends) if math.isfinite(end)]
+    symmetrized as sqrt(w_i) K_ij sqrt(w_j).  Empty domains, HalfLineUp(inf),
+    drop out with their blocks unevaluated; block sees the others by their
+    indices in `domains`, and with none left the value is 1.0.  Past
+    MAX_STACKED_ROWS rows a ValueError comes before the matrix does.  One
+    block is the matrix itself, with no stack to fill."""
+    keep = [i for i, domain in enumerate(domains) if domain.r < math.inf]
     if not keep:
         return 1.0
     rows = len(keep) * order
@@ -188,7 +175,7 @@ class NystromProblem:
     """det(I - K) on `domain` at one ladder order."""
 
     kernel: Callable
-    domain: HalfLineUp | HalfLineDown
+    domain: HalfLineUp
     order: int = 80
 
     def __post_init__(self) -> None:
@@ -233,7 +220,8 @@ def nystrom_ladder(kernel: Callable, domain, tol: float = 1e-10) -> NystromResul
 class BlockExtendedProblem:
     """Multipoint determinant over stacked blocks with projections onto
     (-infinity, a_i], at least one, and -inf an empty one; only
-    MAX_STACKED_ROWS bounds their number.
+    MAX_STACKED_ROWS bounds their number.  A NaN or +inf threshold, which
+    would make its half-line the whole line, raises ValueError.
 
     kernel(i, j, U, V) returns block (i,j) of the kernel for broadcast U, V.
     """
@@ -245,10 +233,17 @@ class BlockExtendedProblem:
     def __post_init__(self) -> None:
         if len(self.thresholds) == 0:
             raise ValueError("needs at least one block")
+        for a in self.thresholds:
+            if not a < math.inf:
+                raise ValueError(f"a half-line (-inf, a] needs a < inf, got {a!r}")
         if self.order not in ORDER_LADDER:
             raise ValueError(f"order must be one of {ORDER_LADDER}")
 
 
 def block_extended_det(problem: BlockExtendedProblem) -> float:
-    """det(I - K) over the concatenated blocks; empty projections drop out."""
-    return _quadrature_det(problem.kernel, [HalfLineDown(a) for a in problem.thresholds], problem.order)
+    """det(I - K) over the concatenated blocks; empty projections drop out.
+    (-infinity, a_i] is read as [-a_i, +infinity), with the kernel at
+    (-u, -v): negation is exact, so these are the mirrored nodes and
+    weights to the bit."""
+    kernel, domains = problem.kernel, [HalfLineUp(-a) for a in problem.thresholds]
+    return _quadrature_det(lambda i, j, u, v: kernel(i, j, -u, -v), domains, problem.order)

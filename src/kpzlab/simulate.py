@@ -162,7 +162,8 @@ class InitialData:
     with gap d >= 2 is X_0(k) = -d(k-1); explicit stores the entries, which
     may include +inf leading entries (those are meaningful to the exact
     solvers but not simulatable).  The gap and every finite entry must be
-    integral; an integral float is accepted and kept as given.
+    integral; an integral float is accepted and kept as given.  X_0^{-1}
+    has one evaluator, `inverse_label`: `anchor` is its value at -1.
     """
 
     kind: str
@@ -203,26 +204,19 @@ class InitialData:
             raise ValueError(f"label {k} beyond explicit data")
         return self.entries[k - 1]
 
-    @property
-    def n_finite(self) -> float:
-        if self.kind == "explicit":
-            return sum(1 for e in self.entries if not math.isinf(e))
-        return math.inf
+    def inverse_label(self, z: int) -> int:
+        """X_0^{-1}(z) = min{k : X_0(k) <= z} for an integer z: step and
+        periodic data are the progression X_0(k) = x_1 - d(k - 1), and
+        explicit data with every particle right of z gives N + 1 (the empty
+        half-line below the last particle is determined)."""
+        if self.kind != "explicit":
+            x1, d = (-1, 1) if self.kind == "step" else (0, _integer(self.d, "gap d"))
+            return 1 + max(0, -((z - x1) // d))
+        return next((k for k, e in enumerate(self.entries, start=1) if e <= z), len(self.entries) + 1)
 
     def anchor(self) -> int:
-        """X_0^{-1}(-1) = min{k : X_0(k) <= -1}.
-
-        For a complete finite family with every particle right of -1 this is
-        N+1 (the empty half-line below the last particle is determined).
-        """
-        if self.kind == "step":
-            return 1
-        if self.kind == "periodic":
-            return 2
-        for k, e in enumerate(self.entries, start=1):
-            if e <= -1:
-                return k
-        return len(self.entries) + 1
+        """X_0^{-1}(-1), the label that a height is counted from."""
+        return self.inverse_label(-1)
 
 
 @dataclass
@@ -348,13 +342,8 @@ def particles_needed(init: InitialData, z_lo: int, duration: float) -> int:
     probability at most TRUNCATION_RISK; see the module docstring.
     """
     edge = _integer(z_lo, "z_lo") - 1 - jump_bound(duration)
-    if init.kind == "step":
-        return max(1, -edge)
-    if init.kind == "periodic":
-        return 1 + max(0, -(edge // init.d))
-    return next(
-        (k for k, e in enumerate(init.entries, start=1) if e <= edge), len(init.entries)
-    )
+    n = init.inverse_label(edge)
+    return min(n, len(init.entries)) if init.kind == "explicit" else n
 
 
 def initial_state(

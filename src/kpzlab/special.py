@@ -203,7 +203,7 @@ def _poisson_charlier(
     """
     s = log_scale - c * t
     if isinstance(x, (int, float, np.number)):
-        k, g = (0, math.exp(s)) if -_SPLIT < s < _SPLIT else _exp_split(float(s))
+        k, g = _exp_split(float(s))
         x, r, prev, cur, e = float(x), c * t, 0.0, 1.0, exp2 + k
         vals, exps = [cur], [e]
         for j in range(m):
@@ -230,14 +230,8 @@ def _poisson_charlier(
 def _array_rows(m, x, t, c, s, exp2, rows):
     """The array branch of _poisson_charlier: yields its rows at the rising
     degrees rows, each on reaching it, for s = log_scale - c t."""
-    r, q = c * t, s / _LN2_HI
-    lo, hi = (q, q) if isinstance(q, float) else (q.min(), q.max())
-    if 1 - _K_EXACT <= lo and hi < _K_EXACT:  # |k| < _K_EXACT, where k _LN2_HI is exact
-        k = q // 1 * (abs(s) >= _SPLIT)
-        g = np.exp(s - k * _LN2_HI - k * _LN2_LO)
-    else:  # past the exact split: in integers, entry by entry
-        k, g = np.vectorize(_exp_split, otypes=[float, float])(np.broadcast_to(s, x.shape))
-        k = k.clip(-(2.0**62), 2.0**62)  # e^s is 0 or inf there, whatever the run
+    r = c * t
+    k, g = _exp_split(np.float64(s))  # numpy's exp, for a float s too
     prev, cur, e = np.zeros(x.shape), np.ones(x.shape), np.full(x.shape, exp2 + k, dtype=int)
     want = iter(rows)
     d = next(want, None)
@@ -271,17 +265,31 @@ def _array_rows(m, x, t, c, s, exp2, rows):
             d = next(want, None)
 
 
-def _exp_split(s: float) -> tuple[int, float]:
-    """(k, g) with e^s = g 2^k for a finite s: k = floor(s / _LN2_HI) and g
-    from the two-part ln 2 while k _LN2_HI is exact, |k| < _K_EXACT, and
-    past it from one integer division of s 2^128 by ln 2 2^128, which
-    leaves g = e^f with f = s - k ln 2 in [0, ln 2) for every s."""
+def _exp_split(s):
+    """(k, g) with e^s = g 2^k for a finite s: k = 0 and g = e^s while
+    |s| < _SPLIT, else k = floor(s / _LN2_HI) and g from the two-part ln 2
+    while k _LN2_HI is exact, |k| < _K_EXACT, and past it from one integer
+    division of s 2^128 by ln 2 2^128, which leaves g = e^f with
+    f = s - k ln 2 in [0, ln 2) for every s.  A Python float takes
+    math.exp, and a numpy float64 scalar or array numpy's exp; an array
+    with an entry past the exact range is split entry by entry as floats
+    are.  Past it k is clipped to 2^62: e^s is 0 or inf there, whatever
+    multiplies it."""
+    if isinstance(s, np.ndarray):
+        q = s / _LN2_HI
+        if s.size and not (1 - _K_EXACT <= q.min() and q.max() < _K_EXACT):
+            return np.vectorize(lambda v: _exp_split(float(v)), otypes=[np.int64, float])(s)
+        k = q // 1 * (abs(s) >= _SPLIT)
+        return k.astype(np.int64), np.exp(s - k * _LN2_HI - k * _LN2_LO)
+    exp = math.exp if type(s) is float else np.exp
+    if -_SPLIT < s < _SPLIT:
+        return 0, exp(s)
     k = math.floor(s / _LN2_HI)
     if -_K_EXACT < k < _K_EXACT:
-        return k, math.exp(s - k * _LN2_HI - k * _LN2_LO)
+        return k, exp(s - k * _LN2_HI - k * _LN2_LO)
     num, den = s.as_integer_ratio()  # den is 2^q, q <= 33 at |s| >= 2^19
     k, rem = divmod((num << 128) // den, _LN2_2_128)
-    return k, math.exp(rem / (1 << 128))
+    return min(max(k, -(2**62)), 2**62), math.exp(rem / (1 << 128))
 
 
 def _exit(v, e, g=1.0):

@@ -16,7 +16,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import airy, airye
 
 from kpzlab.continuum import airy1_probability, airy2_probability, airy_kernel, s_kernel
-from kpzlab.fredholm import ORDER_LADDER, Certified, HalfLineDown, _quadrature_det
+from kpzlab.fredholm import ORDER_LADDER, Certified, HalfLineUp, _quadrature_det
 
 # ------------------------------------------------------------------ kernels
 
@@ -328,19 +328,18 @@ def flat_product(t, xi, xj, u, v):
 def fixed_point_probability(t, points, product):
     """P(h(t, x_k) <= a_k for every k) = det(I - K) on the direct sum of
     L^2(a_k, inf), K(x_i, u; x_j, v) = product - e^((x_j - x_i) D^2)(u, v)
-    1{x_i < x_j}.  The quadrature reads each block on (-inf, -a_k] at 80
-    nodes, in the variables U = -u."""
+    1{x_i < x_j}.  The quadrature reads each block on [a_k, inf) at 80
+    nodes."""
     xs = [x for x, _ in points]
 
-    def kernel(i, j, U, V):
-        u, v = -U, -V
+    def kernel(i, j, u, v):
         out = product(t, xs[i], xs[j], u, v.T)
         gap = xs[j] - xs[i]
         if gap > 0:
             out = out - np.exp(-((u - v) ** 2) / (4.0 * gap)) / math.sqrt(4.0 * math.pi * gap)
         return out
 
-    return _quadrature_det(kernel, [HalfLineDown(-a) for _, a in points], 80)
+    return _quadrature_det(kernel, [HalfLineUp(a) for _, a in points], 80)
 
 
 FIXED_POINT_CASES = [

@@ -55,7 +55,6 @@ from kpzlab.exact import (
     WINDOW_DEPTHS,
     TruncationError,
     WindowError,
-    _increasing_tuples,
     bfps_l_verify,
     epi_transfer_matrix,
     gt_indicators,
@@ -1096,6 +1095,30 @@ def test_kt_kernel_is_block_matrix_entry():
                         assert kt_kernel(t, init, ni, nj, x1, x2) == full[0, 1]
 
 
+def test_kt_kernel_takes_site_arrays():
+    # 1-D site arrays give the window K(n_i, x1; n_j, x2) of one build, to
+    # the bit, and the entries of single-site calls up to the rounding of a
+    # longer start span; an infinite prefix relabels as for one entry
+    from kpzlab.exact import _kernel_blocks
+
+    x1, x2 = np.arange(-6, 3), np.array([-4, 0, 1, 5])
+    prefixed = make_initial("explicit", entries=(math.inf, *EXPL.entries))
+    for init, shift in ((STEP, 0), (EXPL, 0), (prefixed, 1)):
+        for ni, nj in ((1, 1), (2, 3), (3, 2)):
+            got = kt_kernel(0.7, init, ni + shift, nj + shift, x1, x2)
+            base = EXPL if shift else init
+            assert got.shape == (9, 4)
+            assert np.array_equal(got, _kernel_blocks(0.7, base, [(ni, x1)], [(nj, x2)]))
+            each = [[kt_kernel(0.7, init, ni + shift, nj + shift, a, b) for b in x2] for a in x1]
+            np.testing.assert_allclose(got, each, rtol=1e-12, atol=1e-15)
+    row = kt_kernel(0.7, STEP, 2, 3, 1, x2)
+    assert row.shape == (1, 4) and np.array_equal(row, kt_kernel(0.7, STEP, 2, 3, [1], x2))
+    with pytest.raises(ValueError, match="^sites must be integers or 1-D integer arrays$"):
+        kt_kernel(0.7, STEP, 2, 3, x1[None, :], x2)
+    with pytest.raises(ValueError, match=r"^x2 must be an integer, got 0\.5$"):
+        kt_kernel(0.7, STEP, 2, 3, x1, [0, 0.5])
+
+
 def test_kernel_two_periodic_truncation_matches_closed_form():
     # 16 particles on the even sites of [-16, 14]; label n of the data on
     # every even site is label 8 + n here
@@ -1714,13 +1737,6 @@ def test_transition_routes_to_the_bit():
         assert schuetz_transition(x, y, t).hex() == want, (x, y, t)
         # the slow path of the site check gives the same entries
         assert schuetz_transition(list(x), np.array(y), t).hex() == want, (x, y, t)
-
-
-def test_increasing_tuples_in_combinations_order():
-    for base in (np.arange(-3, 9), np.array([-7, -2, 0, 5, 6]), np.arange(3), np.arange(2)):
-        for r in (1, 2, 3):
-            got = np.stack(_increasing_tuples(base, r), 1).tolist()
-            assert got == [list(c) for c in itertools.combinations(base.tolist(), r)]
 
 
 # ---- joint laws ------------------------------------------------------------

@@ -17,7 +17,6 @@ from kpzlab.fredholm import (
     BlockExtendedProblem,
     Certified,
     ConvergenceError,
-    HalfLineDown,
     HalfLineUp,
     NystromProblem,
     block_extended_det,
@@ -238,14 +237,6 @@ def test_invalid_order_rejected():
         NystromProblem(lambda x, y: x * y, HalfLineUp(0.0), order=33)
 
 
-def test_half_line_down_mirrors_up():
-    # negation is exact, so the mirrored grids give the same bits
-    for order in ORDER_LADDER:
-        ku = NystromProblem(lambda x, y: np.exp(-x - y), HalfLineUp(0.0), order=order)
-        kd = NystromProblem(lambda x, y: np.exp(x + y), HalfLineDown(0.0), order=order)
-        assert nystrom_det(ku).value == nystrom_det(kd).value
-
-
 def test_half_lines_refuse_nan_and_whole_line_ends():
     # HalfLineUp(nan) and HalfLineUp(-inf) walked every order on NaN and then
     # raised ConvergenceError, advising a larger tol
@@ -254,14 +245,14 @@ def test_half_lines_refuse_nan_and_whole_line_ends():
         for end in (math.nan, -math.inf, np.float64(math.nan)):
             with pytest.raises(ValueError, match=r"\[r, inf\) needs r > -inf"):
                 HalfLineUp(end)
-        for end in (math.nan, math.inf):
+        for end in (math.nan, math.inf, np.float64(math.nan)):
             with pytest.raises(ValueError, match=r"\(-inf, a\] needs a < inf"):
-                HalfLineDown(end)
+                BlockExtendedProblem(exp_block_kernel, [end])
         with pytest.raises(ValueError, match="needs a < inf"):
             block_extended_det(BlockExtendedProblem(exp_block_kernel, [0.0, math.inf], order=20))
         # the empty half-lines stay valid, and their determinant is 1
         assert nystrom_ladder(airy_kernel_matrix(), HalfLineUp(math.inf)).value == 1.0
-        assert nystrom_ladder(lambda x, y: np.exp(x + y), HalfLineDown(-math.inf)).value == 1.0
+        assert block_extended_det(BlockExtendedProblem(exp_block_kernel, [-math.inf])) == 1.0
 
 
 
@@ -274,10 +265,12 @@ def exp_block_kernel(i, j, u, v):
 
 
 def test_single_block_reduces_to_nystrom():
+    # (-inf, 1] is read as [-1, inf) with the kernel at (-u, -v); negation
+    # is exact, so the reflected problem gives the same bits
     for order in ORDER_LADDER:
         got = block_extended_det(BlockExtendedProblem(exp_block_kernel, [1.0], order=order))
         want = nystrom_det(
-            NystromProblem(lambda x, y: np.exp(x + y - 2.0), HalfLineDown(1.0), order=order)
+            NystromProblem(lambda x, y: np.exp(-x - y - 2.0), HalfLineUp(-1.0), order=order)
         ).value
         assert got == want
 
@@ -327,18 +320,17 @@ def test_block_count_is_bounded_by_the_stacked_rows(monkeypatch):
         block_extended_det(BlockExtendedProblem(exp_block_kernel, [-1.0] * 4, order=40))
 
 
-@pytest.mark.parametrize("side", ["up", "down"])
-def test_empty_half_lines_drop_out_before_their_kernel_is_evaluated(side):
-    # u - v is NaN at u = v = +-inf, with numpy's "invalid value" warning:
+def test_empty_half_lines_drop_out_before_their_kernel_is_evaluated():
+    # u - v is NaN at u = v = inf, with numpy's "invalid value" warning:
     # continuum.airy_kernel on HalfLineUp(inf) raised it under the suite's
     # error::RuntimeWarning.  An empty half-line and its blocks drop out,
     # and the kernel sees the others by their own indices
-    sign, line, empty = (1.0, HalfLineUp, math.inf) if side == "up" else (-1.0, HalfLineDown, -math.inf)
+    line, empty = HalfLineUp, math.inf
     calls = []
 
     def block(i, j, u, v):
         calls.append((i, j))
-        return np.exp(-np.abs(u - v) - sign * (u + v) - i - j)
+        return np.exp(-np.abs(u - v) - (u + v) - i - j)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -351,6 +343,5 @@ def test_empty_half_lines_drop_out_before_their_kernel_is_evaluated(side):
         assert _quadrature_det(block, [line(empty)] * 3, 40) == 1.0 and not calls
         one = nystrom_ladder(lambda u, v: block(0, 0, u, v), line(empty))
         assert one.value == 1.0 and one.delta == 0.0 and not calls
-        if side == "up":
-            assert nystrom_ladder(airy_kernel, HalfLineUp(math.inf)).value == 1.0
+        assert nystrom_ladder(airy_kernel, HalfLineUp(math.inf)).value == 1.0
 

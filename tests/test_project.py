@@ -225,6 +225,21 @@ def test_one_path_to_the_transition_determinant():
     }
 
 
+def test_only_special_names_the_exp_split_constants():
+    # special._exp_split is the one split e^s = g 2^k: no other module under
+    # src/ or tests/ names the two-part ln 2 or the bounds of its ranges
+    constants = {"_LN2_HI", "_LN2_LO", "_SPLIT", "_K_EXACT", "_LN2_2_128"}
+    found = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        if path == ROOT / "src" / "kpzlab" / "special.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in constants:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not found, found
+
+
 @pytest.mark.parametrize("layer", ["exact", "dpp"])
 def test_layer_defines_only_what_the_library_calls_or_the_bench_reads(layer):
     # one evaluation path per object: a public function or class of the

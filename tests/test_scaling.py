@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
-from kpzlab.exact import _kernel_blocks, multipoint_probability, path_integral_probability
+from kpzlab.exact import kt_kernel, multipoint_probability, path_integral_probability
 from kpzlab.continuum import airy1_probability
 from kpzlab.simulate import height_events, make_initial
 
@@ -76,7 +76,7 @@ def test_kernel_approaches_the_airy_kernel(eps):
     a0 = t - 2.0 * math.sqrt(t * n)
     z = np.arange(math.ceil(a0 - 2 * sigma), math.floor(a0 + 2 * sigma) + 1)
     u = (a0 - z) / sigma
-    kernel = _kernel_blocks(t, STEP, [(n, z)], [(n, z)])
+    kernel = kt_kernel(t, STEP, n, n, z, z)
     limit = airy_kernel(u)
     bound = 0.2 * math.sqrt(eps)
     assert np.abs(sigma * np.diag(kernel) - np.diag(limit)).max() <= bound

@@ -184,6 +184,22 @@ def test_light_cone_closed_form_matches_the_entries():
     assert particles_needed(explicit, -60, 3.0) == 5
 
 
+def test_inverse_label_is_the_first_label_at_or_below():
+    # one evaluator of X_0^(-1) for every kind; an integral float gap gives
+    # int labels, as the integer gap does
+    data = [make_initial("step"), make_initial("periodic", d=2), make_initial("periodic", d=3),
+            make_initial("periodic", d=2.0), make_initial("explicit", entries=(math.inf, 5, 2.0, 0, -40))]
+    for init in data:
+        for z in range(-45, 8):
+            label = init.inverse_label(z)
+            assert type(label) is int
+            if init.kind == "explicit" and z < -40:
+                assert label == 6  # past the last particle
+            else:
+                assert label == _first_label_below(init, z), (init, z)
+        assert init.anchor() == init.inverse_label(-1)
+
+
 def _pad_count(init, z_lo, duration):
     """The tracked count of the former rule: every particle at or right of
     z_lo - 1, plus 10 per unit time, plus 8."""

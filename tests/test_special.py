@@ -726,6 +726,25 @@ def test_schuetz_F_past_its_largest_t_raises_at_once():
         assert schuetz_F(1, 2, 4e4) == 1.0
 
 
+def test_exp_split_of_an_array_is_the_split_of_each_entry():
+    # one split for scalars and arrays: an array gets int64 exponents and
+    # numpy's exp, and past the exact range each entry's scalar split
+    for ss in ([-7.3e5, 7.3e5, -1e6, 2.5e7, -3e12, 1.5], [-700.0, -1.5, 0.0, 299.0, 300.0, 1e4]):
+        ks, gs = special._exp_split(np.array(ss))
+        assert ks.dtype == np.int64
+        for s, k, g in zip(ss, ks.tolist(), gs.tolist()):
+            want_k, want_g = special._exp_split(s)
+            assert k == want_k and g == pytest.approx(want_g, rel=2e-16), s
+    # a numpy scalar takes numpy's exp within the exact range, and the
+    # float's split past it
+    for s in (-1.5, -500.5, 2.5e7):
+        k, g = special._exp_split(np.float64(s))
+        want_k, want_g = special._exp_split(s)
+        assert k == want_k and g == pytest.approx(want_g, rel=2e-16)
+        assert type(g) is (np.float64 if abs(s) < 7e5 else float)
+    assert special._exp_split(np.float64(-3e12)) == special._exp_split(-3e12)
+
+
 def test_exit_split_past_its_exact_range():
     # k * _LN2_HI is exact for |k| < 2^20 only, and the split took k from
     # _LN2_HI alone, so at s = -3e12 the exit raised "math range error"

@@ -59,10 +59,13 @@ _LAMBDA, _LAMBDA_WEIGHTS = (16.0 * a for a in _gauss01(96))
 # Both terms of the Airy_2 kernel from (x, u) to (x + d, v), d > 0, are of
 # size e^(d^3/12 - d(u+v)/2 - (u-v)^2/(4d)) while their
 # difference is of order one, so the kernel keeps about that many ulps of
-# error, the same at every order of the ladder.  The budget is this
-# exponent at levels 0 and d = 6, where lambda rules differ by 4e-10; at 24
-# (levels -1) they differ by 6e-7.  Past d = 8, e^(lam d) overflows at the
-# top of the lambda rule.
+# error at every order of the ladder, unseen by its certificate.  The budget
+# is this exponent at levels 0 and d = 6, where lambda rules differ by
+# 4e-10; at 24 (levels -1) they differ by 6e-7.  Under it the loss can pass
+# 1e-9: at levels -3 and d = 4 (17.33) the block is 3.2e-8 off a 400-node
+# rule of the -int_(-inf)^0 form, and the two-point 7.7e-11 off with
+# certificate error 7.3e-13.  Past d = 8, e^(lam d) overflows at the top of
+# the lambda rule.
 _MAX_EXPONENT = 18.0
 _MAX_SPACING = 8.0
 
@@ -240,9 +243,11 @@ def airy2_probability(points) -> Certified:
     d = 0 and int_0^inf e^(lam d) Ai(u + lam) Ai(v + lam) dlam otherwise,
     minus its integral over the whole line when d > 0.  That subtraction
     cancels (see _MAX_EXPONENT), so a ValueError refuses two kept points
-    whose kernel would lose more than about 1e-9, or that lie more than 8
-    apart.  A level past 128, +inf included, drops its point; points closer
-    than about 0.1 raise ConvergenceError (see _NARROW_GAP).
+    whose kernel would lose far more than 1e-9, or that lie more than 8
+    apart.  Under that bound the loss can still pass 1e-9, unseen by the
+    certificate: at levels -3 and spacing 4 the value is 7.7e-11 off, with
+    certificate error 7.3e-13.  A level past 128, +inf included, drops its
+    point; points closer than about 0.1 raise ConvergenceError (_NARROW_GAP).
     """
     kept = _kept_points(points)
     for (xi, bi), (xj, bj) in itertools.combinations(kept, 2):

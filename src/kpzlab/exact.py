@@ -52,7 +52,7 @@ from scipy.special import pdtrc
 from .dpp import conditional_l_to_k
 from .fredholm import MAX_STACKED_ROWS, Certified, _settle, det_window
 from .fredholm import ConvergenceError as TruncationError  # the window depths ran out
-from .simulate import InitialData, jump_bound, make_initial
+from .simulate import InitialData, jump_bound
 from .special import (
     _RESCALE,
     _SCHUETZ_T_MAX,
@@ -80,32 +80,6 @@ class WindowError(ValueError):
     """Raised when a requested window cannot reach the target accuracy."""
 
 
-def _entry_int(init: InitialData, label: int) -> int:
-    e = init.entry(label)
-    if math.isinf(e):
-        raise ValueError(f"label {label} has no finite position")
-    return int(e)
-
-
-def _leading_inf(init: InitialData) -> int:
-    if init.kind != "explicit":
-        return 0
-    return sum(1 for e in init.entries if math.isinf(e))
-
-
-def _past_prefix(init: InitialData, labels) -> tuple[InitialData, list[int]]:
-    """The data with its infinite prefix dropped, so that label 1 is the
-    first finite one, and the labels relabeled onto it; ValueError unless
-    every label points past the prefix."""
-    shift = _leading_inf(init)
-    ns = [nv - shift for nv in labels]
-    if min(ns, default=1) < 1:
-        raise ValueError("labels must point past the infinite prefix")
-    if shift:
-        init = make_initial("explicit", entries=init.entries[shift:])
-    return init, ns
-
-
 # ---------------------------------------------------------------------------
 # The two transfer matrices of the extended kernel.
 
@@ -119,8 +93,6 @@ def _transfer_inverse_matrix(t: float, n: int, ys: np.ndarray, xs: np.ndarray) -
     a Toeplitz matrix that one run of the recurrence over p fills.  The run
     is accurate norm-wise, not per entry (see the module docstring).
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
     p = n + xs[None, :] - ys[:, None]
     p_max = int(p.max(initial=-1))
     if p_max < 0:
@@ -160,12 +132,11 @@ def epi_transfer_matrix(
     if n < 1:
         raise ValueError("depth must be at least 1")
     z2s = _integers(z2s, "each target z2")
-    floor = _entry_int(init, n) + n
+    floor = init.entry(n) + n
     steps, top = [], y_hi + 1  # (top, cut): step m stops cut..top
     for m in range(n):
         top -= 1
-        e = init.entry(m + 1)
-        cut = int(e) + 1 if e < top else top + 1
+        cut = min(init.entry(m + 1), top) + 1
         steps.append((top, cut))
         top = cut - 1
         if top < floor - m or m == 0 and top < y_lo:
@@ -372,12 +343,16 @@ def gt_pattern_sum(x, y, t: float, pad: int = 40) -> float:
     return _array_sum_value(xv, yv, t, lo, hi)
 
 
+def _row_functions(zs, ys, t):
+    """Unconjugated row functions along the sites zs, column j for entry y_j
+    of ys: (-1)^k F_(-k)(z - y_j) = E_p(k), k = len(ys) - j, p = z - y_j + k."""
+    n = len(ys)
+    return np.stack([_charlier_term(zs - y + n - j, n - j, t) for j, y in enumerate(ys, 1)], 1)
+
+
 def _array_sum_value(xv, yv, t, lo, hi):
     n = len(xv)
-    zs = np.arange(lo, hi + 1)
-    # column j: the unconjugated row function of entry y_j along zs,
-    # (-1)^k F_(-k)(z - y_j) = E_p(k), k = n - j, p = z - y_j + k
-    table = np.stack([_charlier_term(zs - y + n - j, n - j, t) for j, y in enumerate(yv, 1)], 1)
+    table = _row_functions(np.arange(lo, hi + 1), yv, t)
 
     if n == 1:
         return float(table[xv[0] - lo, 0])
@@ -452,15 +427,14 @@ def kt_kernel(t: float, init: InitialData, n_i: int, n_j: int, x1, x2):
     the two-label all x all build, to the bit.  For 1-D integer arrays it
     is the window of shape (len(x1), len(x2)), one build; a scalar beside
     an array counts as a 1-D array of one site.  Labels and sites must be
-    integers.  An infinite prefix of the data is removed by relabeling;
-    both particle labels must point past it.
+    integers.
     """
     t = _check_time(t)
-    base, (ni, nj) = _past_prefix(init, [_integer(n_i, "n_i"), _integer(n_j, "n_j")])
+    ni, nj = _integer(n_i, "n_i"), _integer(n_j, "n_j")
     x1, x2 = _integers(x1, "x1"), _integers(x2, "x2")
     if x1.ndim > 1 or x2.ndim > 1:
         raise ValueError("sites must be integers or 1-D integer arrays")
-    window = _kernel_blocks(t, base, [(ni, x1.reshape(-1))], [(nj, x2.reshape(-1))])
+    window = _kernel_blocks(t, init, [(ni, x1.reshape(-1))], [(nj, x2.reshape(-1))])
     return float(window[0, 0]) if x1.ndim == x2.ndim == 0 else window
 
 
@@ -504,11 +478,10 @@ def kt_step_closed(t: float, n_i: int, n_j: int, z1: int, z2: int) -> float:
 # Fredholm determinants for joint one-sided probabilities.
 
 
-def _joint_events(init: InitialData, events):
+def _joint_events(events):
     """Validated events, at least one and any number, read once from any
-    iterable, with the -inf thresholds dropped, and the data with its
-    infinite prefix stripped: (kept, base, ns, tops), with ns the kept
-    labels relabeled onto base and tops their thresholds rounded down."""
+    iterable, with the -inf thresholds dropped: (kept, ns, tops), with ns
+    the kept labels and tops their thresholds rounded down."""
     evs = [(_integer(nv, "labels"), float(av)) for nv, av in events]
     if not evs:
         raise ValueError("need at least one (label, threshold) event")
@@ -520,8 +493,7 @@ def _joint_events(init: InitialData, events):
     if any(av == math.inf or math.isnan(av) for _, av in evs):
         raise ValueError("thresholds must be real or -inf")
     kept = [(nv, av) for nv, av in evs if av != -math.inf]
-    base, ns = _past_prefix(init, [nv for nv, _ in kept])
-    return kept, base, ns, [math.floor(av) for _, av in kept]
+    return kept, [nv for nv, _ in kept], [math.floor(av) for _, av in kept]
 
 
 def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -555,12 +527,12 @@ def _window_q_power(steps: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.ldexp(np.where(ok, coeff, 0.0), exp2 - ds)[d - lo]
 
 
-def _start_floor(base, ns) -> int:
+def _start_floor(init, ns) -> int:
     """y_lo = min (entry(n) + n) over labels ns: every label's first-passage
     rows (epi_transfer_matrix) are zero at starts below it, since a walk
     from there stays at or below entry(m + 1) at each step m.  It is at or
     above min entry(n) + 1, since entries strictly decrease."""
-    return min(_entry_int(base, nv) + nv for nv in ns)
+    return min(init.entry(nv) + nv for nv in ns)
 
 
 def _finite(t, label, factor, m):
@@ -575,7 +547,7 @@ def _finite(t, label, factor, m):
     return m
 
 
-def _kernel_blocks(t, base, rows, cols):
+def _kernel_blocks(t, init, rows, cols):
     """The extended-kernel blocks K(n_i, g_i; n_j, g_j) for the (label,
     grid) pairs on rows and cols, stacked.  Every block sums over one start
     span: y_lo = _start_floor over all the labels, up to the largest grid
@@ -586,7 +558,7 @@ def _kernel_blocks(t, base, rows, cols):
     range would make its blocks NaN or inf, so each factor is checked once,
     before any product, and raises TruncationError naming t and the label."""
     pairs = [*rows, *cols]
-    y_lo = _start_floor(base, [nv for nv, _ in pairs])
+    y_lo = _start_floor(init, [nv for nv, _ in pairs])
     y_hi = max((int(g[-1]) + nv for nv, g in pairs if len(g)), default=y_lo - 1)
     y_lo = min(y_lo, y_hi + 1)
     ys = np.arange(y_lo, y_hi + 1)
@@ -595,7 +567,7 @@ def _kernel_blocks(t, base, rows, cols):
         for ni, gi in rows
     ]
     rights = [
-        _finite(t, nj, "first-passage factor", epi_transfer_matrix(base, t, nj, y_lo, y_hi, gj))
+        _finite(t, nj, "first-passage factor", epi_transfer_matrix(init, t, nj, y_lo, y_hi, gj))
         for nj, gj in cols
     ]
 
@@ -611,15 +583,15 @@ def _kernel_blocks(t, base, rows, cols):
 
 def _joint_probability(t, init, events, tol, window) -> Certified:
     """The window ladder of both routes, by the rule multipoint_probability
-    states; window(t, base, ns, tops, y_lo, low, depth) gives the matrix and
+    states; window(t, init, ns, tops, y_lo, low, depth) gives the matrix and
     the site of each row on the rung of that depth."""
     t = _check_time(t)
-    kept, base, ns, tops = _joint_events(init, events)
+    kept, ns, tops = _joint_events(events)
     if not kept:
         return Certified(1.0)
-    y_lo = _start_floor(base, ns)
+    y_lo = _start_floor(init, ns)
     floor, reach = y_lo - ns[-1], jump_bound(t)
-    entries = [_entry_int(base, nv) for nv in ns]
+    entries = [init.entry(nv) for nv in ns]
     tops = [min(max(top, floor - 1), e + reach) for top, e in zip(tops, entries)]
     low = min(tops)
     held, missed, bounds = {}, [], []
@@ -628,7 +600,7 @@ def _joint_probability(t, init, events, tol, window) -> Certified:
         # a deeper window only adds sites below, so the first rung is the
         # part of the second's build at sites >= low - depth, held for it
         size = max(depth, WINDOW_DEPTHS[1])
-        big, sites = held.pop(size, None) or window(t, base, ns, tops, y_lo, low, size)
+        big, sites = held.pop(size, None) or window(t, init, ns, tops, y_lo, low, size)
         if depth < size:
             held[size] = big, sites
             inside = sites >= low - depth
@@ -655,7 +627,7 @@ def _joint_probability(t, init, events, tol, window) -> Certified:
         ) from err
 
 
-def _extended_window(t, base, ns, tops, y_lo, low, depth):
+def _extended_window(t, init, ns, tops, y_lo, low, depth):
     """multipoint_probability's rung: the projected extended kernel, one
     block per event, refused past MAX_STACKED_ROWS rows before any build."""
     grids = [np.arange(max(low - depth, y_lo - nv), top + 1) for nv, top in zip(ns, tops)]
@@ -664,10 +636,10 @@ def _extended_window(t, base, ns, tops, y_lo, low, depth):
         raise ValueError(f"{len(ns)} events at depth {depth} stack a {rows} x {rows} window, past the"
                          f" {MAX_STACKED_ROWS} rows of fredholm.MAX_STACKED_ROWS; use fewer events")
     pairs = list(zip(ns, grids))
-    return _kernel_blocks(t, base, pairs, pairs), np.concatenate(grids)
+    return _kernel_blocks(t, init, pairs, pairs), np.concatenate(grids)
 
 
-def _path_window(t, base, ns, tops, y_lo, low, depth):
+def _path_window(t, init, ns, tops, y_lo, low, depth):
     """path_integral_probability's rung: the path product on one grid,
     balanced."""
     if len(ns) > N_MAX_PATH:
@@ -677,7 +649,7 @@ def _path_window(t, base, ns, tops, y_lo, low, depth):
             " 8e-8 at ten, at t <= 2); multipoint_probability takes any number"
         )
     grid = np.arange(max(low - depth, y_lo - ns[-1]), max(tops) + 1)
-    row = _kernel_blocks(t, base, [(ns[-1], grid)], [(nv, grid) for nv in ns])
+    row = _kernel_blocks(t, init, [(ns[-1], grid)], [(nv, grid) for nv in ns])
     below = [grid <= top for top in tops]
     acc = 0.0
     for s, blk in enumerate(np.hsplit(row, len(ns))):
@@ -816,10 +788,10 @@ def bfps_l_verify(
     trials = _integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if init.kind != "explicit" or len(init.entries) != 2 or _leading_inf(init):
+    if init.kind != "explicit" or len(init.entries) != 2:
         raise ValueError("this check is specific to two finite particles")
     lo, hi = (_integer(w, "each window end") for w in window)
-    e1, e2 = _entry_int(init, 1), _entry_int(init, 2)
+    e1, e2 = init.entries
     span_lo, span_hi = e2 - 6, e1 + 10
     if lo > span_lo or hi < span_hi:
         raise WindowError(
@@ -833,9 +805,7 @@ def bfps_l_verify(
     L[0, 2 : 2 + width] = 1.0  # virtual row j feeds level j with unit weight
     L[1, 2 + width :] = 1.0
     L[2 : 2 + width, 2 + width :] = -np.tri(width, k=-1)  # -1 where level 1 is right of level 2
-    for j, e in ((1, e1), (2, e2)):
-        # level 2's unconjugated row function psi(2, 2 - j) attached to entry j
-        L[2 + width :, j - 1] = _charlier_term(sites - e + 2 - j, 2 - j, t)
+    L[2 + width :, :2] = _row_functions(sites, (e1, e2), t)  # level 2's, attached to the entries
     try:
         kernel = conditional_l_to_k(L, np.arange(len(L)) >= 2)
     except ValueError as err:

@@ -141,8 +141,7 @@ def _quadrature_det(block: Callable, domains, order: int) -> float:
     symmetrized as sqrt(w_i) K_ij sqrt(w_j).  Empty domains, HalfLineUp(inf),
     drop out with their blocks unevaluated; block sees the others by their
     indices in `domains`, and with none left the value is 1.0.  Past
-    MAX_STACKED_ROWS rows a ValueError comes before the matrix does.  One
-    block is the matrix itself, with no stack to fill."""
+    MAX_STACKED_ROWS rows a ValueError comes before the matrix does."""
     keep = [i for i, domain in enumerate(domains) if domain.r < math.inf]
     if not keep:
         return 1.0
@@ -157,13 +156,10 @@ def _quadrature_det(block: Callable, domains, order: int) -> float:
         k = np.asarray(block(keep[i], keep[j], yi[:, None], yj[None, :]), dtype=float)
         return sqi[:, None] * k * sqj[None, :]
 
-    if len(grids) == 1:
-        return det_window(weighted(0, 0))
-    n = order
     big = np.zeros((rows, rows))
     for i in range(len(grids)):
         for j in range(len(grids)):
-            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = weighted(i, j)
+            big[i * order : (i + 1) * order, j * order : (j + 1) * order] = weighted(i, j)
     return det_window(big)
 
 

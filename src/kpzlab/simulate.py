@@ -71,6 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -158,11 +159,12 @@ def _uniforms(keys: np.ndarray, start: int, width: int) -> np.ndarray:
 class InitialData:
     """Right-finite initial configuration X_0(1) > X_0(2) > ...
 
-    `kind` is one of step/periodic/explicit.  Step is X_0(k) = -k; periodic
-    with gap d >= 2 is X_0(k) = -d(k-1); explicit stores the entries, which
-    may include +inf leading entries (those are meaningful to the exact
-    solvers but not simulatable).  The gap and every finite entry must be
-    integral; an integral float is accepted and kept as given.  X_0^{-1}
+    `kind` is one of step/periodic/explicit.  Step and periodic data are
+    the progression X_0(k) = x_1 - d(k - 1), (x_1, d) = (-1, 1) for step
+    and (0, d) for periodic with gap d >= 2; explicit data stores its
+    entries, finite and strictly decreasing.  The gap and the entries are
+    kept as Python ints; integral floats and numpy ints are accepted.  Data
+    with m leading +inf entries are the rest relabeled from 1.  X_0^{-1}
     has one evaluator, `inverse_label`: `anchor` is its value at -1.
     """
 
@@ -174,45 +176,46 @@ class InitialData:
         if self.kind not in ("step", "periodic", "explicit"):
             raise ValueError(f"unknown initial data kind: {self.kind!r}")
         if self.kind == "periodic":
-            if self.d is None or _integer(self.d, "gap d") < 2:
+            d = None if self.d is None else _integer(self.d, "gap d")
+            if d is None or d < 2:
                 raise ValueError("periodic data needs an integer gap d >= 2")
+            object.__setattr__(self, "d", d)
         if self.kind == "explicit":
             if not self.entries:
                 raise ValueError("explicit data needs entries")
-            if any(e == -math.inf for e in self.entries):
-                raise ValueError("-inf entries not allowed")
-            seen_finite = False
-            for e in self.entries:
-                if math.isinf(e):
-                    if seen_finite:
-                        raise ValueError("+inf entries must lead")
-                else:
-                    seen_finite = True
-            finite = [_integer(e, "each finite entry") for e in self.entries if not math.isinf(e)]
-            if any(finite[i] <= finite[i + 1] for i in range(len(finite) - 1)):
+            bad = [e for e in self.entries if not (type(e) is int or math.isfinite(e))]
+            if bad:
+                raise ValueError(f"each entry must be an integer, got {bad[0]!r}; for data with m"
+                                 " leading +inf entries, drop them and subtract m from every label")
+            entries = tuple([_integer(e, "each entry") for e in self.entries])
+            if any(map(operator.le, entries, entries[1:])):
                 raise ValueError("explicit entries must be strictly decreasing")
+            object.__setattr__(self, "entries", entries)
 
-    def entry(self, k: int) -> float:
+    @property
+    def _progression(self) -> tuple[int, int]:
+        """(x_1, d) of step and periodic data."""
+        return (-1, 1) if self.kind == "step" else (0, self.d)
+
+    def entry(self, k: int) -> int:
         """X_0(k), 1-based label."""
         if k < 1:
             raise ValueError("labels start at 1")
-        if self.kind == "step":
-            return -k
-        if self.kind == "periodic":
-            return -self.d * (k - 1)
-        if k > len(self.entries):
-            raise ValueError(f"label {k} beyond explicit data")
-        return self.entries[k - 1]
+        if self.kind == "explicit":
+            if k > len(self.entries):
+                raise ValueError(f"label {k} beyond explicit data")
+            return self.entries[k - 1]
+        x1, d = self._progression
+        return x1 - d * (k - 1)
 
     def inverse_label(self, z: int) -> int:
-        """X_0^{-1}(z) = min{k : X_0(k) <= z} for an integer z: step and
-        periodic data are the progression X_0(k) = x_1 - d(k - 1), and
-        explicit data with every particle right of z gives N + 1 (the empty
+        """X_0^{-1}(z) = min{k : X_0(k) <= z} for an integer z; explicit
+        data with every particle right of z gives N + 1 (the empty
         half-line below the last particle is determined)."""
-        if self.kind != "explicit":
-            x1, d = (-1, 1) if self.kind == "step" else (0, _integer(self.d, "gap d"))
-            return 1 + max(0, -((z - x1) // d))
-        return next((k for k, e in enumerate(self.entries, start=1) if e <= z), len(self.entries) + 1)
+        if self.kind == "explicit":
+            return next((k for k, e in enumerate(self.entries, start=1) if e <= z), len(self.entries) + 1)
+        x1, d = self._progression
+        return 1 + max(0, -((z - x1) // d))
 
     def anchor(self) -> int:
         """X_0^{-1}(-1), the label that a height is counted from."""
@@ -359,8 +362,6 @@ def initial_state(
     full.
     """
     if init.kind == "explicit":
-        if any(math.isinf(e) for e in init.entries):
-            raise ValueError("cannot simulate data with +inf entries")
         pos = np.array(init.entries, dtype=np.int64)
         return _particle_state(pos, 1, 0.0, init.anchor(), True)
     if n_particles is None:
@@ -370,10 +371,8 @@ def initial_state(
     n_particles = _integer(n_particles, "n_particles")
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    if init.kind == "step":
-        pos = np.arange(-1, -n_particles - 1, -1, dtype=np.int64)
-    else:
-        pos = np.arange(0, -init.d * n_particles, -init.d, dtype=np.int64)
+    x1, d = init._progression
+    pos = np.arange(x1, x1 - d * n_particles, -d, dtype=np.int64)
     return _particle_state(pos, 1, 0.0, init.anchor(), False)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kpzlab.exact import WindowError, _entry_int, _leading_inf, gt_indicators
+from kpzlab.exact import WindowError, gt_indicators
 from kpzlab.exact import _transfer_inverse_matrix, epi_transfer_matrix
 from kpzlab.simulate import InitialData
 from kpzlab.special import _charlier_term, _check_time, _integer, _poisson_charlier, schuetz_F
@@ -110,7 +110,7 @@ def psi_residue(
     n, k, x = _integer(n, "n"), _integer(k, "k"), _integer(x, "x")
     if k >= n:
         raise ValueError("need k < n")
-    s = x - _entry_int(init, n - k)
+    s = x - init.entry(n - k)
     val = _charlier_term(s + k, k, t)
     return math.ldexp(val, -s) if conjugated else val
 
@@ -192,10 +192,10 @@ def backward_heat_polys(init: InitialData, n: int, k: int) -> tuple[tuple[Fracti
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     levels = [None] * (k + 1)
-    levels[k] = (_pow2(-_entry_int(init, n - k)),)
+    levels[k] = (_pow2(-init.entry(n - k)),)
     for ell in range(k, 0, -1):
         negated = tuple(-c for c in levels[ell])
-        levels[ell - 1] = _discrete_antiderivative(negated, _entry_int(init, n - ell + 1))
+        levels[ell - 1] = _discrete_antiderivative(negated, init.entry(n - ell + 1))
     return tuple(levels)
 
 
@@ -290,8 +290,6 @@ def build_biortho(
     lo, hi = int(window[0]), int(window[1])
     if lo >= hi:
         raise ValueError("window must be a nonempty interval")
-    if _leading_inf(init):
-        raise ValueError("data must start with a finite entry")
     xs = np.arange(lo, hi + 1)
     psi = {}
     phi = {}
@@ -300,15 +298,15 @@ def build_biortho(
         pn = np.zeros((n, len(xs)))
         fn = np.zeros((n, len(xs)))
         for k in range(n):
-            s = xs - _entry_int(init, n - k)
+            s = xs - init.entry(n - k)
             pn[k] = np.ldexp(_charlier_term(s + k, k, t), -s)
             levels = backward_heat_polys(init, n, k)
             h[(n, k)] = levels
             fn[k] = _phi_row(t, levels[0], xs)
         psi[n] = pn
         phi[n] = fn
-    top = max(_entry_int(init, 1), 0) + int(math.ceil(3.0 * t)) + 48
-    bot = _entry_int(init, n_max) - n_max - 8
+    top = max(init.entry(1), 0) + int(math.ceil(3.0 * t)) + 48
+    bot = init.entry(n_max) - n_max - 8
     finite = np.all([np.isfinite(fn).all(axis=0) for fn in phi.values()], axis=0)
     if not finite.all():
         first_inf = int(xs[~finite][0])
@@ -440,7 +438,7 @@ def variational_step_events(init: InitialData, n: int, a: int) -> list[tuple[int
     packed block), by increasing step label.  TASEP is last-passage
     percolation, and reversing the environment about the event's cell
     turns the corners into end points from one start."""
-    entries = [_entry_int(init, label) for label in range(1, n + 1)]
+    entries = [init.entry(label) for label in range(1, n + 1)]
     corners = [1] + [label for label in range(2, n + 1) if entries[label - 2] - entries[label - 1] > 1]
     return sorted((n + 1 - label, a - 1 - entries[label - 1]) for label in corners)
 

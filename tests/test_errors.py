@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kpzlab.exact import bfps_l_verify, epi_transfer_matrix, gt_pattern_sum, kt_step_closed
+from kpzlab.exact import bfps_l_verify, gt_pattern_sum, kt_step_closed
 from kpzlab.fredholm import BlockExtendedProblem
 from kpzlab.simulate import ParticleState, height, initial_state, make_initial, rescale_height
 from kpzlab.special import _poisson_charlier
@@ -23,7 +23,9 @@ def zero_kernel(i, j, u, v):
 ERRORS = {
     "make_initial_empty": (lambda: make_initial("explicit", entries=()), "^explicit data needs entries$"),
     "make_initial_minus_inf": (
-        lambda: make_initial("explicit", entries=(0, -math.inf)), "^-inf entries not allowed$"
+        lambda: make_initial("explicit", entries=(0, -math.inf)),
+        r"^each entry must be an integer, got -inf; for data with m leading \+inf entries, drop"
+        " them and subtract m from every label$",
     ),
     "entry_label_zero": (lambda: STEP.entry(0), "^labels start at 1$"),
     "entry_beyond_explicit": (
@@ -44,10 +46,6 @@ ERRORS = {
     "height_reversed_window": (lambda: height(THREE, 2, 1), "^empty window$"),
     "rescale_height_eps_zero": (
         lambda: rescale_height(height(THREE, -2, 1), 0, 1.0), r"^need 0 < eps <= 1$"
-    ),
-    "epi_transfer_at_an_infinite_entry": (
-        lambda: epi_transfer_matrix(make_initial("explicit", entries=(math.inf, 0, -2)), 1.0, 1, -5, 5, [0]),
-        "^label 1 has no finite position$",
     ),
     "array_sum_unequal_sizes": (
         lambda: gt_pattern_sum((1, 0), (0,), 0.5), "^configurations must have equal size$"

@@ -826,9 +826,6 @@ def test_biortho_rejects_bad_arguments():
         build_biortho(EXPL, 0.9, n_max=0, window=(-30, 10))
     with pytest.raises(ValueError):
         build_biortho(EXPL, 0.9, n_max=2, window=(5, -5))
-    fuzzy = make_initial(kind="explicit", entries=(math.inf, 1, -2))
-    with pytest.raises(ValueError):
-        build_biortho(fuzzy, 0.9, n_max=2, window=(-30, 10))
 
 
 def test_closed_form_columns_step():
@@ -1098,18 +1095,16 @@ def test_kt_kernel_is_block_matrix_entry():
 def test_kt_kernel_takes_site_arrays():
     # 1-D site arrays give the window K(n_i, x1; n_j, x2) of one build, to
     # the bit, and the entries of single-site calls up to the rounding of a
-    # longer start span; an infinite prefix relabels as for one entry
+    # longer start span
     from kpzlab.exact import _kernel_blocks
 
     x1, x2 = np.arange(-6, 3), np.array([-4, 0, 1, 5])
-    prefixed = make_initial("explicit", entries=(math.inf, *EXPL.entries))
-    for init, shift in ((STEP, 0), (EXPL, 0), (prefixed, 1)):
+    for init in (STEP, EXPL):
         for ni, nj in ((1, 1), (2, 3), (3, 2)):
-            got = kt_kernel(0.7, init, ni + shift, nj + shift, x1, x2)
-            base = EXPL if shift else init
+            got = kt_kernel(0.7, init, ni, nj, x1, x2)
             assert got.shape == (9, 4)
-            assert np.array_equal(got, _kernel_blocks(0.7, base, [(ni, x1)], [(nj, x2)]))
-            each = [[kt_kernel(0.7, init, ni + shift, nj + shift, a, b) for b in x2] for a in x1]
+            assert np.array_equal(got, _kernel_blocks(0.7, init, [(ni, x1)], [(nj, x2)]))
+            each = [[kt_kernel(0.7, init, ni, nj, a, b) for b in x2] for a in x1]
             np.testing.assert_allclose(got, each, rtol=1e-12, atol=1e-15)
     row = kt_kernel(0.7, STEP, 2, 3, 1, x2)
     assert row.shape == (1, 4) and np.array_equal(row, kt_kernel(0.7, STEP, 2, 3, [1], x2))
@@ -1189,9 +1184,8 @@ def test_time_must_be_finite_and_nonnegative(name, t):
 def test_kernel_rejects_bad_labels():
     with pytest.raises(ValueError):
         kt_kernel(-0.5, STEP, 1, 1, 0, 0)
-    fuzzy = make_initial(kind="explicit", entries=(math.inf, math.inf, 0, -2))
     with pytest.raises(ValueError):
-        kt_kernel(0.5, fuzzy, 2, 3, 0, 0)
+        kt_kernel(0.5, make_initial(kind="explicit", entries=(0, -2)), 0, 1, 0, 0)
 
 
 def test_kernel_rejects_non_integral_labels_and_sites():
@@ -1825,29 +1819,12 @@ def test_joint_probability_is_certified(route):
     assert certain == Certified(1.0) and certain.error == 0.0 and certain.order == 0
 
 
-def test_joint_leading_infinite_prefix_relabels():
-    padded = make_initial(
-        kind="explicit", entries=(math.inf, math.inf, 2, 0, -1, -4)
-    )
-    bare = make_initial(kind="explicit", entries=(2, 0, -1, -4))
-    t = 0.9
-    got = multipoint_probability(t, padded, [(3, 1), (5, -2)])
-    want = multipoint_probability(t, bare, [(1, 1), (3, -2)])
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        multipoint_probability(t, padded, [(2, 0)])
-
-
 def test_path_product_matches_extended():
     cases = [
         (1.0, STEP, [(1, -1), (3, -4)]),
         (1.0, STEP, [(1, -1), (2, -2), (3, -3)]),
         (0.9, EXPL, [(2, 2), (4, -2)]),
-        (
-            0.9,
-            make_initial(kind="explicit", entries=(math.inf, math.inf, 2, 0, -1, -4)),
-            [(3, 2), (5, 0)],
-        ),
+        (0.9, make_initial(kind="explicit", entries=(2, 0, -1, -4)), [(1, 2), (3, 0)]),
         (1.2, make_initial(kind="periodic", d=2), [(1, 0), (3, -3)]),
         # half-flat data, and a step three- and four-point, along the scaling
         (2 * 0.05**-1.5, make_initial(kind="periodic", d=2), [(40, 10), (56, -12)]),

@@ -109,6 +109,61 @@ def test_tracer_span_names_resolve():
     assert stale == {"special.airy_ai", "special.circle_quadrature", "exact.hitting_profile"}, sorted(stale)
 
 
+
+# One round of each benchmark workload at seed 1, in a fresh process at one
+# BLAS thread, as the benchmark runs it: a sha256 per workload over every
+# outcome's key, the bits of its value and its error.  A change that keeps
+# the benchmark's outcomes keeps these digests; a change that moves a value
+# re-pins them and says which.
+_BENCH_OUTCOMES = """
+import hashlib
+import numpy as np
+from workloads import WORKLOADS
+
+
+def bits(v):
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    if isinstance(v, np.ndarray):
+        data = hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+        return f"{v.dtype.str}{v.shape}{data}"
+    if isinstance(v, (tuple, list)):
+        return "(" + ",".join(map(bits, v)) + ")"
+    if isinstance(v, dict):
+        return "{" + ",".join(f"{k}:{bits(x)}" for k, x in sorted(v.items())) + "}"
+    if hasattr(v, "__dict__"):  # a state or a height field
+        return type(v).__name__ + bits(vars(v))
+    return repr(v)
+
+
+for name, cls in WORKLOADS.items():
+    work = cls(1)
+    work.warm_up()
+    digest = hashlib.sha256()
+    for op in work.ops:
+        for o in work.run_op(op):
+            digest.update(f"{bits(o.key)}|{bits(o.value)}|{o.error}\\n".encode())
+    print(name, digest.hexdigest())
+"""
+
+
+def test_benchmark_outcomes_are_pinned():
+    # OpenBLAS 0.3.31 at one thread on x86-64
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
+    run = subprocess.run(
+        [sys.executable, "-c", _BENCH_OUTCOMES], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert dict(line.split() for line in run.stdout.splitlines()) == {
+        "tasep-scaling": "0294434a111af9885228bcb0f2ef921c89c7976d8d8374e33f122be8838a2eb6",
+        "tasep-finite": "2c925f37c44781a94765d5537bf2d806187933f0d80e3688b9a37b9f9da3a28f",
+        "fixed-point": "28f120d1d9966436fa4bd9440c63246753585112a2ad2d320073d9c8f6285eaa",
+        "monte-carlo": "6df6ca52afa78c5c5de91af9aedcaeabe3348b694ad13dbfd3b10497df81fd6a",
+    }
+
 def test_only_special_evaluates_airy():
     # one Airy evaluator: every other module takes Ai from special._airy
     banned = {"airy", "airye", "kv", "kve"}

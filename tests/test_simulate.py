@@ -68,12 +68,16 @@ def test_explicit_rejects_non_decreasing():
 
 
 def test_explicit_infinities():
-    init = make_initial("explicit", entries=(math.inf, math.inf, 4, 1))
-    assert init.entry(2) == math.inf
-    with pytest.raises(ValueError):
-        make_initial("explicit", entries=(3, math.inf, 1))
-    with pytest.raises(ValueError):
-        initial_state(init)  # not simulatable
+    # data with m leading +inf entries are the rest relabeled, and the
+    # message says how; -inf and NaN are no positions either
+    fix = "; for data with m leading +inf entries, drop them and subtract m from every label"
+    for entries in ((math.inf, math.inf, 4, 1), (3, math.inf, 1), (0, -math.inf), (np.float64(np.nan), -2)):
+        bad = next(e for e in entries if not math.isfinite(e))
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")
+            make_initial("explicit", entries=entries)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"each entry must be an integer, got {bad!r}{fix}"
 
 
 def test_unknown_kind():
@@ -100,8 +104,23 @@ def test_explicit_entries_must_not_be_nan():
 
 
 def test_integral_floats_are_accepted_as_data():
-    assert [make_initial("periodic", d=2.0).entry(k) for k in (1, 2, 3)] == [0, -2, -4]
-    assert make_initial("explicit", entries=(math.inf, 1.0, -3.0)).entries == (math.inf, 1.0, -3.0)
+    # and numpy ints: the gap, the entries and every entry(k) are kept as
+    # Python ints, whatever integral type they were given as
+    data = [
+        make_initial("step"),
+        *(make_initial("periodic", d=d) for d in (2, 2.0, np.int64(3))),
+        make_initial("explicit", entries=(5.0, np.float64(2.0), -1.0)),
+        make_initial("explicit", entries=np.array([5, 2, -1], dtype=np.int64)),
+        make_initial("explicit", entries=(np.int32(5), np.uint8(2), -1)),
+    ]
+    for init in data:
+        assert all(type(init.entry(k)) is int for k in (1, 2, 3))
+        if init.kind == "periodic":
+            assert type(init.d) is int
+        if init.kind == "explicit":
+            assert type(init.entries) is tuple and init.entries == (5, 2, -1)
+            assert all(type(e) is int for e in init.entries)
+    assert [init.entry(3) for init in data] == [-3, -4, -4, -6, -1, -1, -1]
 
 
 def test_light_cone_count():
@@ -188,13 +207,13 @@ def test_inverse_label_is_the_first_label_at_or_below():
     # one evaluator of X_0^(-1) for every kind; an integral float gap gives
     # int labels, as the integer gap does
     data = [make_initial("step"), make_initial("periodic", d=2), make_initial("periodic", d=3),
-            make_initial("periodic", d=2.0), make_initial("explicit", entries=(math.inf, 5, 2.0, 0, -40))]
+            make_initial("periodic", d=2.0), make_initial("explicit", entries=(5, 2.0, 0, -40))]
     for init in data:
         for z in range(-45, 8):
             label = init.inverse_label(z)
             assert type(label) is int
             if init.kind == "explicit" and z < -40:
-                assert label == 6  # past the last particle
+                assert label == 5  # past the last particle
             else:
                 assert label == _first_label_below(init, z), (init, z)
         assert init.anchor() == init.inverse_label(-1)
